@@ -174,7 +174,8 @@ class DiscretizedOperator:
     ``matrix[i, j] = mu * w_j * 2F1(lam, lam; mu; s_i t_j)`` where the rule
     has parameters (mu-1, sigma), so the kernel's (1-t)^sigma factor is
     carried by the rule's weight rather than sampled pointwise.  Row and
-    column grids coincide (the rule's nodes).  ``p`` records the exponent
+    column grids coincide (the rule's nodes), so the 2F1 grid is exactly
+    symmetric and is built from its upper triangle.  ``p`` records the exponent
     the discretization is meant to be measured in; ``measure_weights`` are
     the weights of the plain measure mu t^(mu-1) dt re-expressed on the
     same nodes, which the discrete L^p norms use.
@@ -203,10 +204,17 @@ class DiscretizedOperator:
 
 
 def _nystrom(params: OperatorParams, p, rule: JacobiRule) -> DiscretizedOperator:
-    """Assemble the Nystrom matrix of F on a rule with parameters (mu-1, sigma)."""
+    """Assemble the Nystrom matrix of F on a rule with parameters (mu-1, sigma).
+
+    The 2F1 grid is symmetric in (s, t): it is evaluated on the upper
+    triangle t_i * t_j, i <= j, and mirrored.  The floating-point product
+    commutes, so the grid equals the one evaluated on the full outer product.
+    """
     t = rule.nodes
-    z = np.outer(t, t)
-    fgrid = hyp2f1_grid(params.lam, params.lam, params.mu, z)
+    rows, cols = np.triu_indices(t.size)
+    fgrid = np.empty((t.size, t.size))
+    fgrid[rows, cols] = fgrid[cols, rows] = hyp2f1_grid(
+        params.lam, params.lam, params.mu, t[rows] * t[cols])
     matrix = params.mu * fgrid * rule.weights[np.newaxis, :]
     measure = params.mu * rule.weights * (1.0 - t) ** (-params.sigma)
     matrix.setflags(write=False)

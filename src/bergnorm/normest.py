@@ -40,6 +40,7 @@ from .intop import (
     LebesgueExponent,
     OperatorParams,
     UnboundedOperatorError,
+    _as_exponent,
     boundedness_margin,
     discretize,
     norm_formula,
@@ -81,10 +82,6 @@ __all__ = [
 # at s = 1/t is too sharp for a fixed-order rule and only the analytic
 # route remains trustworthy
 QUAD_ROUTE_CUTOFF = 1.0 - 2.0 ** -6
-
-
-def _as_exponent(p) -> LebesgueExponent:
-    return p if isinstance(p, LebesgueExponent) else LebesgueExponent(float(p))
 
 
 def supremum_grid(grid_size: int = 64, k_max: int = 40) -> np.ndarray:

@@ -346,38 +346,55 @@ def hyp2f1(args: HypArgs) -> float:
 
 
 def _series_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
-    """Chunked, masked vector version of the raw series (shared parameters)."""
-    out = np.ones_like(z)
-    term = np.ones_like(z)
-    small = np.zeros(z.shape, dtype=np.int64)
-    active = np.arange(z.size)
-    zf = z.ravel()
-    outf = out.ravel()
-    termf = term.ravel()
-    smallf = small.ravel()
+    """Chunked vector version of the raw series (shared parameters).
+
+    The entries still summing are kept packed in contiguous arrays of z,
+    term, partial sum and small-term count, updated in place for 64 terms
+    at a time; finished entries are written back and the arrays shrink only
+    between chunks.  Each entry sees the same arithmetic and stopping rule
+    whatever else shares the array, so a value does not depend on the grid
+    it was evaluated in.  Accepts any shape.
+    """
+    out = np.ones(z.size)
+    zp = z.ravel()
+    idx = np.arange(z.size)
+    term = np.ones(z.size)
+    total = np.ones(z.size)
+    small = np.zeros(z.size, dtype=np.int64)
+    step = np.empty(z.size)
     k = 0
-    while active.size:
+    while idx.size:
         for _ in range(64):
             ratio = (a + k) * (b + k) / ((c + k) * (k + 1))
-            termf[active] *= ratio * zf[active]
-            outf[active] += termf[active]
+            np.multiply(zp, ratio, out=step)
+            np.multiply(term, step, out=term)
+            np.add(total, term, out=total)
             k += 1
-        t = np.abs(termf[active])
-        tiny = t < _SERIES_RTOL * np.abs(outf[active])
-        smallf[active] = np.where(tiny, smallf[active] + 64, 0)
-        active = active[smallf[active] < _SERIES_CONSEC]
-        if k >= _SERIES_CAP and active.size:
+        tiny = np.abs(term) < _SERIES_RTOL * np.abs(total)
+        small = np.where(tiny, small + 64, 0)
+        done = small >= _SERIES_CONSEC
+        if done.any():
+            out[idx[done]] = total[done]
+            keep = ~done
+            idx, zp, term, total, small = (
+                idx[keep], zp[keep], term[keep], total[keep], small[keep])
+            step = step[:idx.size]
+        if k >= _SERIES_CAP and idx.size:
             raise ConvergenceError(
                 f"2F1 series exceeded {_SERIES_CAP} terms on a grid; worst z = "
-                f"{zf[active].max()} at (a={a}, b={b}, c={c})")
-    return out
+                f"{zp.max()} at (a={a}, b={b}, c={c})")
+    return out.reshape(z.shape)
 
 
 def hyp2f1_grid(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     """2F1(a,b;c;z) over an array of arguments in [0,1), shared parameters.
 
     Same route selection as the scalar evaluator; the handful of entries in
-    the near-one window fall back to scalar connection-formula calls.
+    the near-one window fall back to scalar connection-formula calls.  Each
+    entry's value depends on its own z alone, never on the other entries,
+    so a caller may evaluate any subset of a grid (``intop`` builds its
+    symmetric Nystrom grid from the upper triangle) and place the values
+    back unchanged.
     """
     z = np.asarray(z, dtype=float)
     if z.size and (z.min() < 0.0 or z.max() >= 1.0):

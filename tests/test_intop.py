@@ -20,7 +20,7 @@ from bergnorm.intop import (
     kernel_eval,
     norm_formula,
 )
-from bergnorm.specfun import beta_fn
+from bergnorm.specfun import beta_fn, hyp2f1_grid
 
 
 def naive_2f1(a, b, c, z, terms=400):
@@ -207,6 +207,22 @@ def test_discretize_graded_matrix_is_kernel_times_weights():
         kernel = kernel_eval(params, t[:, None], t[None, :])
         assert np.allclose(dop.matrix, kernel * dop.measure_weights[None, :],
                            rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("mu, sigma", [(1.0, 0.0), (2.0, 0.5), (0.7, 1.6)])
+@pytest.mark.parametrize("build, order", [(discretize, 96), (discretize_graded, 64)])
+def test_nystrom_matrix_equals_full_grid_assembly(build, order, mu, sigma):
+    params = OperatorParams(mu, sigma)
+    dop = build(params, 2.0, order)
+    t, w = dop.nodes, dop.rule.weights
+    z = np.outer(t, t)
+    assert np.any(1.0 - z < 5e-3)  # the near-one connection route is exercised
+    fgrid = hyp2f1_grid(params.lam, params.lam, mu, z)
+    assert np.array_equal(fgrid, fgrid.T)
+    assert np.array_equal(dop.matrix, mu * fgrid * w[None, :])
+    # dividing the weights back out rounds, so this symmetry holds to an ulp or two
+    grid = dop.matrix / w[None, :]
+    np.testing.assert_allclose(grid, grid.T, rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 def test_discretize_graded_reaches_deep_into_the_corner():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergnorm import specfun
 from bergnorm.specfun import (
     ConvergenceError,
     DivergenceError,
@@ -260,6 +261,77 @@ def test_hyp2f1_grid_rejects_bad_arguments():
         hyp2f1_grid(1.0, 1.0, 2.0, np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
         hyp2f1_grid(1.0, 1.0, 2.0, np.array([-0.1]))
+
+
+def _masked_series_vec(a, b, c, z):
+    """The masked series loop ``specfun._series_vec`` replaced, kept as the
+    reference its packed loop must reproduce byte for byte."""
+    out = np.ones_like(z)
+    term = np.ones_like(z)
+    small = np.zeros(z.shape, dtype=np.int64)
+    active = np.arange(z.size)
+    zf = z.ravel()
+    outf = out.ravel()
+    termf = term.ravel()
+    smallf = small.ravel()
+    k = 0
+    while active.size:
+        for _ in range(64):
+            ratio = (a + k) * (b + k) / ((c + k) * (k + 1))
+            termf[active] *= ratio * zf[active]
+            outf[active] += termf[active]
+            k += 1
+        t = np.abs(termf[active])
+        tiny = t < specfun._SERIES_RTOL * np.abs(outf[active])
+        smallf[active] = np.where(tiny, smallf[active] + 64, 0)
+        active = active[smallf[active] < specfun._SERIES_CONSEC]
+        if k >= specfun._SERIES_CAP and active.size:
+            raise ConvergenceError(
+                f"2F1 series exceeded {specfun._SERIES_CAP} terms on a grid; worst z = "
+                f"{zf[active].max()} at (a={a}, b={b}, c={c})")
+    return out
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (0.3, 0.7, 1.9),     # d = c-a-b > 0: raw series in both bands
+    (1.0, 1.0, 2.0),     # d = 0
+    (1.5, 1.5, 1.0),     # d < 0: Euler transform in the mid band
+    (1.25, 1.25, 2.0),   # d < 0
+    (-3.0, 1.5, 2.2),    # terminating: the 2-D grid goes straight to the series
+])
+def test_hyp2f1_grid_matches_masked_reference_bytes(monkeypatch, a, b, c):
+    rng = np.random.default_rng(11)
+    z = rng.uniform(0.0, 0.995, (120, 120))
+    packed = hyp2f1_grid(a, b, c, z)
+    monkeypatch.setattr(specfun, "_series_vec", _masked_series_vec)
+    masked = hyp2f1_grid(a, b, c, z)
+    assert packed.shape == z.shape
+    assert packed.tobytes() == masked.tobytes()
+
+
+def test_series_vec_matches_masked_reference_on_edge_shapes():
+    rng = np.random.default_rng(12)
+    for z in (np.empty(0), rng.uniform(0.0, 0.7, (7, 9)), np.array([0.0, 0.7])):
+        packed = specfun._series_vec(0.6, 1.4, 2.3, z)
+        assert packed.shape == z.shape
+        assert packed.tobytes() == _masked_series_vec(0.6, 1.4, 2.3, z).tobytes()
+
+
+def test_hyp2f1_grid_terminating_path_ignores_memory_layout():
+    # a transposed (Fortran-ordered) grid gives the values of its C-ordered copy
+    z = np.random.default_rng(13).uniform(0.0, 0.999, (40, 30)).T
+    assert np.array_equal(hyp2f1_grid(-3.0, 1.5, 2.2, z),
+                          hyp2f1_grid(-3.0, 1.5, 2.2, np.ascontiguousarray(z)))
+
+
+def test_hyp2f1_grid_cap_names_worst_unconverged_z(monkeypatch):
+    # with 64 terms, 0.05 and 0.3 converge and 0.65 does not; the error
+    # comes from the low band, before 0.9 is ever summed
+    monkeypatch.setattr(specfun, "_SERIES_CAP", 64)
+    with pytest.raises(ConvergenceError) as excinfo:
+        hyp2f1_grid(1.0, 1.0, 2.0, np.array([0.05, 0.65, 0.3, 0.62, 0.9]))
+    assert "exceeded 64 terms" in str(excinfo.value)
+    assert "worst z = 0.65 at (a=1.0, b=1.0, c=2.0)" in str(excinfo.value)
 
 
 def test_series_cap_raises():

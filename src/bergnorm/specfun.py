@@ -1,9 +1,10 @@
-"""Scalar special functions used throughout the package.
+"""Special functions used throughout the package.
 
 Everything here is self-contained double-precision code: a fixed-coefficient
 Lanczos log-gamma, a shift-plus-asymptotic digamma, Pochhammer symbols, the
 Euler beta function, and a Gauss hypergeometric evaluator 2F1(a,b;c;z) for
-real parameters and z in [0,1].
+real parameters and z in [0,1], scalar (``hyp2f1``) or over an array of z
+with shared parameters (``hyp2f1_grid``).
 
 The 2F1 evaluator picks between three routes:
 
@@ -13,7 +14,8 @@ The 2F1 evaluator picks between three routes:
   * a connection-formula evaluation in powers of w = 1-z when z is within
     _NEAR_ONE_W of 1, where both series above need ~1/(1-z) terms and blow
     past the term cap.  The connection route handles the generic
-    (non-integer c-a-b) case and the logarithmic (integer) case.
+    (non-integer c-a-b) case and the logarithmic (integer) case, on a whole
+    array of arguments at once; the scalar evaluator passes it one entry.
 
 Series termination: a term below 1e-16 of the partial sum three times in a
 row, with a hard cap of 100000 terms; exceeding the cap raises
@@ -48,6 +50,7 @@ _SERIES_CAP = 100_000
 _RAW_SERIES_Z = 0.7
 _NEAR_ONE_W = 5e-3      # switch to connection formulas when 1-z is below this
 _INT_SNAP = 1e-6        # treat c-a-b this close to an integer as the log case
+_W_BLOCK = 12           # terms per block of the near-one series
 _POCH_LOG_SWITCH = 32   # product path below this k (exact recurrence), log path above
 
 # 14-term Lanczos coefficients (g = 671/128); relative error < 2e-15 on the
@@ -255,19 +258,128 @@ def hyp2f1_at_one(a: float, b: float, c: float) -> float:
     return gamma_ratio_log((c, d), (c - a, c - b))
 
 
-def _near_one(a: float, b: float, c: float, z: float) -> float:
-    """Evaluate 2F1 in powers of w = 1-z via connection formulas.
+def _map(f, x: np.ndarray) -> np.ndarray:
+    """``f`` (a ``math`` function) on each entry of a 1-D array.
+
+    ``np.log``/``np.exp`` can differ from libm in the last bit, so the
+    near-one route calls the scalar functions the connection formulas were
+    written with; errors such as ``math.exp`` overflow propagate unchanged.
+    """
+    return np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
+
+
+def _w_block(term: np.ndarray, total: np.ndarray, steps: np.ndarray,
+             bracket: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Terms and partial sums of one block of a series in w, one column per entry.
+
+    Row j of the first result is the term after j steps (``term`` times the
+    first j rows of ``steps``), row j of the second the sum after j steps.
+    A step adds the new term to the sum or, when ``bracket`` is given,
+    adds the old term times its bracket.  ``np.cumprod`` and ``np.cumsum``
+    accumulate one row after the other, so each entry rounds exactly as
+    the scalar loop ``term *= step; total += term`` does.
+    """
+    p = np.empty((steps.shape[0] + 1, term.size))
+    p[0] = term
+    p[1:] = steps
+    p = np.cumprod(p, axis=0)
+    s = np.empty_like(p)
+    s[0] = total
+    if bracket is None:
+        s[1:] = p[1:]
+    else:
+        np.multiply(p[:-1], bracket, out=s[1:])
+    return p, np.cumsum(s, axis=0)
+
+
+def _series_w(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
+    """``_series(a, b, c, w)`` for each entry of a 1-D array ``w``, same bits.
+
+    Terms are formed _W_BLOCK at a time by ``_w_block``; the stopping rule
+    (a zero term, or three small terms in a row, _SERIES_CONSEC) is then
+    applied to the block.  Entries still summing carry their term, sum and the
+    smallness of their last two terms into the next block.
+    """
+    out = np.empty(w.size)
+    idx = np.arange(w.size)
+    term = np.ones(w.size)
+    total = np.ones(w.size)
+    last2 = np.zeros((2, w.size), dtype=bool)
+    k = 0
+    while idx.size:
+        if k >= _SERIES_CAP:
+            raise ConvergenceError(
+                f"2F1 series exceeded {_SERIES_CAP} terms near z = 1; worst 1-z = "
+                f"{w.max()} at (a={a}, b={b}, c={c})")
+        ks = range(k, min(k + _W_BLOCK, _SERIES_CAP))
+        ratio = np.array([(a + j) * (b + j) / ((c + j) * (j + 1)) for j in ks])
+        p, s = _w_block(term, total, ratio[:, None] * w)
+        tiny = np.concatenate([last2, np.abs(p[1:]) < _SERIES_RTOL * np.abs(s[1:])])
+        stop = (p[1:] == 0.0) | (tiny[2:] & tiny[1:-1] & tiny[:-2])
+        done = stop.any(axis=0)
+        cols = np.flatnonzero(done)
+        out[idx[cols]] = s[stop[:, cols].argmax(axis=0) + 1, cols]
+        keep = ~done
+        idx, w, term, total, last2 = (
+            idx[keep], w[keep], p[-1, keep], s[-1, keep], tiny[-2:, keep])
+        k += len(ks)
+    return out
+
+
+def _log_series_w(w: np.ndarray, logw: np.ndarray, term0: float, ratio, bracket,
+                  scaled: bool) -> np.ndarray:
+    """Sum over n of term_n * bracket_n for each entry of ``w``, same bits
+    as the scalar loops of the logarithmic connection formulas.
+
+    term_0 = ``term0`` and term_(n+1) = term_n * (ratio(n) * w);
+    ``bracket(logw, ns)`` gives the brackets of the indices ``ns``, one row
+    per index.  A loop stops after index n > 2 once the next term (times
+    logw when ``scaled``) is below _SERIES_RTOL of the sum, and otherwise
+    ends at _SERIES_CAP terms.
+    """
+    out = np.empty(w.size)
+    idx = np.arange(w.size)
+    term = np.full(w.size, term0)
+    total = np.zeros(w.size)
+    n = 0
+    while idx.size and n < _SERIES_CAP:
+        ns = range(n, min(n + _W_BLOCK, _SERIES_CAP))
+        steps = np.array([ratio(k) for k in ns])[:, None] * w
+        p, s = _w_block(term, total, steps, bracket(logw, ns))
+        nxt = p[1:] * logw if scaled else p[1:]
+        stop = np.abs(nxt) < _SERIES_RTOL * np.abs(s[1:])
+        stop[:max(0, 3 - n)] = False
+        done = stop.any(axis=0)
+        cols = np.flatnonzero(done)
+        out[idx[cols]] = s[stop[:, cols].argmax(axis=0) + 1, cols]
+        keep = ~done
+        idx, w, logw, term, total = idx[keep], w[keep], logw[keep], p[-1, keep], s[-1, keep]
+        n += len(ns)
+    out[idx] = total
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")  # silent like the scalar float loops
+def _near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
+    """Evaluate 2F1 in powers of w = 1-z via connection formulas, for a
+    1-D array ``z`` of arguments close to 1.
 
     Normalizes first so the effective exponent d = c-a-b is positive
     (applying the Euler transform when it is negative), then uses the
     generic two-series connection formula, or its logarithmic limit when d
-    sits (numerically) on a non-negative integer.
+    sits (numerically) on a non-negative integer.  The Gamma-ratio
+    coefficients and digamma constants are computed once per call; each
+    entry gets the bits of a scalar evaluation in the same order of
+    operations, through ``math.log``/``math.exp`` and ``_w_block``.
     """
+    if not z.size:
+        return np.empty(0)
     w = 1.0 - z
+    logw = _map(math.log, w)
     d = c - a - b
-    prefactor_log = 0.0
+    prefactor = None
     if d < 0.0:
-        prefactor_log = d * math.log(w)
+        prefactor = _map(math.exp, d * logw)
         a, b = c - a, c - b
         d = -d
     m = round(d)
@@ -275,47 +387,47 @@ def _near_one(a: float, b: float, c: float, z: float) -> float:
         # generic case: two analytic series in w
         s1 = gamma_ratio_log((c, d), (c - a, c - b))
         s2 = gamma_ratio_log((c, -d), (a, b))
-        val = (s1 * _series(a, b, 1.0 - d, w)
-               + s2 * math.exp(d * math.log(w)) * _series(c - a, c - b, 1.0 + d, w))
-        return math.exp(prefactor_log) * val
+        out = (s1 * _series_w(a, b, 1.0 - d, w)
+               + s2 * _map(math.exp, d * logw) * _series_w(c - a, c - b, 1.0 + d, w))
+        return out if prefactor is None else prefactor * out
     # logarithmic case, c = a + b + m with integer m >= 0
-    m = int(m)
-    logw = math.log(w)
     if m == 0:
         front = gamma_ratio_log((c,), (a, b))
-        total = 0.0
-        term = 1.0  # (a)_n (b)_n / (n!)^2 * w^n
-        for n in range(_SERIES_CAP):
-            bracket = 2.0 * digamma(n + 1.0) - digamma(a + n) - digamma(b + n) - logw
-            total += term * bracket
-            term *= (a + n) * (b + n) / ((n + 1.0) * (n + 1.0)) * w
-            if abs(term) < _SERIES_RTOL * abs(total) and n > 2:
-                break
-        return math.exp(prefactor_log) * front * total
-    finite = 0.0
-    term = 1.0  # (a)_n (b)_n / (n! (1-m)_n) * w^n
+        # terms are (a)_n (b)_n / (n!)^2 * w^n
+        total = _log_series_w(
+            w, logw, 1.0,
+            lambda n: (a + n) * (b + n) / ((n + 1.0) * (n + 1.0)),
+            lambda lw, ns: np.array([2.0 * digamma(n + 1.0) - digamma(a + n) - digamma(b + n)
+                                     for n in ns])[:, None] - lw,
+            scaled=False)
+        return (front if prefactor is None else prefactor * front) * total
+    finite = np.zeros(w.size)
+    term = np.ones(w.size)  # (a)_n (b)_n / (n! (1-m)_n) * w^n
     for n in range(m):
-        finite += term
+        finite = finite + term
         if n + 1 < m:
-            term *= (a + n) * (b + n) / ((n + 1.0) * (1.0 - m + n)) * w
+            term = term * ((a + n) * (b + n) / ((n + 1.0) * (1.0 - m + n)) * w)
     first = gamma_ratio_log((float(m), c), (a + m, b + m)) * finite
     ga, sa = _log_gamma_signed(a)
     gb, sb = _log_gamma_signed(b)
     if sa == 0.0 or sb == 0.0:
         second = 0.0  # 1/Gamma pole kills the logarithmic branch
     else:
-        front = sa * sb * math.exp(log_gamma(c) - ga - gb + m * logw)
-        total = 0.0
-        term = 1.0 / math.exp(log_gamma(m + 1.0))  # (a+m)_n (b+m)_n / (n! (n+m)!) * w^n
-        for n in range(_SERIES_CAP):
-            bracket = (logw - digamma(n + 1.0) - digamma(n + m + 1.0)
-                       + digamma(a + n + m) + digamma(b + n + m))
-            total += term * bracket
-            term *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)) * w
-            if abs(term * logw) < _SERIES_RTOL * abs(total) and n > 2:
-                break
+        front = sa * sb * _map(math.exp, (log_gamma(c) - ga - gb) + m * logw)
+
+        def bracket(lw, ns):
+            psi = np.array([(digamma(n + 1.0), digamma(n + m + 1.0),
+                             digamma(a + n + m), digamma(b + n + m)) for n in ns]).T[..., None]
+            return lw - psi[0] - psi[1] + psi[2] + psi[3]
+
+        # terms are (a+m)_n (b+m)_n / (n! (n+m)!) * w^n
+        total = _log_series_w(
+            w, logw, 1.0 / math.exp(log_gamma(m + 1.0)),
+            lambda n: (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)),
+            bracket, scaled=True)
         second = -((-1.0) ** m) * front * total
-    return math.exp(prefactor_log) * (first + second)
+    out = first + second
+    return out if prefactor is None else prefactor * out
 
 
 def _hyp2f1(a: float, b: float, c: float, z: float) -> float:
@@ -333,7 +445,7 @@ def _hyp2f1(a: float, b: float, c: float, z: float) -> float:
         # transform side terminates: exact, any z
         return (1.0 - z) ** d * _series(c - a, c - b, c, z)
     if 1.0 - z < _NEAR_ONE_W:
-        return _near_one(a, b, c, z)
+        return float(_near_one_vec(a, b, c, np.array([z]))[0])
     if d < 0.0:
         # Euler transform raises the convergence exponent to -d > 0
         return (1.0 - z) ** d * _series(c - a, c - b, c, z)
@@ -389,8 +501,8 @@ def _series_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
 def hyp2f1_grid(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     """2F1(a,b;c;z) over an array of arguments in [0,1), shared parameters.
 
-    Same route selection as the scalar evaluator; the handful of entries in
-    the near-one window fall back to scalar connection-formula calls.  Each
+    Same route selection as the scalar evaluator; the entries in the
+    near-one window go through the connection formulas in one call.  Each
     entry's value depends on its own z alone, never on the other entries,
     so a caller may evaluate any subset of a grid (``intop`` builds its
     symmetric Nystrom grid from the upper triangle) and place the values
@@ -421,7 +533,7 @@ def hyp2f1_grid(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
         else:
             out[mid] = _series_vec(a, b, c, zm)
     if np.any(near):
-        out[near] = np.array([_near_one(a, b, c, zz) for zz in z[near]])
+        out[near] = _near_one_vec(a, b, c, z[near])
     return out
 
 

@@ -349,6 +349,136 @@ def test_series_cap_raises():
 
 
 # ----------------------------------------------------------------------
+# near-one connection route
+# ----------------------------------------------------------------------
+
+def _scalar_near_one(a, b, c, z):
+    """The per-entry connection-formula evaluator that ``specfun._near_one_vec``
+    replaced, kept as the reference its array route must reproduce bit for
+    bit (connection formulas of DLMF §15.8)."""
+    w = 1.0 - z
+    d = c - a - b
+    prefactor_log = 0.0
+    if d < 0.0:
+        prefactor_log = d * math.log(w)
+        a, b = c - a, c - b
+        d = -d
+    m = round(d)
+    if abs(d - m) > specfun._INT_SNAP:
+        s1 = specfun.gamma_ratio_log((c, d), (c - a, c - b))
+        s2 = specfun.gamma_ratio_log((c, -d), (a, b))
+        val = (s1 * specfun._series(a, b, 1.0 - d, w)
+               + s2 * math.exp(d * math.log(w)) * specfun._series(c - a, c - b, 1.0 + d, w))
+        return math.exp(prefactor_log) * val
+    m = int(m)
+    logw = math.log(w)
+    if m == 0:
+        front = specfun.gamma_ratio_log((c,), (a, b))
+        total = 0.0
+        term = 1.0
+        for n in range(specfun._SERIES_CAP):
+            bracket = 2.0 * digamma(n + 1.0) - digamma(a + n) - digamma(b + n) - logw
+            total += term * bracket
+            term *= (a + n) * (b + n) / ((n + 1.0) * (n + 1.0)) * w
+            if abs(term) < specfun._SERIES_RTOL * abs(total) and n > 2:
+                break
+        return math.exp(prefactor_log) * front * total
+    finite = 0.0
+    term = 1.0
+    for n in range(m):
+        finite += term
+        if n + 1 < m:
+            term *= (a + n) * (b + n) / ((n + 1.0) * (1.0 - m + n)) * w
+    first = specfun.gamma_ratio_log((float(m), c), (a + m, b + m)) * finite
+    ga, sa = specfun._log_gamma_signed(a)
+    gb, sb = specfun._log_gamma_signed(b)
+    if sa == 0.0 or sb == 0.0:
+        second = 0.0
+    else:
+        front = sa * sb * math.exp(log_gamma(c) - ga - gb + m * logw)
+        total = 0.0
+        term = 1.0 / math.exp(log_gamma(m + 1.0))
+        for n in range(specfun._SERIES_CAP):
+            bracket = (logw - digamma(n + 1.0) - digamma(n + m + 1.0)
+                       + digamma(a + n + m) + digamma(b + n + m))
+            total += term * bracket
+            term *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)) * w
+            if abs(term * logw) < specfun._SERIES_RTOL * abs(total) and n > 2:
+                break
+        second = -((-1.0) ** m) * front * total
+    return math.exp(prefactor_log) * (first + second)
+
+
+def _outcome(f):
+    """The bytes of f()'s array, or the type of the exception it raises."""
+    try:
+        return np.asarray(f(), dtype=float).tobytes()
+    except (ArithmeticError, ValueError, ConvergenceError) as exc:
+        return type(exc)
+
+
+NEAR_ONE_CASES = [
+    (0.75, 0.75, 1.75),         # generic, d = c-a-b = 0.25
+    (0.3, 2.2, 4.1),            # generic, d = 1.6
+    (1.25, 1.25, 2.0),          # generic, d = -0.5: Euler swap first
+    (2.2, 1.7, 1.3),            # generic, d = -2.6
+    (0.5, 0.5, 1.0),            # logarithmic, m = 0
+    (0.5, 0.5, 2.0),            # m = 1
+    (0.3, 0.9, 3.2),            # m = 2
+    (1.5, 1.5, 1.0),            # d = -2: swap, then m = 2
+    (0.4, 1.1, 4.5),            # m = 3
+    (30.0, 20.0, 51.0),         # m = 1 with large a, b: the log branch dominates,
+    (20.0, 20.0, 43.0),         # m = 3     so the order of its bracket shows
+    (0.6, 0.6, 1.2 + 7e-7),     # within 1e-6 of m = 0: snapped to the log case
+    (0.6, 0.6, 1.2 - 9e-7),     # d < 0 within 1e-6 of 0: swap, then snapped
+    (1.3, 1.3, 3.6 - 4e-7),     # snapped to m = 1
+    (1.3, 1.3, 4.6 + 3e-6),     # just past the snap: generic with d ~ 2
+    (3.0, 1.0, 2.0),            # swap gives a = -1: the 1/Gamma pole drops the log branch
+    (280.0, 60.0, 320.5),       # overflows to inf in float arithmetic, silently
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cap", [None, 6])
+@pytest.mark.parametrize("a, b, c", NEAR_ONE_CASES)
+def test_near_one_vec_matches_scalar_reference(monkeypatch, a, b, c, cap):
+    # with the term cap cut to 6 the generic series raise and the
+    # logarithmic ones stop at the cap, on both routes alike
+    if cap is not None:
+        monkeypatch.setattr(specfun, "_SERIES_CAP", cap)
+    rng = np.random.default_rng(17)
+    w = np.concatenate([[1e-15, 5e-3 * (1.0 - 1e-12)], 10.0 ** rng.uniform(-15.0, -2.31, 200)])
+    for z in (1.0 - w, 1.0 - w[-1:], np.empty(0)):
+        ref = _outcome(lambda: [_scalar_near_one(a, b, c, x) for x in z.tolist()])
+        assert _outcome(lambda: specfun._near_one_vec(a, b, c, z)) == ref
+
+
+@pytest.mark.parametrize("a, b, c, cap, exc", [
+    (-1.2, -0.3, -0.5, None, ValueError),       # m = 1 needs log_gamma(c) with c < 0
+    (0.75, 0.75, 1.75, 5, ConvergenceError),    # generic series starved of terms
+])
+def test_near_one_vec_raises_like_scalar(monkeypatch, a, b, c, cap, exc):
+    if cap is not None:
+        monkeypatch.setattr(specfun, "_SERIES_CAP", cap)
+    z = 1.0 - np.array([1e-3, 1e-9])
+    with pytest.raises(exc):
+        _scalar_near_one(a, b, c, float(z[0]))
+    with pytest.raises(exc):
+        specfun._near_one_vec(a, b, c, z)
+
+
+@pytest.mark.parametrize("a, b, c", [(0.75, 0.75, 1.75), (1.0, 1.0, 2.0), (1.5, 1.5, 1.0)])
+def test_hyp2f1_near_one_window_uses_the_connection_route(a, b, c):
+    # the grid and the scalar evaluator both send 1-z < 5e-3 to it
+    z = 1.0 - np.array([4.9e-3, 1e-6, 2.0 ** -40])
+    ref = np.array([_scalar_near_one(a, b, c, x) for x in z.tolist()])
+    assert hyp2f1_grid(a, b, c, z).tobytes() == ref.tobytes()
+    scalar = [hyp2f1(HypArgs(a, b, c, x)) for x in z.tolist()]
+    assert all(type(v) is float for v in scalar)
+    assert np.array(scalar).tobytes() == ref.tobytes()
+
+
+# ----------------------------------------------------------------------
 # diagonal-parameter sup classification
 # ----------------------------------------------------------------------
 

@@ -13,8 +13,11 @@ load falls on both sides alike.  The workload's entry in
 other workloads already in the file are kept.  It holds every run's result
 line and raw-time line, the machine record, each side's median and
 quartiles per end-to-end metric, and how many pairs the change won.  A
-gain is claimed only when the change wins at least nine tenths of the
-pairs and the medians differ by more than the parent's interquartile range.
+gain is claimed only when every run on both sides checked its outputs
+correct, the change wins at least nine tenths of the pairs and the medians
+differ by more than the parent's interquartile range.  Each run's failed
+and attempted op counts are kept; when any run failed an op the file is
+still written and the script exits 1.
 """
 
 from __future__ import annotations
@@ -44,8 +47,16 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"machine": machine, "raw": raw, "result": json.loads(lines[-1])}
 
 
+def all_correct(runs: dict[str, list[dict]]) -> bool:
+    return all(r["result"]["correct"] for side in SIDES for r in runs[side])
+
+
 def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
-    """Per metric: each side's median and quartiles, and the change's wins."""
+    """Per metric: each side's median and quartiles, and the change's wins.
+
+    No metric meets the gain rule when any run on either side was incorrect.
+    """
+    correct = all_correct(runs)
     out = {}
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -62,7 +73,8 @@ def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
         iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
         out[name] = {**stats, "unit": spec["unit"], "better": spec["better"],
                      "wins": wins, "pairs": len(values["parent"]),
-                     "gain_rule_met": wins >= 0.9 * len(values["parent"]) and gain > iqr}
+                     "gain_rule_met": (correct and wins >= 0.9 * len(values["parent"])
+                                       and gain > iqr)}
     return out
 
 
@@ -88,9 +100,11 @@ def main(argv: list[str] | None = None) -> int:
         order.append(list(first))
         for side in first:
             runs[side].append(run_once(roots[side], args.workload, args.seed, seconds))
-            value = runs[side][-1]["result"]["metrics"]
+            result = runs[side][-1]["result"]
             print(f"pair {i + 1}/{args.pairs} {side}: "
-                  + ", ".join(f"{k} {v['value']:.4g}" for k, v in value.items()), flush=True)
+                  f"failed {result['failed']}/{result['attempted']}, "
+                  + ", ".join(f"{k} {v['value']:.4g}" for k, v in result["metrics"].items()),
+                  flush=True)
 
     out_file = Path(f"BENCH_{args.label}.json")
     record = json.loads(out_file.read_text(encoding="utf-8")) if out_file.exists() else {}
@@ -98,6 +112,9 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed, "seconds": seconds, "pairs": args.pairs, "order": order,
         "machine": runs["change"][0]["machine"],
         "summary": summarize(runs, spec["end_to_end"]),
+        "failed": {side: [{"failed": r["result"]["failed"],
+                           "attempted": r["result"]["attempted"]} for r in runs[side]]
+                   for side in SIDES},
         "runs": {side: [{"raw": r["raw"], "result": r["result"]} for r in runs[side]]
                  for side in SIDES},
     }
@@ -108,6 +125,9 @@ def main(argv: list[str] | None = None) -> int:
               f"[{s['change']['q1']:.4g}, {s['change']['q3']:.4g}]  wins {s['wins']}/{s['pairs']}"
               f"{'  gain' if s['gain_rule_met'] else ''}")
     print(f"wrote {out_file}")
+    if not all_correct(runs):
+        print("some runs reported incorrect outputs; no gain is claimed", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -18,8 +18,8 @@ The 2F1 evaluator picks between three routes:
     array of arguments at once; the scalar evaluator passes it one entry.
 
 Series termination: a term below 1e-16 of the partial sum three times in a
-row, with a hard cap of 100000 terms; exceeding the cap raises
-ConvergenceError.
+row (over arrays of z, the last term of a 64-term chunk), with a hard cap
+of 100000 terms; exceeding the cap raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ _RAW_SERIES_Z = 0.7
 _NEAR_ONE_W = 5e-3      # switch to connection formulas when 1-z is below this
 _INT_SNAP = 1e-6        # treat c-a-b this close to an integer as the log case
 _W_BLOCK = 12           # terms per block of the near-one series
+_BLOCK_LIVE = 256       # live entries at or below which a raw-series chunk is one block
 _POCH_LOG_SWITCH = 32   # product path below this k (exact recurrence), log path above
 
 # 14-term Lanczos coefficients (g = 671/128); relative error < 2e-15 on the
@@ -270,7 +271,7 @@ def _map(f, x: np.ndarray) -> np.ndarray:
 
 def _w_block(term: np.ndarray, total: np.ndarray, steps: np.ndarray,
              bracket: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Terms and partial sums of one block of a series in w, one column per entry.
+    """Terms and partial sums of one block of a power series, one column per entry.
 
     Row j of the first result is the term after j steps (``term`` times the
     first j rows of ``steps``), row j of the second the sum after j steps.
@@ -461,35 +462,43 @@ def _series_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     """Chunked vector version of the raw series (shared parameters).
 
     The entries still summing are kept packed in contiguous arrays of z,
-    term, partial sum and small-term count, updated in place for 64 terms
-    at a time; finished entries are written back and the arrays shrink only
-    between chunks.  Each entry sees the same arithmetic and stopping rule
-    whatever else shares the array, so a value does not depend on the grid
-    it was evaluated in.  Accepts any shape.
+    term and partial sum, advanced 64 terms a chunk; finished entries are
+    written back and the arrays shrink only between chunks.  While more than
+    _BLOCK_LIVE entries are live a chunk is 64 in-place ``term *= z*ratio;
+    total += term`` steps; at or below it, a chunk is one ``_w_block`` call
+    on the 64 step rows, which rounds each entry the same way with far fewer
+    ufunc calls.  A chunk ends with the stopping test: the last term below
+    _SERIES_RTOL of the sum.  Each entry sees the same arithmetic and
+    stopping rule whatever else shares the array, so a value does not depend
+    on the grid it was evaluated in.  Accepts any shape; c must not be a
+    non-positive integer.
     """
     out = np.ones(z.size)
     zp = z.ravel()
     idx = np.arange(z.size)
     term = np.ones(z.size)
     total = np.ones(z.size)
-    small = np.zeros(z.size, dtype=np.int64)
     step = np.empty(z.size)
     k = 0
     while idx.size:
-        for _ in range(64):
-            ratio = (a + k) * (b + k) / ((c + k) * (k + 1))
-            np.multiply(zp, ratio, out=step)
-            np.multiply(term, step, out=term)
-            np.add(total, term, out=total)
-            k += 1
-        tiny = np.abs(term) < _SERIES_RTOL * np.abs(total)
-        small = np.where(tiny, small + 64, 0)
-        done = small >= _SERIES_CONSEC
+        if idx.size > _BLOCK_LIVE:
+            for _ in range(64):
+                ratio = (a + k) * (b + k) / ((c + k) * (k + 1))
+                np.multiply(zp, ratio, out=step)
+                np.multiply(term, step, out=term)
+                np.add(total, term, out=total)
+                k += 1
+        else:
+            ks = np.arange(k, k + 64, dtype=float)
+            ratio = (a + ks) * (b + ks) / ((c + ks) * (ks + 1.0))
+            p, s = _w_block(term, total, ratio[:, None] * zp)
+            term, total = p[-1], s[-1]
+            k += 64
+        done = np.abs(term) < _SERIES_RTOL * np.abs(total)
         if done.any():
             out[idx[done]] = total[done]
             keep = ~done
-            idx, zp, term, total, small = (
-                idx[keep], zp[keep], term[keep], total[keep], small[keep])
+            idx, zp, term, total = idx[keep], zp[keep], term[keep], total[keep]
             step = step[:idx.size]
         if k >= _SERIES_CAP and idx.size:
             raise ConvergenceError(

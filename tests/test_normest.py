@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergnorm import normest
 from bergnorm.intop import (
     OperatorParams,
     UnboundedOperatorError,
@@ -334,6 +335,46 @@ def test_bilinear_numeric_handles_strongly_singular_pair():
     fam = make_extremal_family(params, 2.0, 1.02, -0.98)
     closed = bilinear_form_closed(params, fam)
     assert bilinear_form_numeric(params, fam) == pytest.approx(closed, rel=1e-9)
+
+
+# two draws of acceptance criterion 5's distribution (mu, sigma, p, theta,
+# theta_tilde) whose order-192 twin was 1.5e-7 and 1.3e-7 off without the
+# order doubling; small sigma and large mu leave order 192 under-resolved
+UNDER_RESOLVED_TWINS = [
+    (2.603906388919855, 0.08540040817716114, 3.7376710872087475,
+     1.2019253859953751, -0.35361745948445433),
+    (2.445429822686243, 0.016495093887207803, 2.48270729487396,
+     1.6134679401776784, -0.7838101006942721),
+]
+
+
+@pytest.mark.parametrize("mu, sigma, p, theta, tt", UNDER_RESOLVED_TWINS)
+def test_bilinear_numeric_doubles_order_when_under_resolved(mu, sigma, p, theta, tt):
+    params = OperatorParams(mu, sigma)
+    fam = make_extremal_family(params, p, theta, tt)
+    closed = bilinear_form_closed(params, fam)
+    numeric = bilinear_form_numeric(params, fam, order=192)
+    assert abs(numeric - closed) <= 1e-7 * closed
+
+
+@pytest.mark.parametrize("case, orders", [
+    ((1.0, 0.0, 2.0, 2.0, 0.0), {96, 192}),        # resolved at 192
+    (UNDER_RESOLVED_TWINS[0], {96, 192, 384}),    # doubled once
+])
+def test_bilinear_numeric_grid_calls_stay_under_cap(monkeypatch, case, orders):
+    shapes = []
+    real = normest.hyp2f1_grid
+
+    def spy(a, b, c, z):
+        shapes.append(z.shape)
+        return real(a, b, c, z)
+
+    monkeypatch.setattr(normest, "hyp2f1_grid", spy)
+    mu, sigma, p, theta, tt = case
+    params = OperatorParams(mu, sigma)
+    bilinear_form_numeric(params, make_extremal_family(params, p, theta, tt), order=192)
+    assert max(rows * cols for rows, cols in shapes) <= normest._TWIN_GRID_CAP
+    assert {cols for _, cols in shapes} == orders
 
 
 @given(pair=mid_params, p=st.floats(1.2, 5.0),

@@ -317,6 +317,37 @@ def test_series_vec_matches_masked_reference_on_edge_shapes():
         assert packed.tobytes() == _masked_series_vec(0.6, 1.4, 2.3, z).tobytes()
 
 
+@pytest.mark.parametrize("size", [1, specfun._BLOCK_LIVE - 1, specfun._BLOCK_LIVE,
+                                  specfun._BLOCK_LIVE + 1, 4096])
+def test_series_vec_block_path_matches_masked_reference(size):
+    # at or below _BLOCK_LIVE live entries a chunk is one _w_block call;
+    # z up to 0.995 keeps entries summing for thousands of terms
+    z = np.random.default_rng(size).uniform(0.0, 0.995, size)
+    for a, b, c in [(0.3, 0.7, 1.9), (1.0, 1.0, 2.0), (-3.0, 1.5, 2.2), (2.5, 0.4, 1.1)]:
+        packed = specfun._series_vec(a, b, c, z)
+        assert packed.tobytes() == _masked_series_vec(a, b, c, z).tobytes()
+
+
+def test_series_vec_switches_to_blocks_mid_call(monkeypatch):
+    # more live entries than _BLOCK_LIVE at first, fewer once the small z
+    # have converged: the first chunk runs the in-place loop, later ones blocks
+    n = specfun._BLOCK_LIVE
+    rng = np.random.default_rng(14)
+    z = rng.permutation(np.concatenate([rng.uniform(0.0, 0.3, n),
+                                        rng.uniform(0.9, 0.995, n // 2)]))
+    live = []
+    real = specfun._w_block
+
+    def spy(term, total, steps, bracket=None):
+        live.append(term.size)
+        return real(term, total, steps, bracket)
+
+    monkeypatch.setattr(specfun, "_w_block", spy)
+    packed = specfun._series_vec(1.25, 0.75, 1.5, z)
+    assert live and max(live) <= n < z.size
+    assert packed.tobytes() == _masked_series_vec(1.25, 0.75, 1.5, z).tobytes()
+
+
 def test_hyp2f1_grid_terminating_path_ignores_memory_layout():
     # a transposed (Fortran-ordered) grid gives the values of its C-ordered copy
     z = np.random.default_rng(13).uniform(0.0, 0.999, (40, 30)).T

@@ -528,7 +528,7 @@ def _berezin_probability_record() -> ReportRecord:
     the constant one, here via raw 2-D polar quadrature."""
     worst = 0.0
     for z in _DISC_PROBE_POINTS:
-        worst = max(worst, abs(berezin_apply_disc(lambda w: 1.0, z) - 1.0))
+        worst = max(worst, abs(berezin_apply_disc(lambda w: np.ones(w.shape), z) - 1.0))
     inputs = {"points": [str(z) for z in _DISC_PROBE_POINTS]}
     return _finish("berezin-disc-probability", inputs, 1.0,
                    {"max_abs_deviation": worst},

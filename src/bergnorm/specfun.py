@@ -11,11 +11,21 @@ The 2F1 evaluator picks between three routes:
   * the raw power series (z <= 0.7, or whenever it terminates),
   * the Euler transform (1-z)^(c-a-b) * 2F1(c-a,c-b;c;z) when z > 0.7 and
     the transform improves the convergence exponent c-a-b,
-  * a connection-formula evaluation in powers of w = 1-z when z is within
-    _NEAR_ONE_W of 1, where both series above need ~1/(1-z) terms and blow
-    past the term cap.  The connection route handles the generic
-    (non-integer c-a-b) case and the logarithmic (integer) case, on a whole
-    array of arguments at once; the scalar evaluator passes it one entry.
+  * a connection-formula evaluation in powers of w = 1-z when z is close
+    to 1, where both series above need ~36/(1-z) terms.  The connection
+    route handles the generic (non-integer c-a-b) case and the logarithmic
+    (integer) case, on a whole array of arguments at once; the scalar
+    evaluator passes it one entry.
+
+The near-one window has two widths, chosen by ``_near_one_window`` for
+both evaluators alike.  It is 1-z < _NEAR_ONE_W = 5e-3 when c-a-b lies
+within _WIDE_GAP = 0.1 of an integer, and 1-z < _NEAR_ONE_W_WIDE = 2e-2
+otherwise.  The two-term connection formula loses digits like 1/eps as
+eps = |(c-a-b) - round(c-a-b)| shrinks (its two Gamma-ratio coefficients
+grow and cancel), while the raw series keeps ~1e-14 for every eps; past
+the gap, and for 1-z up to 2e-2, the connection formula is as accurate as
+the series (against mpmath, for a and b in (0, 4)) at a small fraction of
+its cost.
 
 Series termination: a term below 1e-16 of the partial sum three times in a
 row (over arrays of z, the last term of a 64-term chunk), with a hard cap
@@ -49,6 +59,8 @@ _SERIES_CONSEC = 3
 _SERIES_CAP = 100_000
 _RAW_SERIES_Z = 0.7
 _NEAR_ONE_W = 5e-3      # switch to connection formulas when 1-z is below this
+_NEAR_ONE_W_WIDE = 2e-2  # ... or below this, when c-a-b is far from an integer:
+_WIDE_GAP = 0.1          # at least this far (nearer, the connection formula cancels)
 _INT_SNAP = 1e-6        # treat c-a-b this close to an integer as the log case
 _W_BLOCK = 12           # terms per block of the near-one series
 _BLOCK_LIVE = 256       # live entries at or below which a raw-series chunk is one block
@@ -431,6 +443,11 @@ def _near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     return out if prefactor is None else prefactor * out
 
 
+def _near_one_window(d: float) -> float:
+    """Width in 1-z of the near-one window when c-a-b = ``d``."""
+    return _NEAR_ONE_W_WIDE if abs(d - round(d)) >= _WIDE_GAP else _NEAR_ONE_W
+
+
 def _hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Strategy dispatcher; assumes the HypArgs domain has been validated."""
     if z == 0.0:
@@ -445,7 +462,7 @@ def _hyp2f1(a: float, b: float, c: float, z: float) -> float:
     if d < 0.0 and (_is_nonpos_int(c - a) or _is_nonpos_int(c - b)):
         # transform side terminates: exact, any z
         return (1.0 - z) ** d * _series(c - a, c - b, c, z)
-    if 1.0 - z < _NEAR_ONE_W:
+    if 1.0 - z < _near_one_window(d):
         return float(_near_one_vec(a, b, c, np.array([z]))[0])
     if d < 0.0:
         # Euler transform raises the convergence exponent to -d > 0
@@ -511,7 +528,10 @@ def hyp2f1_grid(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     """2F1(a,b;c;z) over an array of arguments in [0,1), shared parameters.
 
     Same route selection as the scalar evaluator; the entries in the
-    near-one window go through the connection formulas in one call.  Each
+    near-one window go through the connection formulas in one call.  The
+    window is 1-z < 2e-2 when c-a-b is at least 0.1 from an integer and
+    1-z < 5e-3 otherwise, because the connection formula cancels like
+    1/eps as c-a-b nears an integer (see the module docstring).  Each
     entry's value depends on its own z alone, never on the other entries,
     so a caller may evaluate any subset of a grid (``intop`` builds its
     symmetric Nystrom grid from the upper triangle) and place the values
@@ -531,7 +551,7 @@ def hyp2f1_grid(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     if not np.any(high):
         return out
     transform_terminates = d < 0.0 and (_is_nonpos_int(c - a) or _is_nonpos_int(c - b))
-    near = high & (1.0 - z < _NEAR_ONE_W)
+    near = high & (1.0 - z < _near_one_window(d))
     if transform_terminates:
         near &= False  # the transformed series is exact arbitrarily close to 1
     mid = high & ~near

@@ -324,6 +324,15 @@ def test_berezin_disc_scalar_function_fallback():
     assert got == pytest.approx(0.5, rel=1e-12)
 
 
+def test_berezin_disc_constant_same_bytes_scalar_or_array():
+    # the CLI's probability record samples the constant one as an array;
+    # the per-point scalar fallback must give the same bits
+    for z in (0.0, 0.3, 0.5 + 0.2j, 0.6j, -0.7, 0.45 - 0.45j, 0.9):
+        scalar = berezin_apply_disc(lambda w: 1.0, z)
+        array = berezin_apply_disc(lambda w: np.ones(w.shape), z)
+        assert scalar.hex() == array.hex()
+
+
 def test_berezin_radial_reduction_matches_disc_quadrature():
     H = RadialFunction(lambda s: 1.0 + s ** 2)
     f = lambda w: H(np.abs(w) ** 2)

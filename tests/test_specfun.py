@@ -509,6 +509,95 @@ def test_hyp2f1_near_one_window_uses_the_connection_route(a, b, c):
     assert np.array(scalar).tobytes() == ref.tobytes()
 
 
+# the band that only the wide window sends to the connection route
+WIDE_BAND_W = np.array([specfun._NEAR_ONE_W, 7e-3, 1e-2, 1.5e-2,
+                        specfun._NEAR_ONE_W_WIDE * (1.0 - 1e-12)])
+WIDE_CASES = [
+    (0.75, 0.75, 1.75),     # d = 0.25
+    (0.3, 2.2, 4.1),        # d = 1.6
+    (1.25, 1.25, 2.0),      # d = -0.5: Euler side
+    (2.2, 1.7, 1.3),        # d = -2.6
+    (-0.6, -0.6, 1.3),      # criterion 5's twin shape, a = b = mu - lam < 0, d = 2.5
+]
+
+
+@pytest.mark.parametrize("side, seed", [("euler", 21), ("fractional", 22), ("above-one", 23)])
+def test_hyp2f1_wide_window_matches_mpmath(side, seed):
+    # the connection route on 5e-3 <= 1-z < _NEAR_ONE_W_WIDE, for c-a-b at
+    # least _WIDE_GAP from an integer, against 30-digit mpmath
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(seed)
+    gap = specfun._WIDE_GAP
+    w = 10.0 ** rng.uniform(np.log10(specfun._NEAR_ONE_W),
+                            np.log10(specfun._NEAR_ONE_W_WIDE), 6)
+    checked = 0
+    while checked < 12:
+        a, b = rng.uniform(0.1, 4.0, 2)
+        frac = rng.uniform(gap + 1e-3, 1.0 - gap - 1e-3)
+        m = int(rng.integers(0, 3))
+        d = {"euler": -(m + frac), "fractional": frac, "above-one": m + 1 + frac}[side]
+        c = a + b + d
+        if c <= 0.1:
+            continue
+        assert specfun._near_one_window(c - a - b) == specfun._NEAR_ONE_W_WIDE
+        got = hyp2f1_grid(a, b, c, 1.0 - w)
+        with mpmath.workdps(30):
+            for x, g in zip((1.0 - w).tolist(), got.tolist()):
+                ref = mpmath.hyp2f1(a, b, c, x)
+                assert abs((g - ref) / ref) < 1e-13, (a, b, c, 1.0 - x)
+        checked += 1
+
+
+@pytest.mark.parametrize("a, b, c, wide", [
+    *[(a, b, c, True) for a, b, c in WIDE_CASES],
+    (0.5, 0.5, 2.0 + 1e-3, False),     # d = 1 + 1e-3
+    (0.5, 0.5, 2.0 - 1e-3, False),     # d = 1 - 1e-3
+    (1.5, 1.5, 1.0, False),            # d = -2
+    (3.0, 1.2, 2.0, False),            # d = -2.2 but c-a = -1: the Euler transform terminates
+])
+def test_hyp2f1_wide_window_routes(monkeypatch, a, b, c, wide):
+    # the grid and the scalar evaluator send the band to the connection
+    # route for generic c-a-b and keep the series near an integer c-a-b
+    seen = []
+    real = specfun._near_one_vec
+
+    def spy(a, b, c, z):
+        seen.extend(z.tolist())
+        return real(a, b, c, z)
+
+    monkeypatch.setattr(specfun, "_near_one_vec", spy)
+    z = 1.0 - WIDE_BAND_W
+    hyp2f1_grid(a, b, c, z)
+    assert seen == (z.tolist() if wide else [])
+    seen.clear()
+    for x in z.tolist():
+        hyp2f1(HypArgs(a, b, c, x))
+    assert seen == (z.tolist() if wide else [])
+
+
+@pytest.mark.parametrize("a, b, c", WIDE_CASES)
+def test_hyp2f1_wide_window_scalar_matches_grid_bytes(a, b, c):
+    z = 1.0 - np.concatenate([WIDE_BAND_W, 10.0 ** np.linspace(-2.3, -1.7, 41)])
+    scalar = [hyp2f1(HypArgs(a, b, c, x)) for x in z.tolist()]
+    assert all(type(v) is float for v in scalar)
+    assert np.array(scalar).tobytes() == hyp2f1_grid(a, b, c, z).tobytes()
+
+
+@pytest.mark.parametrize("a, b, c", WIDE_CASES)
+def test_hyp2f1_wide_window_edge_continuity(a, b, c):
+    # adjacent doubles on either side of 1-z = _NEAR_ONE_W_WIDE take the
+    # connection route and the series; their values must agree
+    edge = specfun._NEAR_ONE_W_WIDE
+    outside = 1.0 - edge
+    while 1.0 - outside < edge:
+        outside = np.nextafter(outside, 0.0)
+    inside = np.nextafter(outside, 1.0)
+    assert 1.0 - inside < edge <= 1.0 - outside
+    near, far = hyp2f1_grid(a, b, c, np.array([inside, outside]))
+    assert abs(near / far - 1.0) < 1e-13
+    assert hyp2f1(HypArgs(a, b, c, float(inside))) == near
+
+
 # ----------------------------------------------------------------------
 # diagonal-parameter sup classification
 # ----------------------------------------------------------------------

@@ -42,7 +42,6 @@ __all__ = [
     "conj_tilde_norm_formula",
     "bergman_exact_norms",
     "riesz_thorin_bound",
-    "bergman_upper_bound",
     "bloch_constants",
     "berezin_norm",
     "berezin_l2_doublefactorial",
@@ -159,7 +158,10 @@ def tilde_norm_formula(bp: BallParams, p) -> float:
 
     finite exactly when sigma > 1/p - 1.  Evaluated directly in log
     domain; by construction it also equals c_sigma times the interval
-    operator norm, which the tests exercise as a bridge identity.
+    operator norm, which the tests exercise as a bridge identity.  It is
+    also the upper bound this package uses for the Bergman projection's
+    norm on L^p; at sigma = 0 it collapses by reflection to
+    Gamma(n+1)/Gamma((n+1)/2)^2 * pi/sin(pi/p).
     """
     exp = _as_exponent(p)
     if exp.is_infinite:
@@ -220,13 +222,6 @@ def riesz_thorin_bound(bp: BallParams, p: float) -> float:
     norms = bergman_exact_norms(bp)
     return math.exp((2.0 / p - 1.0) * math.log(norms.l1)
                     + (2.0 - 2.0 / p) * math.log(norms.l2))
-
-
-def bergman_upper_bound(bp: BallParams, p) -> float:
-    """Upper bound for the projection norm on L^p: the exact norm of its
-    positive majorant.  At sigma = 0 this collapses by reflection to
-    Gamma(n+1)/Gamma((n+1)/2)^2 * pi/sin(pi/p)."""
-    return tilde_norm_formula(bp, p)
 
 
 class BlochConstants(NamedTuple):

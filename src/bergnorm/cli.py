@@ -45,7 +45,6 @@ import numpy as np
 from .ball import (
     BallParams,
     bergman_exact_norms,
-    bergman_upper_bound,
     berezin_apply_disc,
     berezin_l2_doublefactorial,
     berezin_norm,
@@ -60,7 +59,7 @@ from .ball import (
 )
 from .intop import OperatorParams, UnboundedOperatorError, _as_exponent, norm_formula
 from .normest import norm_report
-from .quadrature import QuadratureError, make_jacobi_rule
+from .quadrature import QuadratureError, make_jacobi_rules
 from .specfun import (
     ConvergenceError,
     HypArgs,
@@ -153,14 +152,17 @@ def euler_integral_check(rng: np.random.Generator, draws: int,
     the integral done by a Gauss-Jacobi rule that knows nothing about
     hypergeometric series.
     """
-    worst = 0.0
+    params = []
     for _ in range(draws):
         a = rng.uniform(0.2, 2.0)
         b = rng.uniform(0.4, 2.5)
         c = b + rng.uniform(0.4, 2.5)
         z = rng.uniform(0.0, 0.95)
+        params.append((a, b, c, z))
+    rules = make_jacobi_rules(order, [(b - 1.0, c - b - 1.0) for _, b, c, _ in params])
+    worst = 0.0
+    for (a, b, c, z), rule in zip(params, rules):
         series = hyp2f1(HypArgs(a, b, c, z))
-        rule = make_jacobi_rule(order, b - 1.0, c - b - 1.0)
         integral = rule.integrate((1.0 - z * rule.nodes) ** (-a))
         worst = max(worst, abs(series - integral / beta_fn(b, c - b)) / abs(series))
     return worst
@@ -193,14 +195,17 @@ def beta_average_check(rng: np.random.Generator, draws: int,
 
     quadrature on the left against beta-function times series on the right.
     """
-    worst = 0.0
+    params = []
     for _ in range(draws):
         a = rng.uniform(0.2, 1.8)
         b = rng.uniform(0.2, 1.8)
         c = rng.uniform(0.7, 3.0)
         d = rng.uniform(0.4, 2.5)
         x = rng.uniform(0.05, 0.95)
-        rule = make_jacobi_rule(order, c - 1.0, d - 1.0)
+        params.append((a, b, c, d, x))
+    rules = make_jacobi_rules(order, [(c - 1.0, d - 1.0) for _, _, c, d, _ in params])
+    worst = 0.0
+    for (a, b, c, d, x), rule in zip(params, rules):
         lhs = rule.integrate(hyp2f1_grid(a, b, c, x * rule.nodes))
         rhs = beta_fn(c, d) * hyp2f1(HypArgs(a, b, c + d, x))
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
@@ -218,13 +223,16 @@ def value_at_one_check(rng: np.random.Generator, draws: int,
     B(c,d) times the gamma quotient under test.  Draws keep c-a-b >= 1.1 so
     the integrand's endpoint kink stays mild enough for the rule.
     """
-    worst = 0.0
+    params = []
     for _ in range(draws):
         a = rng.uniform(0.2, 1.0)
         b = rng.uniform(0.3, 1.2)
         c = a + b + rng.uniform(1.1, 2.2)
         d = rng.uniform(0.8, 1.2)
-        rule = make_jacobi_rule(order, c - 1.0, d - 1.0)
+        params.append((a, b, c, d))
+    rules = make_jacobi_rules(order, [(c - 1.0, d - 1.0) for _, _, c, d in params])
+    worst = 0.0
+    for (a, b, c, d), rule in zip(params, rules):
         lhs = rule.integrate(hyp2f1_grid(a, b, c, rule.nodes))
         rhs = beta_fn(c, d) * hyp2f1_at_one(a, b, c + d)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
@@ -265,6 +273,14 @@ def identities_suite(cfg: SuiteConfig) -> list[ReportRecord]:
 # interval-norms suite
 # ---------------------------------------------------------------------------
 
+def _label(x: float) -> str:
+    """``x`` for a scenario name: ``:g`` when that reads back as ``x``,
+    else every digit (``repr``), so that nearby configurations never share
+    a label."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 def _norm_record(mu: float, sigma: float, p: float,
                  cfg: SuiteConfig) -> ReportRecord:
     """Closed-form norm against every applicable route for one (mu,sigma,p).
@@ -275,7 +291,8 @@ def _norm_record(mu: float, sigma: float, p: float,
     """
     params = OperatorParams(mu=mu, sigma=sigma)
     exp = _as_exponent(p)
-    scenario = f"interval-norm mu={mu:g} sigma={sigma:g} p={exp.p:g}"
+    scenario = (f"interval-norm mu={_label(mu)} sigma={_label(sigma)}"
+                f" p={_label(exp.p)}")
     inputs = {"mu": mu, "sigma": sigma, "p": exp.p, "order": cfg.order,
               "eta_min": cfg.eta_min, "seed": cfg.seed}
     try:
@@ -362,7 +379,7 @@ def _ball_config_record(cfg: SuiteConfig) -> ReportRecord:
     interval routes (the numeric side of the dimension bridge)."""
     bp = BallParams(n=cfg.n, sigma=cfg.sigma)
     exp = _as_exponent(cfg.p)
-    scenario = f"ball-norm n={cfg.n} sigma={cfg.sigma:g} p={exp.p:g}"
+    scenario = f"ball-norm n={cfg.n} sigma={_label(cfg.sigma)} p={_label(exp.p)}"
     inputs = {"n": cfg.n, "sigma": cfg.sigma, "p": exp.p, "order": cfg.order,
               "eta_min": cfg.eta_min, "seed": cfg.seed}
     try:
@@ -420,8 +437,8 @@ def _bergman_record(cfg: SuiteConfig) -> ReportRecord:
     At p = 1 the majorant bound must coincide with the exact norm."""
     bp = BallParams(n=cfg.n, sigma=1.0)
     exact = bergman_exact_norms(bp)
-    upper_1 = bergman_upper_bound(bp, 1.0)
-    upper_2 = bergman_upper_bound(bp, 2.0)
+    upper_1 = tilde_norm_formula(bp, 1.0)
+    upper_2 = tilde_norm_formula(bp, 2.0)
     p_mid = 4.0 / 3.0
     routes = {
         "exact_l1": exact.l1,

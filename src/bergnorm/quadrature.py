@@ -9,12 +9,25 @@ exponents live in the weight, so integrands with t^(mu-1) or (1-t)^sigma
 singularities are handled by folding those exponents into the rule
 analytically instead of sampling them.
 
-Construction is the classical recurrence-coefficient route: the symmetric
-tridiagonal Jacobi matrix of the weight's orthogonal polynomials is
-assembled from the known three-term recurrence, its eigendecomposition
-(LAPACK's tridiagonal solver) gives nodes as eigenvalues and weights from
-the first components of the eigenvectors, and the standard [-1,1] rule is
-then mapped affinely onto (0,1).
+Both builders start from the symmetric tridiagonal Jacobi matrix of the
+weight's orthogonal polynomials, assembled from the known three-term
+recurrence, and map the standard [-1,1] rule affinely onto (0,1).  They
+differ in how they get weights from it:
+
+* ``make_jacobi_rule`` (Golub-Welsch) takes the full eigendecomposition
+  from LAPACK's tridiagonal solver: nodes are the eigenvalues, weights
+  come from the first components of the eigenvectors.  Its exact bits are
+  frozen, because ``discretize``, ``discretize_graded``, the norm routes
+  and the ball and Berezin quadratures all build on it and acceptance
+  criterion 6 holds ``discretize`` byte for byte.  It caches its rules.
+* ``make_jacobi_rules`` builds a batch of throwaway rules of one order.
+  It asks LAPACK for eigenvalues only, refines them by one Newton step on
+  the three-term recurrence and takes the weights from the Christoffel
+  sum, run as one recurrence over all rules of the batch.  It skips the
+  eigenvectors, which are most of the cost.  Its weights differ from
+  Golub-Welsch in the last digits, so only the identity checks of the
+  ``identities`` suite use it; they need a fresh rule for every random
+  draw, which a cache never serves.
 
 ``make_graded_rule`` composes such rules into panels that halve in width
 toward t = 1, for integrands that vary on every scale of 1 - t.
@@ -32,7 +45,7 @@ from scipy.linalg import eigh_tridiagonal
 from .specfun import beta_fn
 
 __all__ = ["JacobiRule", "QuadratureError", "integrate_weighted", "make_graded_rule",
-           "make_jacobi_rule"]
+           "make_jacobi_rule", "make_jacobi_rules"]
 
 DEFAULT_ORDER = 64
 IDENTITY_CHECK_ORDER = 128
@@ -107,23 +120,18 @@ def _recurrence(order: int, a_exp: float, b_exp: float):
     return diag, off, mu0
 
 
-@lru_cache(maxsize=256)
-def make_jacobi_rule(order: int, alpha: float, beta: float) -> JacobiRule:
-    """Build (and cache) the order-point rule for weight t^alpha (1-t)^beta."""
+def _check_request(order, exponents) -> None:
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
-    if not (alpha > -1.0 and beta > -1.0):
-        raise ValueError(
-            f"integrability requires alpha, beta > -1, got ({alpha!r}, {beta!r})")
-    # on [-1,1] the (1-x) exponent pairs with the (1-t) factor and the
-    # (1+x) exponent with the t factor
-    diag, off, mu0 = _recurrence(order, beta, alpha)
-    try:
-        eigvals, eigvecs = eigh_tridiagonal(diag, off)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise QuadratureError(f"tridiagonal eigensolver failed: {exc}") from exc
-    nodes = 0.5 * (eigvals + 1.0)
-    weights = mu0 * eigvecs[0, :] ** 2 * 2.0 ** (-(alpha + beta + 1.0))
+    for alpha, beta in exponents:
+        if not (alpha > -1.0 and beta > -1.0):
+            raise ValueError(
+                f"integrability requires alpha, beta > -1, got ({alpha!r}, {beta!r})")
+
+
+def _checked_rule(order: int, alpha: float, beta: float, nodes: np.ndarray,
+                  weights: np.ndarray) -> JacobiRule:
+    """Freeze a computed rule after checking that it is usable."""
     if np.any(np.diff(nodes) <= 0.0):
         raise QuadratureError("quadrature nodes are not strictly increasing")
     if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
@@ -133,6 +141,75 @@ def make_jacobi_rule(order: int, alpha: float, beta: float) -> JacobiRule:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return JacobiRule(alpha=alpha, beta=beta, order=order, nodes=nodes, weights=weights)
+
+
+@lru_cache(maxsize=256)
+def make_jacobi_rule(order: int, alpha: float, beta: float) -> JacobiRule:
+    """Build (and cache) the order-point rule for weight t^alpha (1-t)^beta."""
+    _check_request(order, [(alpha, beta)])
+    # on [-1,1] the (1-x) exponent pairs with the (1-t) factor and the
+    # (1+x) exponent with the t factor
+    diag, off, mu0 = _recurrence(order, beta, alpha)
+    try:
+        eigvals, eigvecs = eigh_tridiagonal(diag, off)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        raise QuadratureError(f"tridiagonal eigensolver failed: {exc}") from exc
+    nodes = 0.5 * (eigvals + 1.0)
+    weights = mu0 * eigvecs[0, :] ** 2 * 2.0 ** (-(alpha + beta + 1.0))
+    return _checked_rule(order, alpha, beta, nodes, weights)
+
+
+def make_jacobi_rules(order: int, exponents) -> list[JacobiRule]:
+    """One order-point rule per (alpha, beta) pair, for weight t^alpha (1-t)^beta.
+
+    Nodes are the eigenvalues of each Jacobi matrix (no eigenvectors),
+    polished by one Newton step on the three-term recurrence.  Weights are
+    the Christoffel numbers mu0 / sum_k p_k(x_i)^2, with p_k the
+    orthonormal polynomials scaled to p_0 = 1, each rule's weights then
+    rescaled to sum to its exact mass B(alpha+1, beta+1).  Both recurrence
+    passes run over the whole batch at once, so a batch costs ``order``
+    array steps per pass however many rules it holds.  Nothing is cached.
+    """
+    exponents = [(float(alpha), float(beta)) for alpha, beta in exponents]
+    _check_request(order, exponents)
+    count = len(exponents)
+    # diag[r, k] = a_k; off[r, k] = b_k couples p_(k-1) and p_k, with b_0 = 0
+    # and b_order = 1 (the last step then gives b_order p_order, whose zeros
+    # are the nodes)
+    diag = np.empty((count, order))
+    off = np.zeros((count, order + 1))
+    off[:, order] = 1.0
+    x = np.empty((count, order))
+    mass = np.empty((count, 1))
+    for r, (alpha, beta) in enumerate(exponents):
+        diag[r], off[r, 1:order], _ = _recurrence(order, beta, alpha)
+        try:
+            x[r] = eigh_tridiagonal(diag[r], off[r, 1:order], eigvals_only=True,
+                                    lapack_driver="sterf")
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+            raise QuadratureError(f"tridiagonal eigensolver failed: {exc}") from exc
+        mass[r] = beta_fn(alpha + 1.0, beta + 1.0)
+    # Newton step: p_order and its derivative by the recurrence
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+    for k in range(order):
+        shifted = x - diag[:, k:k + 1]
+        b_in, b_out = off[:, k:k + 1], off[:, k + 1:k + 2]
+        dp_prev, dp = dp, (p + shifted * dp - b_in * dp_prev) / b_out
+        p_prev, p = p, (shifted * p - b_in * p_prev) / b_out
+    x -= p / dp
+    # Christoffel sum at the polished nodes
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    christoffel = np.ones_like(x)
+    for k in range(order - 1):
+        b_in, b_out = off[:, k:k + 1], off[:, k + 1:k + 2]
+        p_prev, p = p, ((x - diag[:, k:k + 1]) * p - b_in * p_prev) / b_out
+        christoffel += p * p
+    weights = 1.0 / christoffel
+    weights *= mass / weights.sum(axis=1, keepdims=True)
+    nodes = 0.5 * (x + 1.0)
+    return [_checked_rule(order, alpha, beta, nodes[r].copy(), weights[r].copy())
+            for r, (alpha, beta) in enumerate(exponents)]
 
 
 def make_graded_rule(order: int, alpha: float, beta: float) -> JacobiRule:

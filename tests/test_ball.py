@@ -12,7 +12,6 @@ from bergnorm.ball import (
     BallParams,
     RadialFunction,
     bergman_exact_norms,
-    bergman_upper_bound,
     berezin_apply_disc,
     berezin_asymptotic_p_to_1,
     berezin_l2_doublefactorial,
@@ -216,18 +215,16 @@ def test_riesz_thorin_bound_domain():
         riesz_thorin_bound(BallParams(1, 0.0), 1.5)
 
 
-def test_bergman_upper_bound_reflection_case():
+def test_tilde_norm_formula_reflection_case():
     # sigma = 0: Gamma(n+1)/Gamma((n+1)/2)^2 * pi/sin(pi/p)
-    assert bergman_upper_bound(BallParams(2, 0.0), 2.0) == pytest.approx(8.0,
-                                                                         rel=1e-13)
-    assert bergman_upper_bound(BallParams(1, 0.0), 2.0) == pytest.approx(
-        math.pi, rel=1e-13)
+    assert tilde_norm_formula(BallParams(2, 0.0), 2.0) == pytest.approx(8.0, rel=1e-13)
+    assert tilde_norm_formula(BallParams(1, 0.0), 2.0) == pytest.approx(math.pi, rel=1e-13)
 
 
 def test_bergman_bound_comparison_is_two_sided():
     # the interpolated bound wins at some p, the majorant bound at others
     bp = BallParams(1, 1.0)
-    diffs = [bergman_upper_bound(bp, p) - riesz_thorin_bound(bp, p)
+    diffs = [tilde_norm_formula(bp, p) - riesz_thorin_bound(bp, p)
              for p in (1.0, 4.0 / 3.0, 2.0)]
     assert any(d > 0 for d in diffs)
     assert math.isclose(diffs[0], 0.0, abs_tol=1e-12)  # equal at p = 1
@@ -238,7 +235,7 @@ def test_bergman_bound_comparison_is_two_sided():
 def test_exact_l2_below_upper_bound(n, sigma):
     bp = BallParams(n, sigma)
     l2 = bergman_exact_norms(bp).l2
-    assert l2 <= bergman_upper_bound(bp, 2.0) * (1.0 + 1e-12)
+    assert l2 <= tilde_norm_formula(bp, 2.0) * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("n, sigma, beta, full", [

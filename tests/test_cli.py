@@ -18,6 +18,8 @@ from bergnorm.cli import (
     main,
     run_suite,
 )
+from bergnorm.quadrature import make_jacobi_rules
+from bergnorm.specfun import ConvergenceError
 
 
 # ----------------------------------------------------------------------
@@ -50,6 +52,49 @@ def test_identity_checks_are_seed_deterministic():
     a = cli.euler_transform_check(np.random.default_rng(3), 20)
     b = cli.euler_transform_check(np.random.default_rng(3), 20)
     assert a == b
+
+
+def test_identity_checks_keep_their_draws(monkeypatch):
+    # the checks build their rules in batches, after drawing every
+    # parameter with the same scalar rng calls, in the same order, as a
+    # check that builds one rule per draw
+    seen = []
+
+    def spy(order, exponents):
+        exponents = list(exponents)
+        seen.append((order, exponents))
+        return make_jacobi_rules(order, exponents)
+
+    monkeypatch.setattr(cli, "make_jacobi_rules", spy)
+    status, records = run_suite("identities", SuiteConfig(seed=7))
+    assert status == 0
+
+    rng = np.random.default_rng(7)
+    euler, beta_avg, at_one = [], [], []
+    for _ in range(120):
+        a, b = rng.uniform(0.2, 2.0), rng.uniform(0.4, 2.5)
+        c = b + rng.uniform(0.4, 2.5)
+        rng.uniform(0.0, 0.95)
+        euler.append((b - 1.0, c - b - 1.0))
+    for _ in range(120):
+        for lo, hi in ((0.1, 2.5), (0.1, 2.5), (0.6, 4.0), (0.05, 0.70)):
+            rng.uniform(lo, hi)
+    for _ in range(120):
+        a, b = rng.uniform(0.2, 1.8), rng.uniform(0.2, 1.8)
+        c, d = rng.uniform(0.7, 3.0), rng.uniform(0.4, 2.5)
+        rng.uniform(0.05, 0.95)
+        beta_avg.append((c - 1.0, d - 1.0))
+    for _ in range(120):
+        a, b = rng.uniform(0.2, 1.0), rng.uniform(0.3, 1.2)
+        c = a + b + rng.uniform(1.1, 2.2)
+        d = rng.uniform(0.8, 1.2)
+        at_one.append((c - 1.0, d - 1.0))
+    assert seen == [(128, euler), (128, beta_avg), (256, at_one)]
+    # the euler-transform check builds no rule and so keeps its bits
+    transform = records[1]
+    assert transform.scenario == "identity-euler-transform"
+    assert transform.numeric_routes["max_rel_error"] == float.fromhex(
+        "0x1.0495300f5398dp-49")
 
 
 # ----------------------------------------------------------------------
@@ -163,6 +208,21 @@ def test_flagged_record_carries_reason():
     rec = cli._flagged("s", {}, "quadrature fell over")
     assert rec.status == "flagged"
     assert rec.inputs["error"] == "quadrature fell over"
+
+
+def test_record_labels_keep_every_digit(monkeypatch, capsys):
+    def no_report(*args, **kwargs):
+        raise ConvergenceError("not run in this test")
+
+    monkeypatch.setattr(cli, "norm_report", no_report)
+    assert main(["--suite", "interval-norms", "--p", "1.0000001",
+                 "--sigma", "0.30000000000000004", "--format", "json"]) == 1
+    names = [r["scenario"] for r in json.loads(capsys.readouterr().out)]
+    assert names[0] == "interval-norm mu=1 sigma=0.30000000000000004 p=1.0000001"
+    assert names[1] == "interval-norm mu=1 sigma=0.5 p=1.0000001"
+    assert names[-1] == "interval-norm mu=1 sigma=0 p=1"
+    cfg = SuiteConfig(n=2, sigma=1.0, p=1.0000001)
+    assert cli._ball_config_record(cfg).scenario == "ball-norm n=2 sigma=1 p=1.0000001"
 
 
 # ----------------------------------------------------------------------

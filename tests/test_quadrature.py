@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from bergnorm.quadrature import (
     QuadratureError,
     integrate_weighted,
     make_jacobi_rule,
+    make_jacobi_rules,
 )
 from bergnorm.specfun import HypArgs, beta_fn, hyp2f1
 
@@ -125,3 +127,96 @@ def test_integrate_weighted_first_moment(mu, sigma):
     got = integrate_weighted(lambda t: t, mu, sigma, 32)
     want = mu * beta_fn(mu + 1.0, sigma + 1.0)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+# ----------------------------------------------------------------------
+# batched rules (eigenvalues, one Newton step, Christoffel weights)
+# ----------------------------------------------------------------------
+
+@given(st.floats(min_value=-0.9, max_value=4.0),
+       st.floats(min_value=-0.9, max_value=4.0),
+       st.sampled_from([1, 2, 8, 128, 256]))
+@settings(max_examples=40, deadline=None)
+def test_batched_rule_is_a_gauss_rule(alpha, beta, order):
+    # the mirrored pair rides along, so every example is a batch of two
+    for rule, (a, b) in zip(make_jacobi_rules(order, [(alpha, beta), (beta, alpha)]),
+                            [(alpha, beta), (beta, alpha)]):
+        assert (rule.order, rule.alpha, rule.beta) == (order, a, b)
+        assert rule.nodes[0] > 0.0 and rule.nodes[-1] < 1.0
+        assert np.all(np.diff(rule.nodes) > 0.0)
+        assert rule.total_mass == pytest.approx(beta_fn(a + 1.0, b + 1.0), rel=2e-15)
+        for k in range(2 * order):
+            got = float(rule.weights @ rule.nodes ** k)
+            assert got == pytest.approx(beta_fn(a + k + 1.0, b + 1.0), rel=1e-11)
+
+
+def test_batched_rules_agree_with_golub_welsch():
+    # Golub-Welsch squares an eigenvector component that carries an absolute
+    # error near machine epsilon, so its smallest weights (~1e-19 beside
+    # an exponent-4 endpoint at order 256) are off by up to ~4e-8 relative;
+    # the absolute floor covers those
+    exponents = [(-0.9, -0.9), (-0.6, 1.5), (0.0, 0.0), (2.4, 0.1), (4.0, -0.9),
+                 (1.7, 3.3)]
+    for order in (1, 2, 8, 128, 256):
+        for rule, (a, b) in zip(make_jacobi_rules(order, exponents), exponents):
+            frozen = make_jacobi_rule(order, a, b)
+            np.testing.assert_allclose(rule.nodes, frozen.nodes, rtol=0.0, atol=4e-16)
+            np.testing.assert_allclose(rule.weights, frozen.weights, rtol=1e-11,
+                                       atol=1e-18 * frozen.total_mass)
+            # each rule's weights are rescaled to its exact mass
+            assert rule.total_mass == pytest.approx(beta_fn(a + 1.0, b + 1.0), rel=2e-15)
+
+
+def _gauss_jacobi_mp(order, alpha, beta, starts):
+    """Nodes and weights of the order-point rule for t^alpha (1-t)^beta at 40
+    digits: Newton on mpmath's Jacobi polynomial P_n^(beta, alpha)(2t - 1)
+    from each start, weights from the classical derivative formula."""
+    with mp.workdps(40):
+        a, b, n = mp.mpf(beta), mp.mpf(alpha), order
+        scale = (mp.gamma(n + a + 1) * mp.gamma(n + b + 1)
+                 / (mp.gamma(n + a + b + 1) * mp.factorial(n)))
+
+        def derivative(x):
+            return (n + a + b + 1) / 2 * mp.jacobi(n - 1, a + 1, b + 1, x)
+
+        out = []
+        for t0 in starts:
+            x = 2 * mp.mpf(t0) - 1
+            for _ in range(8):
+                step = mp.jacobi(n, a, b, x) / derivative(x)
+                x -= step
+                if abs(step) < mp.mpf(10) ** -38:
+                    break
+            # weight on [-1,1] divided by 2^(a+b+1), the Jacobian to (0,1)
+            out.append((float((1 + x) / 2),
+                        float(scale / ((1 - x * x) * derivative(x) ** 2))))
+        return out
+
+
+@pytest.mark.parametrize("alpha, beta, order", [(-0.6, 1.5, 128), (2.4, 0.1, 256),
+                                                (-0.6, 1.5, 512)])
+def test_batched_rule_against_mpmath(alpha, beta, order):
+    rule = make_jacobi_rules(order, [(alpha, beta)])[0]
+    picks = sorted({*np.linspace(0, order - 1, 17).astype(int), 1, order - 2})
+    ref = _gauss_jacobi_mp(order, alpha, beta, rule.nodes[picks])
+    for i, (node, weight) in zip(picks, ref):
+        assert abs(rule.nodes[i] - node) <= 2.3e-16
+        # the extreme weights inherit the ~1e-16 absolute node error, which
+        # is large relative to a node next to t = 0; inner weights must
+        # show no mass bias
+        tol = 2e-13 if 0.01 < node < 0.99 else 2e-11
+        assert rule.weights[i] == pytest.approx(weight, rel=tol)
+
+
+def test_batched_rules_validation():
+    with pytest.raises(ValueError):
+        make_jacobi_rules(0, [(0.0, 0.0)])
+    with pytest.raises(ValueError):
+        make_jacobi_rules(-3, [(0.0, 0.0)])
+    with pytest.raises(ValueError):
+        make_jacobi_rules(8, [(0.0, 0.0), (-1.0, 0.0)])
+    with pytest.raises(ValueError):
+        make_jacobi_rules(8, [(0.5, -1.5)])
+    with pytest.raises(ValueError):
+        make_jacobi_rules(0, [])
+    assert make_jacobi_rules(8, []) == []

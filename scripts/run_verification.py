@@ -13,9 +13,7 @@ import argparse
 import pathlib
 import sys
 
-from bergnorm.cli import SuiteConfig, emit_table, run_suite
-
-SUITES = ("identities", "interval-norms", "ball", "berezin")
+from bergnorm.cli import _SUITES, SuiteConfig, emit_table, run_suite
 
 
 def main() -> int:
@@ -34,7 +32,7 @@ def main() -> int:
         art_dir.mkdir(parents=True, exist_ok=True)
 
     worst = 0
-    for name in SUITES:
+    for name in _SUITES:
         status, records = run_suite(name, cfg)
         worst = max(worst, status)
         banner = f"suite: {name}"

@@ -59,6 +59,11 @@ _DISC_RADIAL_ORDER = 96
 _DISC_ANGULAR_ORDER = 384
 
 
+def _check_dimension(n: int):
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class BallParams:
     """Dimension and weight exponent of the ball-side operators.
@@ -73,8 +78,7 @@ class BallParams:
     lam: float = field(init=False)
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        _check_dimension(self.n)
         if not self.sigma > -1.0:
             raise ValueError(f"sigma must exceed -1, got {self.sigma!r}")
         object.__setattr__(self, "n", int(self.n))
@@ -240,11 +244,6 @@ def bloch_constants(bp: BallParams) -> BlochConstants:
 # ----------------------------------------------------------------------
 # Berezin transform
 # ----------------------------------------------------------------------
-
-def _check_dimension(n: int):
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-
 
 def berezin_norm(n: int, p) -> float:
     """Exact L^p -> L^p norm of the Berezin transform on the ball:

@@ -342,7 +342,8 @@ class ExtremalFamily:
     Psi(s) = C_tilde s^(vartheta/q) (1-s)^(vartheta_tilde/q) normalized in
     L^q.  ``vartheta`` is identically 0 and ``vartheta_tilde`` is tied to
     theta by (theta - p)/(p - 1), which is exactly the coupling that keeps
-    the bilinear form in closed form.
+    the bilinear form in closed form.  Build it with
+    ``make_extremal_family``, which checks p, theta and theta_tilde.
     """
 
     p: LebesgueExponent
@@ -354,12 +355,6 @@ class ExtremalFamily:
     vartheta_tilde: float = field(init=False)
 
     def __post_init__(self):
-        if self.p.is_one or self.p.is_infinite:
-            raise ValueError("the extremal family needs 1 < p < infinity")
-        if not self.theta > 1.0:
-            raise ValueError(f"theta must exceed 1, got {self.theta!r}")
-        if not self.theta_tilde > -1.0:
-            raise ValueError(f"theta_tilde must exceed -1, got {self.theta_tilde!r}")
         object.__setattr__(self, "vartheta_tilde",
                            (self.theta - self.p.p) / (self.p.p - 1.0))
 

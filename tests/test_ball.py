@@ -47,6 +47,8 @@ def test_ball_params_validation():
         BallParams(1, -1.0)
     with pytest.raises(ValueError):
         BallParams(1.5, 1.0)
+    with pytest.raises(ValueError, match="n must be a positive integer, got 0"):
+        BallParams(0, 1.0)
 
 
 @pytest.mark.parametrize("n, sigma, expected", [

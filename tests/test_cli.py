@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bergnorm import cli
+from bergnorm.ball import BallParams, c_sigma, tilde_norm_formula
 from bergnorm.cli import (
     ConfigError,
     ReportRecord,
@@ -173,6 +174,12 @@ def test_run_suite_all_concatenates_in_order():
     assert names.index("ball-bridge-grid") < names.index("berezin-table")
 
 
+def test_suite_names_follow_the_suite_table():
+    # --help, the config key and the verification script all read this order
+    assert cli.SUITE_NAMES == ("identities", "interval-norms", "ball",
+                               "berezin", "all")
+
+
 def test_run_suite_unknown_name():
     with pytest.raises(ConfigError):
         run_suite("nonsense", SuiteConfig())
@@ -222,7 +229,47 @@ def test_record_labels_keep_every_digit(monkeypatch, capsys):
     assert names[1] == "interval-norm mu=1 sigma=0.5 p=1.0000001"
     assert names[-1] == "interval-norm mu=1 sigma=0 p=1"
     cfg = SuiteConfig(n=2, sigma=1.0, p=1.0000001)
-    assert cli._ball_config_record(cfg).scenario == "ball-norm n=2 sigma=1 p=1.0000001"
+    assert cli._ball_record(cfg).scenario == "ball-norm n=2 sigma=1 p=1.0000001"
+
+
+@pytest.mark.parametrize("n, sigma, p", [(2, 0.5, 3.0), (1, 1.0, 1.0)])
+def test_ball_record_is_interval_record_scaled(n, sigma, p):
+    # the dimension bridge, route by route: ball = c_sigma * interval at mu = n
+    cfg = SuiteConfig(n=n, sigma=sigma, p=p)
+    ball = cli._ball_record(cfg)
+    interval = cli._interval_record(float(n), sigma, p, cfg)
+    assert ball.status == interval.status == "pass"
+    assert ball.closed_form == tilde_norm_formula(BallParams(n, sigma), p)
+    assert list(ball.numeric_routes) == list(interval.numeric_routes)
+    scale = c_sigma(n, sigma)
+    for key, value in interval.numeric_routes.items():
+        assert ball.numeric_routes[key].hex() == (scale * value).hex()
+
+
+def test_ball_divergent_estimate_is_scaled():
+    cfg = SuiteConfig(n=1, sigma=-0.5, p=2.0)
+    ball = cli._ball_record(cfg)
+    interval = cli._interval_record(1.0, -0.5, 2.0, cfg)
+    assert ball.scenario == "ball-norm n=1 sigma=-0.5 p=2 (divergent)"
+    assert ball.status == interval.status == "pass"
+    assert ball.inputs["growth"] == interval.inputs["growth"] == "logarithmic"
+    scale = c_sigma(1, -0.5)
+    assert scale == pytest.approx(0.5, rel=1e-15)
+    assert (ball.numeric_routes["largest_probe_estimate"]
+            == scale * interval.numeric_routes["largest_probe_estimate"])
+
+
+def test_ball_divergent_record_flags_a_failed_route(monkeypatch, capsys):
+    def no_report(*args, **kwargs):
+        raise ConvergenceError("probe did not converge")
+
+    monkeypatch.setattr(cli, "norm_report", no_report)
+    assert main(["--suite", "ball", "--sigma", "-0.5", "--p", "2",
+                 "--format", "json"]) == 1
+    first = json.loads(capsys.readouterr().out)[0]
+    assert first["scenario"] == "ball-norm n=1 sigma=-0.5 p=2"
+    assert first["status"] == "flagged"
+    assert first["inputs"]["error"] == "probe did not converge"
 
 
 # ----------------------------------------------------------------------

@@ -283,29 +283,35 @@ def _label(x: float) -> str:
 
 
 def _norm_record(scenario: str, inputs: dict, params: OperatorParams,
-                 exp: LebesgueExponent, cfg: SuiteConfig, scale: float = 1.0,
+                 exp: LebesgueExponent, cfg: SuiteConfig,
+                 scale: Callable[[], float] = lambda: 1.0,
                  closed: Callable[[], float] | None = None) -> ReportRecord:
     """Closed-form norm against every route of ``norm_report(params)``,
-    each route value times ``scale``: 1 for the interval record, and
+    each route value times ``scale()``: 1 for the interval record, and
     c_sigma(n, sigma) for the ball record at mu = n (the dimension bridge),
-    whose own closed form ``closed`` gives.  Unbounded combinations become
+    whose own closed form ``closed()`` gives.  Unbounded combinations become
     a divergence-detection scenario: the check passes when the discrete
     estimates are seen growing with the order, i.e. when the numerics
-    agree that no finite norm exists.
+    agree that no finite norm exists.  A closed form or scale beyond double
+    range flags the record.
     """
     inputs = {**inputs, "order": cfg.order, "eta_min": cfg.eta_min,
               "seed": cfg.seed}
     try:
+        factor = scale()
         report = norm_report(params, exp, order=cfg.order,
                              eta_min=cfg.eta_min, seed=cfg.seed)
+        if not report.unbounded:
+            closed_form = report.closed_form if closed is None else closed()
     except (QuadratureError, ConvergenceError) as err:
         return _flagged(scenario, inputs, str(err))
+    except OverflowError as err:
+        return _flagged(scenario, inputs, f"overflow beyond double range: {err}")
     if report.unbounded:
         inputs["growth"] = report.growth
         return _finish(scenario + " (divergent)", inputs, None,
-                       {"largest_probe_estimate": scale * report.nystrom_estimate},
+                       {"largest_probe_estimate": factor * report.nystrom_estimate},
                        {}, 0.0, guards_ok=report.divergence_flagged)
-    closed_form = report.closed_form if closed is None else closed()
     if exp.is_one:
         routes = {"column_mass_sup": report.nystrom_estimate}
         gated, tol = ("column_mass_sup",), _L1_ROUTE_TOL
@@ -317,7 +323,7 @@ def _norm_record(scenario: str, inputs: dict, params: OperatorParams,
             "nystrom": report.nystrom_estimate,
         }
         gated, tol = ("schur_right", "schur_left", "sweep_lower"), _NORM_ROUTE_TOL
-    routes = {k: scale * v for k, v in routes.items()}
+    routes = {k: factor * v for k, v in routes.items()}
     rels = {k: (closed_form - routes[k]) / closed_form for k in gated}
     below = all(v <= closed_form * (1.0 + _EXCESS_GUARD) for v in routes.values())
     return _finish(scenario, inputs, closed_form, routes, rels, tol,
@@ -389,7 +395,7 @@ def _ball_record(cfg: SuiteConfig) -> ReportRecord:
     scenario = f"ball-norm n={cfg.n} sigma={_label(cfg.sigma)} p={_label(exp.p)}"
     return _norm_record(scenario, {"n": cfg.n, "sigma": cfg.sigma, "p": exp.p},
                         bp.interval_params, exp, cfg,
-                        scale=c_sigma(cfg.n, cfg.sigma),
+                        scale=lambda: c_sigma(cfg.n, cfg.sigma),
                         closed=lambda: tilde_norm_formula(bp, exp))
 
 
@@ -606,7 +612,8 @@ def _json_value(value, indent: int) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _real(value)
+        # JSON has no inf or nan literal: write them as strings
+        return _real(value) if math.isfinite(value) else json.dumps(_real(value))
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):

@@ -284,7 +284,6 @@ class SchurProfile:
     quadrature_grid: np.ndarray
     right_quadrature: np.ndarray
     left_quadrature: np.ndarray
-    upper_bound: float  # common s -> 1 limit of both quotients
 
     @property
     def max_ratio_right(self) -> float:
@@ -310,18 +309,13 @@ def schur_profile(params: OperatorParams, p, grid_size: int = 64,
     _check_schur_domain(params, exp)
     grid = supremum_grid(grid_size)
     quad_grid = grid[grid <= QUAD_ROUTE_CUTOFF]
-    inv = exp.inv
-    # both quotients share the Gauss-summation limit, which is the norm
-    limit = math.exp(log_gamma(params.mu + 1.0) - 2.0 * log_gamma(params.lam)
-                     + log_gamma(inv) + log_gamma(params.sigma + 1.0 - inv))
     return SchurProfile(
         params=params, p=exp, grid=grid,
         right_closed=schur_ratio_right_closed(params, exp, grid),
         left_closed=schur_ratio_left_closed(params, exp, grid),
         quadrature_grid=quad_grid,
         right_quadrature=schur_ratio_right_quadrature(params, exp, quad_grid, order),
-        left_quadrature=schur_ratio_left_quadrature(params, exp, quad_grid, order),
-        upper_bound=limit)
+        left_quadrature=schur_ratio_left_quadrature(params, exp, quad_grid, order))
 
 
 def schur_check(params: OperatorParams, p, grid_size: int = 64) -> tuple[float, float]:

@@ -1,12 +1,12 @@
 """Special functions used throughout the package.
 
 Everything here is self-contained double-precision code: a fixed-coefficient
-Lanczos log-gamma, a shift-plus-asymptotic digamma, Pochhammer symbols, the
-Euler beta function, and a Gauss hypergeometric evaluator 2F1(a,b;c;z) for
-real parameters and z in [0,1], scalar (``hyp2f1``) or over an array of z
-with shared parameters (``hyp2f1_grid``).
+Lanczos log-gamma, a shift-plus-asymptotic digamma, the Euler beta function,
+and a Gauss hypergeometric evaluator 2F1(a,b;c;z) for real parameters and z
+in [0,1].  ``hyp2f1_grid`` evaluates an array of z in [0,1) with shared
+parameters; ``hyp2f1`` is its one-entry call, plus Gauss summation at z = 1.
 
-The 2F1 evaluator picks between three routes:
+The 2F1 evaluator picks between three routes for each entry:
 
   * the raw power series (z <= 0.7, or whenever it terminates),
   * the Euler transform (1-z)^(c-a-b) * 2F1(c-a,c-b;c;z) when z > 0.7 and
@@ -14,22 +14,21 @@ The 2F1 evaluator picks between three routes:
   * a connection-formula evaluation in powers of w = 1-z when z is close
     to 1, where both series above need ~36/(1-z) terms.  The connection
     route handles the generic (non-integer c-a-b) case and the logarithmic
-    (integer) case, on a whole array of arguments at once; the scalar
-    evaluator passes it one entry.
+    (integer) case, on all the entries in its window at once.
 
-The near-one window has two widths, chosen by ``_near_one_window`` for
-both evaluators alike.  It is 1-z < _NEAR_ONE_W = 5e-3 when c-a-b lies
-within _WIDE_GAP = 0.1 of an integer, and 1-z < _NEAR_ONE_W_WIDE = 2e-2
-otherwise.  The two-term connection formula loses digits like 1/eps as
-eps = |(c-a-b) - round(c-a-b)| shrinks (its two Gamma-ratio coefficients
-grow and cancel), while the raw series keeps ~1e-14 for every eps; past
-the gap, and for 1-z up to 2e-2, the connection formula is as accurate as
-the series (against mpmath, for a and b in (0, 4)) at a small fraction of
-its cost.
+The near-one window has two widths, chosen by ``_near_one_window``.  It is
+1-z < _NEAR_ONE_W = 5e-3 when c-a-b lies within _WIDE_GAP = 0.1 of an
+integer, and 1-z < _NEAR_ONE_W_WIDE = 2e-2 otherwise.  The two-term
+connection formula loses digits like 1/eps as eps = |(c-a-b) - round(c-a-b)|
+shrinks (its two Gamma-ratio coefficients grow and cancel), while the raw
+series keeps ~1e-14 for every eps; past the gap, and for 1-z up to 2e-2,
+the connection formula is as accurate as the series (against mpmath, for a
+and b in (0, 4)) at a small fraction of its cost.
 
-Series termination: a term below 1e-16 of the partial sum three times in a
-row (over arrays of z, the last term of a 64-term chunk), with a hard cap
-of 100000 terms; exceeding the cap raises ConvergenceError.
+Series termination: the last term of a 64-term chunk below 1e-16 of the
+partial sum (the raw and Euler series), or a term below it three times in
+a row (the generic connection series), with a hard cap of 100000 terms;
+exceeding the cap raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "hyp2f1_at_one",
     "hyp2f1_grid",
     "log_gamma",
-    "pochhammer",
 ]
 
 _SERIES_RTOL = 1e-16
@@ -64,7 +62,6 @@ _WIDE_GAP = 0.1          # at least this far (nearer, the connection formula can
 _INT_SNAP = 1e-6        # treat c-a-b this close to an integer as the log case
 _W_BLOCK = 12           # terms per block of the near-one series
 _BLOCK_LIVE = 256       # live entries at or below which a raw-series chunk is one block
-_POCH_LOG_SWITCH = 32   # product path below this k (exact recurrence), log path above
 
 # 14-term Lanczos coefficients (g = 671/128); relative error < 2e-15 on the
 # positive real axis, which is what the reflection step below leans on.
@@ -180,26 +177,6 @@ def digamma(x: float) -> float:
     return acc + math.log(x) - 0.5 / x - tail
 
 
-def pochhammer(q: float, k: int) -> float:
-    """Rising factorial (q)_k = q (q+1) ... (q+k-1), with (q)_0 = 1.
-
-    Small k (and every non-positive q) use the literal left-to-right
-    product, so the recurrence (q)_{k+1} = (q)_k * (q+k) holds exactly in
-    floating point on that path.  Large positive q+k go through log-gamma.
-    """
-    if k < 0 or k != int(k):
-        raise ValueError(f"pochhammer order must be a non-negative integer, got {k!r}")
-    k = int(k)
-    if k == 0:
-        return 1.0
-    if q > 0.0 and k > _POCH_LOG_SWITCH:
-        return math.exp(log_gamma(q + k) - log_gamma(q))
-    out = 1.0
-    for i in range(k):
-        out *= q + i
-    return out
-
-
 def beta_fn(a: float, b: float) -> float:
     """Euler beta B(a,b) = Gamma(a)Gamma(b)/Gamma(a+b), a,b > 0, via logs."""
     if not (a > 0.0 and b > 0.0):
@@ -237,26 +214,6 @@ class HypArgs:
 
 def _is_nonpos_int(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
-
-
-def _series(a: float, b: float, c: float, z: float) -> float:
-    """Raw defining series; c may be any real that never hits a zero factor."""
-    term = 1.0
-    total = 1.0
-    small = 0
-    for k in range(_SERIES_CAP):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-        total += term
-        if term == 0.0:
-            return total
-        if abs(term) < _SERIES_RTOL * abs(total):
-            small += 1
-            if small >= _SERIES_CONSEC:
-                return total
-        else:
-            small = 0
-    raise ConvergenceError(
-        f"2F1 series exceeded {_SERIES_CAP} terms at (a={a}, b={b}, c={c}, z={z})")
 
 
 def hyp2f1_at_one(a: float, b: float, c: float) -> float:
@@ -306,12 +263,14 @@ def _w_block(term: np.ndarray, total: np.ndarray, steps: np.ndarray,
 
 
 def _series_w(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
-    """``_series(a, b, c, w)`` for each entry of a 1-D array ``w``, same bits.
+    """The raw series of 2F1(a, b; c; w) for each entry of a 1-D array ``w``,
+    with the bits of the per-term loop ``term *= ratio_k * w; total += term``.
 
     Terms are formed _W_BLOCK at a time by ``_w_block``; the stopping rule
     (a zero term, or three small terms in a row, _SERIES_CONSEC) is then
-    applied to the block.  Entries still summing carry their term, sum and the
-    smallness of their last two terms into the next block.
+    applied to each term of the block, as that loop applies it.  Entries
+    still summing carry their term, sum and the smallness of their last two
+    terms into the next block.
     """
     out = np.empty(w.size)
     idx = np.arange(w.size)
@@ -382,8 +341,9 @@ def _near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     generic two-series connection formula, or its logarithmic limit when d
     sits (numerically) on a non-negative integer.  The Gamma-ratio
     coefficients and digamma constants are computed once per call; each
-    entry gets the bits of a scalar evaluation in the same order of
-    operations, through ``math.log``/``math.exp`` and ``_w_block``.
+    entry gets the bits of a per-entry loop over the same formulas in the
+    same order of operations, through ``math.log``/``math.exp`` and
+    ``_w_block``, whatever else shares the array.
     """
     if not z.size:
         return np.empty(0)
@@ -448,35 +408,8 @@ def _near_one_window(d: float) -> float:
     return _NEAR_ONE_W_WIDE if abs(d - round(d)) >= _WIDE_GAP else _NEAR_ONE_W
 
 
-def _hyp2f1(a: float, b: float, c: float, z: float) -> float:
-    """Strategy dispatcher; assumes the HypArgs domain has been validated."""
-    if z == 0.0:
-        return 1.0
-    if _is_nonpos_int(a) or _is_nonpos_int(b):
-        return _series(a, b, c, z)  # terminating polynomial
-    if z == 1.0:
-        return hyp2f1_at_one(a, b, c)
-    if z <= _RAW_SERIES_Z:
-        return _series(a, b, c, z)
-    d = c - a - b
-    if d < 0.0 and (_is_nonpos_int(c - a) or _is_nonpos_int(c - b)):
-        # transform side terminates: exact, any z
-        return (1.0 - z) ** d * _series(c - a, c - b, c, z)
-    if 1.0 - z < _near_one_window(d):
-        return float(_near_one_vec(a, b, c, np.array([z]))[0])
-    if d < 0.0:
-        # Euler transform raises the convergence exponent to -d > 0
-        return (1.0 - z) ** d * _series(c - a, c - b, c, z)
-    return _series(a, b, c, z)
-
-
-def hyp2f1(args: HypArgs) -> float:
-    """Gauss hypergeometric 2F1 on the validated HypArgs domain."""
-    return _hyp2f1(args.a, args.b, args.c, args.z)
-
-
 def _series_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
-    """Chunked vector version of the raw series (shared parameters).
+    """The raw series, chunked, over an array of z (shared parameters).
 
     The entries still summing are kept packed in contiguous arrays of z,
     term and partial sum, advanced 64 terms a chunk; finished entries are
@@ -527,7 +460,7 @@ def _series_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
 def hyp2f1_grid(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     """2F1(a,b;c;z) over an array of arguments in [0,1), shared parameters.
 
-    Same route selection as the scalar evaluator; the entries in the
+    Picks the routes of the module docstring per entry; the entries in the
     near-one window go through the connection formulas in one call.  The
     window is 1-z < 2e-2 when c-a-b is at least 0.1 from an integer and
     1-z < 5e-3 otherwise, because the connection formula cancels like
@@ -564,6 +497,14 @@ def hyp2f1_grid(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     if np.any(near):
         out[near] = _near_one_vec(a, b, c, z[near])
     return out
+
+
+def hyp2f1(args: HypArgs) -> float:
+    """Gauss hypergeometric 2F1 on the validated HypArgs domain: Gauss
+    summation at z = 1, else the one entry of ``hyp2f1_grid``."""
+    if args.z == 1.0:
+        return hyp2f1_at_one(args.a, args.b, args.c)
+    return float(hyp2f1_grid(args.a, args.b, args.c, np.array([args.z]))[0])
 
 
 @dataclass(frozen=True)

@@ -272,6 +272,24 @@ def test_ball_divergent_record_flags_a_failed_route(monkeypatch, capsys):
     assert first["inputs"]["error"] == "probe did not converge"
 
 
+@pytest.mark.parametrize("argv, scenario", [
+    (["--suite", "ball", "--n", "600", "--sigma", "600", "--p", "inf"],
+     "ball-norm n=600 sigma=600 p=inf"),                      # c_sigma overflows
+    (["--suite", "ball", "--n", "1", "--sigma", "1500", "--p", "2"],
+     "ball-norm n=1 sigma=1500 p=2"),                         # norm_formula overflows
+    (["--suite", "interval-norms", "--sigma", "1500", "--p", "2"],
+     "interval-norm mu=1 sigma=1500 p=2"),
+], ids=["ball-c-sigma", "ball-closed-form", "interval-closed-form"])
+def test_closed_form_beyond_double_range_flags_the_record(argv, scenario, capsys):
+    assert main([*argv, "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    flagged = [r for r in json.loads(out) if r["status"] != "pass"]
+    assert [r["scenario"] for r in flagged] == [scenario]
+    assert flagged[0]["status"] == "flagged"
+    assert flagged[0]["inputs"]["error"].startswith("overflow beyond double range")
+    assert err == ""
+
+
 # ----------------------------------------------------------------------
 # rendering
 # ----------------------------------------------------------------------
@@ -292,6 +310,24 @@ def test_json_parses_and_orders_fields(berezin_records):
 def test_json_renders_seventeen_digit_reals(berezin_records):
     text = emit_table(berezin_records, "json")
     assert "2.3561944901923448" in text  # 3*pi/4 at full precision
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "interval-norms", "--p", "inf"],
+    ["--suite", "ball", "--n", "2", "--sigma", "0.5", "--p", "inf"],
+])
+def test_json_writes_non_finite_reals_as_strings(argv, capsys):
+    assert main([*argv, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data[0]["inputs"]["p"] == "inf"
+
+
+def test_non_finite_reals_are_strings_in_json_only():
+    rec = cli.ReportRecord("s", {"a": math.inf, "b": -math.inf, "c": math.nan},
+                           None, {}, {}, "pass")
+    assert json.loads(emit_table([rec], "json"))[0]["inputs"] == {
+        "a": "inf", "b": "-inf", "c": "nan"}
+    assert emit_table([rec], "csv").splitlines()[1] == "s,pass,,inf,-inf,nan"
 
 
 def test_json_is_byte_deterministic():

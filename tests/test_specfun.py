@@ -1,4 +1,4 @@
-"""Tests for the scalar special-function layer.
+"""Tests for the special-function layer.
 
 Reference values were computed independently with mpmath at 40 decimal
 digits and frozen here; the library itself never imports mpmath.
@@ -22,7 +22,6 @@ from bergnorm.specfun import (
     hyp2f1_at_one,
     hyp2f1_grid,
     log_gamma,
-    pochhammer,
 )
 
 np = pytest.importorskip("numpy")
@@ -115,34 +114,6 @@ def test_beta_symmetry_and_recurrence(a, b):
     assert beta_fn(a, b) == pytest.approx(beta_fn(b, a), rel=1e-13)
     # B(a+1,b) = a/(a+b) B(a,b)
     assert beta_fn(a + 1.0, b) == pytest.approx(a / (a + b) * beta_fn(a, b), rel=1e-12)
-
-
-# ----------------------------------------------------------------------
-# pochhammer
-# ----------------------------------------------------------------------
-
-def test_pochhammer_base_cases():
-    assert pochhammer(3.7, 0) == 1.0
-    assert pochhammer(0.5, 5) == pytest.approx(0.5 * 1.5 * 2.5 * 3.5 * 4.5, rel=1e-15)
-    assert pochhammer(-2.0, 4) == 0.0
-    assert pochhammer(-2.5, 3) == pytest.approx(-2.5 * -1.5 * -0.5, rel=1e-15)
-    with pytest.raises(ValueError):
-        pochhammer(1.0, -1)
-
-
-def test_pochhammer_paths_agree():
-    # the product path and the log-gamma path must agree across the switch
-    for q in (0.3, 1.0, 4.5):
-        for k in (30, 31, 32, 33, 34, 64):
-            via_logs = math.exp(log_gamma(q + k) - log_gamma(q))
-            assert pochhammer(q, k) == pytest.approx(via_logs, rel=1e-12)
-
-
-@given(st.floats(min_value=-10.0, max_value=10.0).filter(lambda q: abs(q) > 1e-6),
-       st.integers(min_value=0, max_value=40))
-def test_pochhammer_recurrence(q, k):
-    assert pochhammer(q, k + 1) == pytest.approx(
-        pochhammer(q, k) * (q + k), rel=1e-10, abs=1e-280)
 
 
 # ----------------------------------------------------------------------
@@ -247,13 +218,27 @@ def test_hyp2f1_near_one_continuity():
         assert abs(just_above / just_below - 1.0) < 0.2
 
 
+HYP2F1_BANDS = [
+    # (a, b, c, z): one parameter set per route of hyp2f1_grid
+    (1.3, 0.4, 2.1, np.linspace(0.0, 0.7, 41)),           # raw series
+    (1.5, 1.5, 1.0, 1.0 - np.geomspace(5e-3, 0.3, 41)),   # Euler transform
+    (0.75, 0.75, 1.75, 1.0 - np.geomspace(1e-15, 0.019, 41)),  # connection
+    (-3.0, 1.5, 2.2, np.linspace(0.0, 0.999, 41)),        # terminating
+]
+
+
 def test_hyp2f1_grid_matches_scalar():
-    rng = np.random.default_rng(7)
-    z = np.concatenate([rng.uniform(0.0, 0.999, 64), 1.0 - 2.0 ** -np.arange(10, 41, 6)])
-    for a, b, c in [(1.5, 1.5, 1.0), (1.0, 1.0, 2.0), (0.75, 0.75, 1.75), (2.0, 2.0, 2.0)]:
+    # hyp2f1 is the one-entry call of hyp2f1_grid (same bits in every band),
+    # plus Gauss summation at z = 1
+    for a, b, c, z in HYP2F1_BANDS:
         grid = hyp2f1_grid(a, b, c, z)
-        scalar = np.array([hyp2f1(HypArgs(a, b, c, float(zz))) for zz in z])
-        assert np.allclose(grid, scalar, rtol=1e-12)
+        for x, g in zip(z.tolist(), grid.tolist()):
+            got = hyp2f1(HypArgs(a, b, c, x))
+            assert type(got) is float
+            assert got.hex() == g.hex(), (a, b, c, x)
+        assert hyp2f1(HypArgs(a, b, c, 0.0)) == 1.0
+        if c - a - b > 0.0:
+            assert hyp2f1(HypArgs(a, b, c, 1.0)) == hyp2f1_at_one(a, b, c)
 
 
 def test_hyp2f1_grid_rejects_bad_arguments():
@@ -365,23 +350,38 @@ def test_hyp2f1_grid_cap_names_worst_unconverged_z(monkeypatch):
     assert "worst z = 0.65 at (a=1.0, b=1.0, c=2.0)" in str(excinfo.value)
 
 
-def test_series_cap_raises():
+def test_series_cap_raises(monkeypatch):
     # a starved term budget must surface as ConvergenceError, never a
     # silently truncated sum
-    from bergnorm import specfun
-
-    old = specfun._SERIES_CAP
-    specfun._SERIES_CAP = 50
-    try:
-        with pytest.raises(ConvergenceError):
-            specfun._series(1.0, 1.0, 2.0, 0.99)
-    finally:
-        specfun._SERIES_CAP = old
+    monkeypatch.setattr(specfun, "_SERIES_CAP", 50)
+    with pytest.raises(ConvergenceError):
+        hyp2f1(HypArgs(1.0, 1.0, 2.0, 0.99))
 
 
 # ----------------------------------------------------------------------
 # near-one connection route
 # ----------------------------------------------------------------------
+
+def _series(a, b, c, z):
+    """The per-term raw series loop, which ``specfun._series_w`` reproduces
+    bit for bit; ``_scalar_near_one`` sums its connection series with it."""
+    term = 1.0
+    total = 1.0
+    small = 0
+    for k in range(specfun._SERIES_CAP):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+        total += term
+        if term == 0.0:
+            return total
+        if abs(term) < specfun._SERIES_RTOL * abs(total):
+            small += 1
+            if small >= specfun._SERIES_CONSEC:
+                return total
+        else:
+            small = 0
+    raise ConvergenceError(
+        f"2F1 series exceeded {specfun._SERIES_CAP} terms at (a={a}, b={b}, c={c}, z={z})")
+
 
 def _scalar_near_one(a, b, c, z):
     """The per-entry connection-formula evaluator that ``specfun._near_one_vec``
@@ -398,8 +398,8 @@ def _scalar_near_one(a, b, c, z):
     if abs(d - m) > specfun._INT_SNAP:
         s1 = specfun.gamma_ratio_log((c, d), (c - a, c - b))
         s2 = specfun.gamma_ratio_log((c, -d), (a, b))
-        val = (s1 * specfun._series(a, b, 1.0 - d, w)
-               + s2 * math.exp(d * math.log(w)) * specfun._series(c - a, c - b, 1.0 + d, w))
+        val = (s1 * _series(a, b, 1.0 - d, w)
+               + s2 * math.exp(d * math.log(w)) * _series(c - a, c - b, 1.0 + d, w))
         return math.exp(prefactor_log) * val
     m = int(m)
     logw = math.log(w)
@@ -500,13 +500,10 @@ def test_near_one_vec_raises_like_scalar(monkeypatch, a, b, c, cap, exc):
 
 @pytest.mark.parametrize("a, b, c", [(0.75, 0.75, 1.75), (1.0, 1.0, 2.0), (1.5, 1.5, 1.0)])
 def test_hyp2f1_near_one_window_uses_the_connection_route(a, b, c):
-    # the grid and the scalar evaluator both send 1-z < 5e-3 to it
+    # the grid sends 1-z < 5e-3 to it
     z = 1.0 - np.array([4.9e-3, 1e-6, 2.0 ** -40])
     ref = np.array([_scalar_near_one(a, b, c, x) for x in z.tolist()])
     assert hyp2f1_grid(a, b, c, z).tobytes() == ref.tobytes()
-    scalar = [hyp2f1(HypArgs(a, b, c, x)) for x in z.tolist()]
-    assert all(type(v) is float for v in scalar)
-    assert np.array(scalar).tobytes() == ref.tobytes()
 
 
 # the band that only the wide window sends to the connection route
@@ -556,8 +553,8 @@ def test_hyp2f1_wide_window_matches_mpmath(side, seed):
     (3.0, 1.2, 2.0, False),            # d = -2.2 but c-a = -1: the Euler transform terminates
 ])
 def test_hyp2f1_wide_window_routes(monkeypatch, a, b, c, wide):
-    # the grid and the scalar evaluator send the band to the connection
-    # route for generic c-a-b and keep the series near an integer c-a-b
+    # the grid sends the band to the connection route for generic c-a-b
+    # and keeps the series near an integer c-a-b
     seen = []
     real = specfun._near_one_vec
 
@@ -569,18 +566,17 @@ def test_hyp2f1_wide_window_routes(monkeypatch, a, b, c, wide):
     z = 1.0 - WIDE_BAND_W
     hyp2f1_grid(a, b, c, z)
     assert seen == (z.tolist() if wide else [])
-    seen.clear()
-    for x in z.tolist():
-        hyp2f1(HypArgs(a, b, c, x))
-    assert seen == (z.tolist() if wide else [])
 
 
 @pytest.mark.parametrize("a, b, c", WIDE_CASES)
 def test_hyp2f1_wide_window_scalar_matches_grid_bytes(a, b, c):
+    # every entry of the band, alone or in a 46-entry grid, has the bits
+    # of the per-entry connection reference
     z = 1.0 - np.concatenate([WIDE_BAND_W, 10.0 ** np.linspace(-2.3, -1.7, 41)])
+    ref = np.array([_scalar_near_one(a, b, c, x) for x in z.tolist()])
     scalar = [hyp2f1(HypArgs(a, b, c, x)) for x in z.tolist()]
-    assert all(type(v) is float for v in scalar)
-    assert np.array(scalar).tobytes() == hyp2f1_grid(a, b, c, z).tobytes()
+    assert np.array(scalar).tobytes() == ref.tobytes()
+    assert hyp2f1_grid(a, b, c, z).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("a, b, c", WIDE_CASES)
@@ -595,7 +591,6 @@ def test_hyp2f1_wide_window_edge_continuity(a, b, c):
     assert 1.0 - inside < edge <= 1.0 - outside
     near, far = hyp2f1_grid(a, b, c, np.array([inside, outside]))
     assert abs(near / far - 1.0) < 1e-13
-    assert hyp2f1(HypArgs(a, b, c, float(inside))) == near
 
 
 # ----------------------------------------------------------------------

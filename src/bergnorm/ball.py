@@ -20,12 +20,12 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .intop import (
-    LebesgueExponent,
     OperatorParams,
     UnboundedOperatorError,
     _as_exponent,
     apply,
     boundedness_margin,
+    kernel_moments,
 )
 from .quadrature import DEFAULT_ORDER, QuadratureError, make_jacobi_rule
 from .specfun import hyp2f1_grid, log_gamma
@@ -113,10 +113,6 @@ class RadialFunction:
         return float((n * rule.integrate(values ** exp.p)) ** exp.inv)
 
 
-def _profile_callable(H) -> Callable:
-    return H.profile if isinstance(H, RadialFunction) else H
-
-
 def c_sigma(n: int, sigma: float) -> float:
     """Normalizer making c_sigma (1-|w|^2)^sigma dv a probability measure:
     Gamma(n+sigma+1) / (Gamma(sigma+1) Gamma(n+1)), in log domain."""
@@ -146,8 +142,7 @@ def sphere_kernel_average(n: int, c: float, r2) -> float | np.ndarray:
 def radial_apply(bp: BallParams, H, r2, order: int = DEFAULT_ORDER):
     """The majorant operator on a radial function, via the reduction
     to the interval: c_sigma * (F H)(|z|^2) with mu = n."""
-    return c_sigma(bp.n, bp.sigma) * apply(bp.interval_params,
-                                           _profile_callable(H), r2, order)
+    return c_sigma(bp.n, bp.sigma) * apply(bp.interval_params, H, r2, order)
 
 
 # ----------------------------------------------------------------------
@@ -360,18 +355,15 @@ def berezin_radial_apply(n: int, H, r2, order: int = DEFAULT_ORDER):
             2F1(n+1, n+1; n; s r2) H(s) ds,
 
     i.e. the conjugate majorant at weight exponent n+1, divided by its
-    normalizer.  Valid for r2 in [0,1).
+    normalizer.  The kernel 2F1(n+1, n+1; n; .) is the interval kernel at
+    mu = n, sigma = n+1.  Valid for r2 in [0,1).
     """
     _check_dimension(n)
-    profile = _profile_callable(H)
     r2_arr = np.atleast_1d(np.asarray(r2, dtype=float))
     if r2_arr.min() < 0.0 or r2_arr.max() >= 1.0:
         raise ValueError("r2 must lie in [0, 1)")
     rule = make_jacobi_rule(order, float(n) - 1.0, 0.0)
-    values = np.asarray(profile(rule.nodes), dtype=float)
-    if values.shape != rule.nodes.shape:
-        raise ValueError("the radial profile must return one value per node")
-    grid = hyp2f1_grid(float(n + 1), float(n + 1), float(n),
-                       np.outer(r2_arr, rule.nodes))
-    out = (1.0 - r2_arr) ** (n + 1) * (n * (grid * values) @ rule.weights)
+    moments = kernel_moments(OperatorParams(float(n), float(n + 1)), r2_arr,
+                             rule, H(rule.nodes))
+    out = (1.0 - r2_arr) ** (n + 1) * moments
     return float(out[0]) if np.ndim(r2) == 0 else out

@@ -18,12 +18,13 @@ routes and renders the outcome as a table of records:
 A record's ``status`` is ``pass`` when every entry of ``rel_errors`` is
 within the scenario tolerance (recorded in ``inputs``), ``fail`` when one
 is not (or an internal ordering guard is violated), and ``flagged`` when a
-numeric route could not be completed.  ``numeric_routes`` may carry values
-with no ``rel_errors`` entry, to which no tolerance applies.  The Nystrom
-estimate is the standing example: it converges from below like
-1/log(order), so its gap is not gated.  It still counts in a norm record's
-upper guard, which fails the record when any route, the Nystrom estimate
-included, exceeds the closed form by more than a factor 1 + 1e-9.
+numeric route could not be completed or gave a value that is not finite.
+``numeric_routes`` may carry values with no ``rel_errors`` entry, to which
+no tolerance applies.  The Nystrom estimate is the standing example: it
+converges from below like 1/log(order), so its gap is not gated.  It
+still counts in a norm record's upper guard, which fails the record when
+any route, the Nystrom estimate included, exceeds the closed form by more
+than a factor 1 + 1e-9.
 
 ``json`` and ``csv`` output renders reals with 17 significant digits and is
 byte-identical across runs with the same configuration and seed;
@@ -48,6 +49,7 @@ from .ball import (
     BallParams,
     bergman_exact_norms,
     berezin_apply_disc,
+    berezin_asymptotic_p_to_1,
     berezin_l2_doublefactorial,
     berezin_norm,
     berezin_radial_apply,
@@ -293,14 +295,17 @@ def _norm_record(scenario: str, inputs: dict, params: OperatorParams,
     a divergence-detection scenario: the check passes when the discrete
     estimates are seen growing with the order, i.e. when the numerics
     agree that no finite norm exists.  A closed form or scale beyond double
-    range flags the record.
+    range flags the record, and so does a bounded record with a route value
+    that is not finite; that record keeps its routes and names the broken
+    ones, and numpy's overflow warnings stay silent.
     """
     inputs = {**inputs, "order": cfg.order, "eta_min": cfg.eta_min,
               "seed": cfg.seed}
     try:
         factor = scale()
-        report = norm_report(params, exp, order=cfg.order,
-                             eta_min=cfg.eta_min, seed=cfg.seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = norm_report(params, exp, order=cfg.order,
+                                 eta_min=cfg.eta_min, seed=cfg.seed)
         if not report.unbounded:
             closed_form = report.closed_form if closed is None else closed()
     except (QuadratureError, ConvergenceError) as err:
@@ -326,8 +331,13 @@ def _norm_record(scenario: str, inputs: dict, params: OperatorParams,
     routes = {k: factor * v for k, v in routes.items()}
     rels = {k: (closed_form - routes[k]) / closed_form for k in gated}
     below = all(v <= closed_form * (1.0 + _EXCESS_GUARD) for v in routes.values())
-    return _finish(scenario, inputs, closed_form, routes, rels, tol,
-                   guards_ok=below)
+    record = _finish(scenario, inputs, closed_form, routes, rels, tol,
+                     guards_ok=below)
+    broken = [k for k, v in routes.items() if not math.isfinite(v)]
+    if broken:
+        record.inputs["error"] = f"route not finite: {', '.join(broken)}"
+        record.status = "flagged"
+    return record
 
 
 def _interval_record(mu: float, sigma: float, p: float,
@@ -511,7 +521,7 @@ def _berezin_asymptote_record() -> ReportRecord:
     p = 1.001
     routes, rels = {}, {}
     for n in (1, 2, 3):
-        ratio = berezin_norm(n, p) / ((n + 1.0) / (p - 1.0))
+        ratio = berezin_norm(n, p) / berezin_asymptotic_p_to_1(n, p)
         routes[f"ratio_n{n}"] = ratio
         rels[f"ratio_n{n}"] = abs(ratio - 1.0)
     return _finish("berezin-asymptote", {"p": p}, None, routes, rels,

@@ -37,6 +37,7 @@ __all__ = [
     "discretize_graded",
     "image_of_one",
     "kernel_eval",
+    "kernel_moments",
     "norm_formula",
 ]
 
@@ -124,6 +125,24 @@ def kernel_eval(params: OperatorParams, s, t) -> np.ndarray:
     return out if out.shape else float(out)
 
 
+def kernel_moments(params: OperatorParams, x, rule: JacobiRule,
+                   values=None) -> np.ndarray:
+    """mu * sum_j w_j 2F1(lam, lam; mu; x_i t_j) v_j for each entry x_i of x.
+
+    The rule's weights carry every known endpoint power of the integrand;
+    ``values`` (one per node t_j, 1 when omitted) is the sampled rest.
+    ``apply``, the column quadrature of ``normest`` and the Berezin radial
+    reduction all integrate the kernel this way.
+    """
+    fgrid = hyp2f1_grid(params.lam, params.lam, params.mu, np.outer(x, rule.nodes))
+    if values is not None:
+        values = np.asarray(values, dtype=float)
+        if values.shape != rule.nodes.shape:
+            raise ValueError(f"expected one value per node, got shape {values.shape}")
+        fgrid = fgrid * values
+    return params.mu * fgrid @ rule.weights
+
+
 def apply(params: OperatorParams, phi, s, order: int = DEFAULT_ORDER,
           phi_alpha: float = 0.0, phi_beta: float = 0.0):
     """Evaluate (F phi)(s) by Gauss-Jacobi quadrature.
@@ -136,16 +155,10 @@ def apply(params: OperatorParams, phi, s, order: int = DEFAULT_ORDER,
     """
     rule = make_jacobi_rule(order, params.mu - 1.0 + phi_alpha,
                             params.sigma + phi_beta)
-    t = rule.nodes
-    phivals = np.asarray(phi(t), dtype=float)
-    if phivals.shape != t.shape:
-        raise ValueError(f"phi must return one value per node, got shape {phivals.shape}")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if s_arr.min() < 0.0 or s_arr.max() > 1.0:
         raise ValueError("evaluation points must lie in [0,1]")
-    z = np.outer(s_arr, t)
-    fgrid = hyp2f1_grid(params.lam, params.lam, params.mu, z)
-    out = params.mu * (fgrid * phivals) @ rule.weights
+    out = kernel_moments(params, s_arr, rule, phi(rule.nodes))
     return float(out[0]) if np.isscalar(s) or np.asarray(s).ndim == 0 else out
 
 

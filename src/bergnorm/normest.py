@@ -1,14 +1,14 @@
 """Independent numerical routes to the operator norm of F.
 
-Four routes, none of which trusts the closed form it is checking:
+None of the routes trusts the closed form it is checking.
 
-* the L^1 route: the norm on L^1 is the supremum over t of the kernel's
-  column mass integral K(s,t) dmu(s), scanned over an endpoint-refined
-  grid by two methods (direct quadrature and a hypergeometric reduction)
-  and closed at t -> 1 by Gauss summation;
-
-* the Schur route: with the test function phi(t) = (1-t)^(-1/(pq)), both
-  Schur quotients reduce to explicit hypergeometric profiles whose suprema
+* L^1 and Schur are one column integral at three exponents: the
+  weighted column integral C_beta(x) of ``column_closed``, scanned over
+  an endpoint-refined grid by its hypergeometric reduction and by direct
+  quadrature.  At beta = 0 it is the column mass integral K(s,x) dmu(s),
+  whose supremum is the L^1 norm, closed at x -> 1 by Gauss summation.
+  At beta = sigma - 1/p and beta = -1/q it is the right and left Schur
+  quotient of the test function phi(t) = (1-t)^(-1/(pq)), whose suprema
   reproduce the closed-form norm from above;
 
 * the extremal-family route: a two-parameter family of unit-norm function
@@ -43,6 +43,7 @@ from .intop import (
     _as_exponent,
     boundedness_margin,
     discretize,
+    kernel_moments,
     norm_formula,
 )
 from .quadrature import IDENTITY_CHECK_ORDER, QuadratureError, make_jacobi_rule
@@ -50,20 +51,18 @@ from .specfun import (
     ConvergenceError,
     beta_fn,
     diag_sup,
-    hyp2f1_at_one,
     hyp2f1_grid,
     log_gamma,
 )
 
 __all__ = [
-    "ColumnMassProfile",
+    "ColumnProfile",
     "ExtremalFamily",
     "NormReport",
-    "SchurProfile",
     "bilinear_form_closed",
     "bilinear_form_numeric",
-    "column_mass_closed",
-    "column_mass_quadrature",
+    "column_closed",
+    "column_quadrature",
     "family_on_path",
     "l1_norm_numeric",
     "l1_profile",
@@ -75,7 +74,6 @@ __all__ = [
     "schur_check",
     "schur_profile",
     "supremum_grid",
-    "weighted_p_norm",
 ]
 
 # quadrature cross-checks stop here; closer to 1 the integrands' near-pole
@@ -103,72 +101,85 @@ def supremum_grid(grid_size: int = 64, k_max: int = 40) -> np.ndarray:
     return np.unique(np.concatenate([cheb, geo]))
 
 
-def weighted_p_norm(values, weights, p) -> float:
-    """Discrete L^p norm (sum_i w_i |v_i|^p)^(1/p); max |v_i| at p = inf."""
-    exp = _as_exponent(p)
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if exp.is_infinite:
-        return float(np.max(np.abs(values)))
-    return float((weights @ np.abs(values) ** exp.p) ** exp.inv)
+# ----------------------------------------------------------------------
+# L^1 and Schur routes: one weighted column integral
+# ----------------------------------------------------------------------
+
+def column_closed(params: OperatorParams, beta: float, x) -> np.ndarray:
+    """The weighted column integral in closed form:
+
+        C_beta(x) = (1-x)^(sigma-beta) mu integral_0^1 y^(mu-1) (1-y)^beta
+                                       2F1(lam, lam; mu; x y) dy
+                  = mu B(mu, beta+1) 2F1(c-lam, c-lam; c; x),  c = mu+beta+1.
+
+    Term-by-term integration against the beta density raises the 2F1's
+    c-parameter to mu+beta+1, and its Euler transform absorbs the prefactor.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    c = params.mu + (beta + 1.0)
+    front = params.mu * beta_fn(params.mu, beta + 1.0)
+    return front * hyp2f1_grid(c - params.lam, c - params.lam, c, x)
 
 
-# ----------------------------------------------------------------------
-# L^1 route: column masses
-# ----------------------------------------------------------------------
+def column_quadrature(params: OperatorParams, beta: float, x,
+                      order: int = IDENTITY_CHECK_ORDER) -> np.ndarray:
+    """C_beta(x) by direct quadrature in y, independent of any reduction;
+    (1-y)^beta is folded into the rule's weight, never sampled."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    rule = make_jacobi_rule(order, params.mu - 1.0, beta)
+    return (1.0 - x) ** (params.sigma - beta) * kernel_moments(params, x, rule)
+
 
 @dataclass(frozen=True)
-class ColumnMassProfile:
-    """The L^1 column-mass scan for one parameter pair.
+class ColumnProfile:
+    """C_beta on the supremum grid by both routes.
 
-    ``closed_route`` evaluates the reduced hypergeometric form of the
-    column integral on the full grid; ``quadrature_route`` integrates the
-    kernel directly on the sub-grid where a fixed-order rule still
-    resolves the integrand.  ``endpoint_limit`` is the t -> 1 value by
-    Gauss summation, which is also the supremum (the profile increases).
+    ``closed`` is ``column_closed`` on the full grid; ``quadrature`` is
+    ``column_quadrature`` on the sub-grid where a fixed-order rule still
+    resolves the integrand.  ``endpoint`` is the x -> 1 limit by Gauss
+    summation where the route has one (the L^1 route), else None.
     """
 
-    params: OperatorParams
-    t_grid: np.ndarray
-    closed_route: np.ndarray
+    beta: float
+    grid: np.ndarray
+    closed: np.ndarray
     quadrature_grid: np.ndarray
-    quadrature_route: np.ndarray
-    endpoint_limit: float
-    supremum: float
+    quadrature: np.ndarray
+    endpoint: float | None = None
+
+    @property
+    def maximum(self) -> float:
+        """Largest value of either route and of the endpoint limit; NaN when
+        any of them is NaN, so that a broken route cannot hide."""
+        extra = () if self.endpoint is None else (self.endpoint,)
+        return float(np.max(np.concatenate([self.closed, self.quadrature, extra])))
 
     @property
     def route_disagreement(self) -> float:
         """Max relative gap between the two routes on the shared sub-grid."""
-        closed_sub = self.closed_route[: self.quadrature_grid.size]
-        return float(np.max(np.abs(self.quadrature_route - closed_sub)
+        closed_sub = self.closed[: self.quadrature_grid.size]
+        return float(np.max(np.abs(self.quadrature - closed_sub)
                             / np.abs(closed_sub)))
 
 
-def column_mass_closed(params: OperatorParams, t) -> np.ndarray:
-    """Column mass integral K(s,t) dmu(s) via its hypergeometric reduction.
-
-    Term-by-term integration gives (1-t)^sigma 2F1(lam,lam;mu+1;t), whose
-    Euler transform collapses the prefactor:
-    2F1(mu+1-lam, mu+1-lam; mu+1; t).
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    a = params.mu + 1.0 - params.lam
-    return hyp2f1_grid(a, a, params.mu + 1.0, t)
-
-
-def column_mass_quadrature(params: OperatorParams, t,
-                           order: int = IDENTITY_CHECK_ORDER) -> np.ndarray:
-    """Column mass by direct quadrature in s, independent of any reduction."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    rule = make_jacobi_rule(order, params.mu - 1.0, 0.0)
-    z = np.outer(t, rule.nodes)
-    fgrid = hyp2f1_grid(params.lam, params.lam, params.mu, z)
-    return (1.0 - t) ** params.sigma * (params.mu * fgrid @ rule.weights)
+def _column_profile(params: OperatorParams, beta: float, grid_size: int,
+                    order: int, endpoint: float | None = None) -> ColumnProfile:
+    grid = supremum_grid(grid_size)
+    quad_grid = grid[grid <= QUAD_ROUTE_CUTOFF]
+    return ColumnProfile(beta=beta, grid=grid,
+                         closed=column_closed(params, beta, grid),
+                         quadrature_grid=quad_grid,
+                         quadrature=column_quadrature(params, beta, quad_grid, order),
+                         endpoint=endpoint)
 
 
 def l1_profile(params: OperatorParams, grid_size: int = 64,
-               order: int = IDENTITY_CHECK_ORDER) -> ColumnMassProfile:
-    """Scan the column masses; raises when the supremum is infinite."""
+               order: int = IDENTITY_CHECK_ORDER) -> ColumnProfile:
+    """The column masses C_0, whose supremum is the L^1 norm.
+
+    The profile increases, so its supremum is the t -> 1 limit, taken by
+    Gauss summation; raises when that limit is infinite.
+    """
     a = params.mu + 1.0 - params.lam
     sup = diag_sup(a, params.mu + 1.0)
     if not sup.bounded:
@@ -176,27 +187,23 @@ def l1_profile(params: OperatorParams, grid_size: int = 64,
             f"L^1 column masses diverge at t -> 1 (sigma = {params.sigma} <= 0), "
             f"{sup.kind} growth",
             growth=sup.kind, margin=params.sigma)
-    grid = supremum_grid(grid_size)
-    closed = column_mass_closed(params, grid)
-    quad_grid = grid[grid <= QUAD_ROUTE_CUTOFF]
-    quad = column_mass_quadrature(params, quad_grid, order)
-    endpoint = sup.value  # Gauss summation of the reduced 2F1 at t = 1
-    supremum = max(float(np.max(closed)), float(np.max(quad)), endpoint)
-    return ColumnMassProfile(params=params, t_grid=grid, closed_route=closed,
-                             quadrature_grid=quad_grid, quadrature_route=quad,
-                             endpoint_limit=endpoint, supremum=supremum)
+    return _column_profile(params, 0.0, grid_size, order, endpoint=sup.value)
 
 
 def l1_norm_numeric(params: OperatorParams, grid_size: int = 64) -> float:
     """Numerical L^1 operator norm: the column-mass supremum."""
-    return l1_profile(params, grid_size).supremum
+    return l1_profile(params, grid_size).maximum
 
 
-# ----------------------------------------------------------------------
-# Schur route: both quotients of the (1-t)^(-1/(pq)) test function
-# ----------------------------------------------------------------------
+def schur_profile(params: OperatorParams, p, grid_size: int = 64,
+                  order: int = IDENTITY_CHECK_ORDER) -> tuple[ColumnProfile, ColumnProfile]:
+    """The right and left Schur quotients of phi(t) = (1-t)^(-1/(pq)).
 
-def _check_schur_domain(params: OperatorParams, exp: LebesgueExponent):
+    integral K(s,t) phi(t)^q dmu(t) / phi(s)^q is C_beta(s) at
+    beta = sigma - 1/p, and integral K(s,t) phi(s)^p dmu(s) / phi(t)^p is
+    C_beta(t) at beta = -1/q.  Both increase to the closed-form norm.
+    """
+    exp = _as_exponent(p)
     if exp.is_one or exp.is_infinite:
         raise ValueError("the Schur route needs 1 < p < infinity")
     margin = boundedness_margin(params, exp)
@@ -204,124 +211,15 @@ def _check_schur_domain(params: OperatorParams, exp: LebesgueExponent):
         raise UnboundedOperatorError(
             f"Schur test undefined: sigma <= 1/p - 1 (margin {margin})",
             growth="logarithmic" if margin == 0.0 else "power", margin=margin)
-
-
-def schur_ratio_right_closed(params: OperatorParams, p, s) -> np.ndarray:
-    """Right Schur quotient, reduced analytically.
-
-    integral K(s,t) phi(t)^q dmu(t) / phi(s)^q
-        = mu Gamma(mu) Gamma(sigma+1-1/p) / Gamma(2 lam - 1/p)
-          * 2F1(lam - 1/p, lam - 1/p; 2 lam - 1/p; s),
-
-    increasing in s with limit exactly the closed-form norm.
-    """
-    exp = _as_exponent(p)
-    _check_schur_domain(params, exp)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    inv = exp.inv
-    c = 2.0 * params.lam - inv
-    front = math.exp(log_gamma(params.mu) + math.log(params.mu)
-                     + log_gamma(params.sigma + 1.0 - inv) - log_gamma(c))
-    return front * hyp2f1_grid(params.lam - inv, params.lam - inv, c, s)
-
-
-def schur_ratio_left_closed(params: OperatorParams, p, t) -> np.ndarray:
-    """Left Schur quotient, reduced analytically.
-
-    integral K(s,t) phi(s)^p dmu(s) / phi(t)^p
-        = mu B(mu, 1/p) 2F1(mu + 1/p - lam, mu + 1/p - lam; mu + 1/p; t),
-
-    increasing in t with the same limit as the right quotient.
-    """
-    exp = _as_exponent(p)
-    _check_schur_domain(params, exp)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    inv = exp.inv
-    a = params.mu + inv - params.lam
-    front = params.mu * beta_fn(params.mu, inv)
-    return front * hyp2f1_grid(a, a, params.mu + inv, t)
-
-
-def schur_ratio_right_quadrature(params: OperatorParams, p, s,
-                                 order: int = IDENTITY_CHECK_ORDER) -> np.ndarray:
-    """Right quotient by direct quadrature; phi^q = (1-t)^(-1/p) is folded
-    into the rule's weight exponent, never sampled."""
-    exp = _as_exponent(p)
-    _check_schur_domain(params, exp)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    inv = exp.inv
-    rule = make_jacobi_rule(order, params.mu - 1.0, params.sigma - inv)
-    z = np.outer(s, rule.nodes)
-    fgrid = hyp2f1_grid(params.lam, params.lam, params.mu, z)
-    integral = params.mu * fgrid @ rule.weights
-    return integral * (1.0 - s) ** inv
-
-
-def schur_ratio_left_quadrature(params: OperatorParams, p, t,
-                                order: int = IDENTITY_CHECK_ORDER) -> np.ndarray:
-    """Left quotient by direct quadrature with phi^p = (1-s)^(-1/q) folded
-    into the weight."""
-    exp = _as_exponent(p)
-    _check_schur_domain(params, exp)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    inv_q = exp.conjugate.inv
-    rule = make_jacobi_rule(order, params.mu - 1.0, -inv_q)
-    z = np.outer(t, rule.nodes)
-    fgrid = hyp2f1_grid(params.lam, params.lam, params.mu, z)
-    integral = params.mu * fgrid @ rule.weights
-    return integral * (1.0 - t) ** (params.sigma + inv_q)
-
-
-@dataclass(frozen=True)
-class SchurProfile:
-    """Both Schur quotients on the supremum grid, by both routes."""
-
-    params: OperatorParams
-    p: LebesgueExponent
-    grid: np.ndarray
-    right_closed: np.ndarray
-    left_closed: np.ndarray
-    quadrature_grid: np.ndarray
-    right_quadrature: np.ndarray
-    left_quadrature: np.ndarray
-
-    @property
-    def max_ratio_right(self) -> float:
-        return float(max(np.max(self.right_closed), np.max(self.right_quadrature)))
-
-    @property
-    def max_ratio_left(self) -> float:
-        return float(max(np.max(self.left_closed), np.max(self.left_quadrature)))
-
-    @property
-    def route_disagreement(self) -> float:
-        n = self.quadrature_grid.size
-        right = np.max(np.abs(self.right_quadrature - self.right_closed[:n])
-                       / np.abs(self.right_closed[:n]))
-        left = np.max(np.abs(self.left_quadrature - self.left_closed[:n])
-                      / np.abs(self.left_closed[:n]))
-        return float(max(right, left))
-
-
-def schur_profile(params: OperatorParams, p, grid_size: int = 64,
-                  order: int = IDENTITY_CHECK_ORDER) -> SchurProfile:
-    exp = _as_exponent(p)
-    _check_schur_domain(params, exp)
-    grid = supremum_grid(grid_size)
-    quad_grid = grid[grid <= QUAD_ROUTE_CUTOFF]
-    return SchurProfile(
-        params=params, p=exp, grid=grid,
-        right_closed=schur_ratio_right_closed(params, exp, grid),
-        left_closed=schur_ratio_left_closed(params, exp, grid),
-        quadrature_grid=quad_grid,
-        right_quadrature=schur_ratio_right_quadrature(params, exp, quad_grid, order),
-        left_quadrature=schur_ratio_left_quadrature(params, exp, quad_grid, order))
+    # -1/q written as 1/p - 1: beta + 1 then gives back 1/p (exactly for p <= 2)
+    return (_column_profile(params, params.sigma - exp.inv, grid_size, order),
+            _column_profile(params, exp.inv - 1.0, grid_size, order))
 
 
 def schur_check(params: OperatorParams, p, grid_size: int = 64) -> tuple[float, float]:
-    """Maxima of the two Schur quotients over the supremum grid."""
-    prof = schur_profile(params, p, grid_size)
-    return prof.max_ratio_right, prof.max_ratio_left
+    """Maxima of the right and left Schur quotients over the supremum grid."""
+    right, left = schur_profile(params, p, grid_size)
+    return right.maximum, left.maximum
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .specfun import beta_fn
 
-__all__ = ["JacobiRule", "QuadratureError", "integrate_weighted", "make_graded_rule",
+__all__ = ["JacobiRule", "QuadratureError", "make_graded_rule",
            "make_jacobi_rule", "make_jacobi_rules"]
 
 DEFAULT_ORDER = 64
@@ -255,22 +255,3 @@ def make_graded_rule(order: int, alpha: float, beta: float) -> JacobiRule:
     weights.setflags(write=False)
     return JacobiRule(alpha=alpha, beta=beta, order=order, nodes=nodes, weights=weights)
 
-
-def integrate_weighted(f, mu: float, sigma: float = 0.0,
-                       order: int = DEFAULT_ORDER) -> float:
-    """integral_0^1 f(t) * mu * t^(mu-1) * (1-t)^sigma dt by Gauss-Jacobi.
-
-    The measure's density (including the leading factor mu) is carried by
-    the rule; ``f`` is sampled at the nodes and should accept a vector (a
-    scalar-only callable is mapped over the nodes as a fallback).
-    """
-    if not mu > 0.0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
-    rule = make_jacobi_rule(order, mu - 1.0, sigma)
-    try:
-        values = np.asarray(f(rule.nodes), dtype=float)
-        if values.shape != rule.nodes.shape:
-            raise TypeError
-    except TypeError:
-        values = np.array([float(f(t)) for t in rule.nodes])
-    return mu * rule.integrate(values)

@@ -27,7 +27,8 @@ from bergnorm.ball import (
     tilde_norm_formula,
 )
 from bergnorm.intop import OperatorParams, UnboundedOperatorError, norm_formula
-from bergnorm.quadrature import QuadratureError
+from bergnorm.quadrature import DEFAULT_ORDER, QuadratureError, make_jacobi_rule
+from bergnorm.specfun import hyp2f1_grid
 
 
 # ----------------------------------------------------------------------
@@ -347,6 +348,27 @@ def test_berezin_radial_preserves_constants():
     values = berezin_radial_apply(1, one, r2)
     assert np.allclose(values, 1.0, atol=1e-12)
     assert berezin_radial_apply(2, one, 0.5) == pytest.approx(1.0, rel=1e-12)
+
+
+def _berezin_radial_inline(n, profile, r2, order=DEFAULT_ORDER):
+    # the Berezin radial reduction written out with its own 2F1 grid: the
+    # bit-for-bit reference for berezin_radial_apply's interval-kernel route
+    r2_arr = np.atleast_1d(np.asarray(r2, dtype=float))
+    rule = make_jacobi_rule(order, float(n) - 1.0, 0.0)
+    values = np.asarray(profile(rule.nodes), dtype=float)
+    grid = hyp2f1_grid(float(n + 1), float(n + 1), float(n),
+                       np.outer(r2_arr, rule.nodes))
+    return (1.0 - r2_arr) ** (n + 1) * (n * (grid * values) @ rule.weights)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_berezin_radial_apply_keeps_inline_bits(n):
+    r2 = np.array([0.0, 0.25, 0.5, 0.64, 0.9, 0.99])
+    for profile in (lambda s: np.exp(-2.0 * s), lambda s: (1.0 - s) ** -0.2,
+                    RadialFunction(lambda s: 1.0 + s ** 2)):
+        got = berezin_radial_apply(n, profile, r2)
+        want = _berezin_radial_inline(n, profile, r2)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_berezin_radial_rayleigh_quotients_stay_below_norm():

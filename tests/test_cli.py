@@ -3,6 +3,7 @@ output formats, configuration handling, and exit codes."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -288,6 +289,24 @@ def test_closed_form_beyond_double_range_flags_the_record(argv, scenario, capsys
     assert flagged[0]["status"] == "flagged"
     assert flagged[0]["inputs"]["error"].startswith("overflow beyond double range")
     assert err == ""
+
+
+def test_p1_route_overflow_flags_the_record_quietly(capsys):
+    # at sigma = 170 the column-mass route overflows to inf; the record is
+    # flagged, keeps the broken route, and no numpy warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main(["--suite", "ball", "--n", "3", "--sigma", "170", "--p", "1",
+                       "--format", "json"])
+    out, err = capsys.readouterr()
+    assert status == 1
+    assert err == ""
+    first = json.loads(out)[0]
+    assert first["scenario"] == "ball-norm n=3 sigma=170 p=1"
+    assert first["status"] == "flagged"
+    assert first["inputs"]["error"] == "route not finite: column_mass_sup"
+    assert first["numeric_routes"] == {"column_mass_sup": "inf"}
+    assert first["closed_form"] == pytest.approx(3.7008461874763995e+50, rel=1e-15)
 
 
 # ----------------------------------------------------------------------

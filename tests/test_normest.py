@@ -19,8 +19,8 @@ from bergnorm.intop import (
 from bergnorm.normest import (
     bilinear_form_closed,
     bilinear_form_numeric,
-    column_mass_closed,
-    column_mass_quadrature,
+    column_closed,
+    column_quadrature,
     family_on_path,
     l1_norm_numeric,
     l1_profile,
@@ -31,12 +31,7 @@ from bergnorm.normest import (
     norm_report,
     schur_check,
     schur_profile,
-    schur_ratio_left_closed,
-    schur_ratio_left_quadrature,
-    schur_ratio_right_closed,
-    schur_ratio_right_quadrature,
     supremum_grid,
-    weighted_p_norm,
 )
 from bergnorm.quadrature import make_jacobi_rule
 
@@ -63,19 +58,11 @@ def test_supremum_grid_rejects_bad_sizes():
         supremum_grid(16, k_max=0)
 
 
-def test_weighted_p_norm_hand_values():
-    v = np.array([3.0, -4.0])
-    w = np.array([1.0, 1.0])
-    assert weighted_p_norm(v, w, 2.0) == pytest.approx(5.0, rel=1e-15)
-    assert weighted_p_norm(v, w, float("inf")) == 4.0
-    assert weighted_p_norm(v, np.array([0.5, 2.0]), 1.0) == pytest.approx(9.5)
-
-
 # ----------------------------------------------------------------------
-# L^1 route
+# the weighted column integral C_beta, and the L^1 route (beta = 0)
 # ----------------------------------------------------------------------
 
-# mpmath oracle: (1-t)^sigma 2F1(lam, lam; mu+1; t)
+# mpmath oracle: C_0(t) = (1-t)^sigma 2F1(lam, lam; mu+1; t)
 COLUMN_MASS_CASES = [
     (1.0, 1.0, 0.5, 1.07870520237675871),
     (2.0, 0.5, 0.25, 1.15528525155803882),
@@ -85,25 +72,43 @@ COLUMN_MASS_CASES = [
 
 @pytest.mark.parametrize("mu, sigma, t, expected", COLUMN_MASS_CASES)
 def test_column_mass_frozen_values(mu, sigma, t, expected):
-    got = column_mass_closed(OperatorParams(mu, sigma), t)[0]
+    got = column_closed(OperatorParams(mu, sigma), 0.0, t)[0]
     assert got == pytest.approx(expected, rel=1e-13)
 
 
-@pytest.mark.parametrize("mu, sigma", [(1.0, 1.0), (2.0, 0.5), (1.0, 2.0), (0.5, 3.0)])
+def _routes_gap(params, beta):
+    x = supremum_grid(24)
+    x = x[x <= 1.0 - 2.0 ** -6]
+    closed = column_closed(params, beta, x)
+    quad = column_quadrature(params, beta, x)
+    return np.max(np.abs(quad - closed) / np.abs(closed))
+
+
+@pytest.mark.parametrize("mu, sigma", [(1.0, 1.0), (2.0, 0.5), (1.0, 2.0), (0.5, 3.0),
+                                       (1.0, 0.0)])
 def test_column_mass_routes_agree(mu, sigma):
+    # the closed form against the quadrature twin at the three exponents
+    # of the L^1 and Schur routes: 0, sigma - 1/p and -1/q
     params = OperatorParams(mu, sigma)
-    t = supremum_grid(24)
-    t = t[t <= 1.0 - 2.0 ** -6]
-    closed = column_mass_closed(params, t)
-    quad = column_mass_quadrature(params, t)
-    assert np.max(np.abs(quad - closed) / np.abs(closed)) < 1e-11
+    betas = [0.0]
+    for p in (4.0 / 3.0, 2.0, 4.0):
+        betas += [sigma - 1.0 / p, 1.0 / p - 1.0]
+    for beta in betas:
+        assert _routes_gap(params, beta) < 1e-11
+
+
+@given(pair=mid_params, beta=st.floats(-0.99, 3.0))
+@settings(max_examples=40, deadline=None)
+def test_column_routes_agree_at_any_exponent(pair, beta):
+    mu, sigma = pair
+    assert _routes_gap(OperatorParams(mu, sigma), beta) < 1e-11
 
 
 @given(pair=mid_params, t1=st.floats(0.01, 0.97), dt=st.floats(0.001, 0.02))
 @settings(max_examples=60, deadline=None)
 def test_column_mass_is_nondecreasing(pair, t1, dt):
     mu, sigma = pair
-    vals = column_mass_closed(OperatorParams(mu, sigma), [t1, t1 + dt])
+    vals = column_closed(OperatorParams(mu, sigma), 0.0, [t1, t1 + dt])
     assert vals[1] >= vals[0] * (1.0 - 1e-12)
 
 
@@ -118,10 +123,10 @@ L1_SUP_CASES = [
 @pytest.mark.parametrize("mu, sigma, expected", L1_SUP_CASES)
 def test_l1_supremum_equals_endpoint_formula(mu, sigma, expected):
     prof = l1_profile(OperatorParams(mu, sigma))
-    assert prof.supremum == pytest.approx(expected, rel=1e-13)
-    assert prof.endpoint_limit == pytest.approx(expected, rel=1e-13)
+    assert prof.maximum == pytest.approx(expected, rel=1e-13)
+    assert prof.endpoint == pytest.approx(expected, rel=1e-13)
     # the scan never exceeds the endpoint limit
-    assert np.max(prof.closed_route) <= prof.supremum * (1.0 + 1e-12)
+    assert np.max(prof.closed) <= prof.maximum * (1.0 + 1e-12)
     assert prof.route_disagreement < 1e-11
 
 
@@ -134,7 +139,7 @@ def test_l1_supremum_matches_norm_formula():
 def test_l1_constant_profile_special_case():
     # sigma = mu + 1 collapses the reduced 2F1 to the constant 1
     prof = l1_profile(OperatorParams(1.0, 2.0))
-    assert np.allclose(prof.closed_route, 1.0, rtol=1e-12)
+    assert np.allclose(prof.closed, 1.0, rtol=1e-12)
 
 
 def test_l1_profile_diverges_at_sigma_zero():
@@ -150,7 +155,7 @@ def test_l1_profile_diverges_with_power_growth():
 
 
 # ----------------------------------------------------------------------
-# Schur route
+# Schur route: C_beta at beta = sigma - 1/p (right) and -1/q (left)
 # ----------------------------------------------------------------------
 
 # mpmath oracles for both quotients
@@ -169,38 +174,31 @@ SCHUR_LEFT_CASES = [
 
 @pytest.mark.parametrize("mu, sigma, p, s, expected", SCHUR_RIGHT_CASES)
 def test_schur_right_frozen_values(mu, sigma, p, s, expected):
-    got = schur_ratio_right_closed(OperatorParams(mu, sigma), p, s)[0]
+    got = column_closed(OperatorParams(mu, sigma), sigma - 1.0 / p, s)[0]
     assert got == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("mu, sigma, p, t, expected", SCHUR_LEFT_CASES)
 def test_schur_left_frozen_values(mu, sigma, p, t, expected):
-    got = schur_ratio_left_closed(OperatorParams(mu, sigma), p, t)[0]
+    got = column_closed(OperatorParams(mu, sigma), 1.0 / p - 1.0, t)[0]
     assert got == pytest.approx(expected, rel=1e-13)
 
 
 def test_schur_quotients_coincide_at_conjugate_symmetric_point():
-    # sigma + 1 = 2/p makes the two closed quotients the same function
-    params = OperatorParams(2.0, 0.5)
-    x = np.array([0.1, 0.5, 0.9])
-    right = schur_ratio_right_closed(params, 4.0 / 3.0, x)
-    left = schur_ratio_left_closed(params, 4.0 / 3.0, x)
-    assert np.allclose(right, left, rtol=1e-13)
+    # sigma + 1 = 2/p makes the two quotients the same column integral
+    right, left = schur_profile(OperatorParams(2.0, 0.5), 4.0 / 3.0)
+    assert right.beta == pytest.approx(left.beta, rel=1e-13)
+    assert np.allclose(right.closed, left.closed, rtol=1e-13)
 
 
 @pytest.mark.parametrize("mu, sigma, p",
                          [(1.0, 0.0, 2.0), (1.0, 1.0, 2.0),
                           (2.0, 0.5, 4.0 / 3.0), (1.0, 2.0, 4.0)])
 def test_schur_quadrature_routes_agree_with_closed(mu, sigma, p):
+    # right quotient at beta = sigma - 1/p, left at beta = -1/q
     params = OperatorParams(mu, sigma)
-    x = supremum_grid(24)
-    x = x[x <= 1.0 - 2.0 ** -6]
-    right_c = schur_ratio_right_closed(params, p, x)
-    right_q = schur_ratio_right_quadrature(params, p, x)
-    left_c = schur_ratio_left_closed(params, p, x)
-    left_q = schur_ratio_left_quadrature(params, p, x)
-    assert np.max(np.abs(right_q - right_c) / right_c) < 1e-11
-    assert np.max(np.abs(left_q - left_c) / left_c) < 1e-11
+    assert _routes_gap(params, sigma - 1.0 / p) < 1e-11
+    assert _routes_gap(params, 1.0 / p - 1.0) < 1e-11
 
 
 @pytest.mark.parametrize("mu, sigma, p",
@@ -208,14 +206,13 @@ def test_schur_quadrature_routes_agree_with_closed(mu, sigma, p):
                           (2.0, 0.5, 4.0 / 3.0), (3.0, 2.0, 2.0)])
 def test_schur_maxima_sandwiched_by_norm(mu, sigma, p):
     params = OperatorParams(mu, sigma)
-    prof = schur_profile(params, p)
+    right, left = schur_profile(params, p)
     norm = norm_formula(params, p)
     # both quotients stay at or below the norm and climb close to it
-    assert prof.max_ratio_right <= norm * (1.0 + 1e-12)
-    assert prof.max_ratio_left <= norm * (1.0 + 1e-12)
-    assert prof.max_ratio_right > norm * (1.0 - 1e-4)
-    assert prof.max_ratio_left > norm * (1.0 - 1e-4)
-    assert prof.route_disagreement < 1e-11
+    for prof in (right, left):
+        assert prof.maximum <= norm * (1.0 + 1e-12)
+        assert prof.maximum > norm * (1.0 - 1e-4)
+        assert prof.route_disagreement < 1e-11
 
 
 def test_schur_exactness_when_left_quotient_is_constant():
@@ -230,9 +227,9 @@ def test_schur_exactness_when_left_quotient_is_constant():
 def test_schur_domain_validation():
     params = OperatorParams(1.0, 1.0)
     with pytest.raises(ValueError):
-        schur_ratio_right_closed(params, 1.0, 0.5)
+        schur_profile(params, 1.0)
     with pytest.raises(ValueError):
-        schur_ratio_left_closed(params, float("inf"), 0.5)
+        schur_profile(params, float("inf"))
     with pytest.raises(UnboundedOperatorError):
         # sigma = 1/p - 1 exactly: zero margin
         schur_profile(OperatorParams(1.0, -0.5), 2.0)

@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergnorm.quadrature import (
-    QuadratureError,
-    integrate_weighted,
     make_jacobi_rule,
     make_jacobi_rules,
 )
@@ -56,9 +54,10 @@ def test_legendre_special_case():
 
 
 def test_integrate_weighted_normalization():
-    # the measure mu t^(mu-1) dt has total mass exactly 1 when sigma = 0
+    # the measure mu t^(mu-1) dt has total mass exactly 1: mu times the
+    # mass of the (mu-1, 0) rule
     for mu in (0.5, 1.0, 2.0, 3.7):
-        got = integrate_weighted(lambda t: np.ones_like(t), mu, 0.0, 16)
+        got = mu * make_jacobi_rule(16, mu - 1.0, 0.0).total_mass
         assert got == pytest.approx(1.0, rel=1e-14)
 
 
@@ -71,12 +70,6 @@ def test_integrate_weighted_euler_formula_route():
     assert got == pytest.approx(hyp2f1(HypArgs(a, b, c, z)), rel=1e-12)
 
 
-def test_integrate_weighted_scalar_fallback():
-    # a callable that only understands scalars still works
-    got = integrate_weighted(lambda t: math.exp(t), 1.0, 0.0, 32)
-    assert got == pytest.approx(math.e - 1.0, rel=1e-13)
-
-
 def test_parameter_validation():
     with pytest.raises(ValueError):
         make_jacobi_rule(0, 0.0, 0.0)
@@ -84,10 +77,6 @@ def test_parameter_validation():
         make_jacobi_rule(8, -1.0, 0.0)
     with pytest.raises(ValueError):
         make_jacobi_rule(8, 0.0, -1.5)
-    with pytest.raises(ValueError):
-        integrate_weighted(lambda t: t, 0.0)
-    with pytest.raises(ValueError):
-        integrate_weighted(lambda t: t, -2.0)
 
 
 def test_rules_are_cached_and_frozen():
@@ -124,7 +113,8 @@ def test_order_doubling_stability(alpha, beta, coeff):
 @settings(max_examples=40, deadline=None)
 def test_integrate_weighted_first_moment(mu, sigma):
     # integral t * mu t^(mu-1) (1-t)^sigma dt = mu B(mu+1, sigma+1)
-    got = integrate_weighted(lambda t: t, mu, sigma, 32)
+    rule = make_jacobi_rule(32, mu - 1.0, sigma)
+    got = mu * rule.integrate(rule.nodes)
     want = mu * beta_fn(mu + 1.0, sigma + 1.0)
     assert got == pytest.approx(want, rel=1e-12)
 

@@ -62,6 +62,7 @@ _WIDE_GAP = 0.1          # at least this far (nearer, the connection formula can
 _INT_SNAP = 1e-6        # treat c-a-b this close to an integer as the log case
 _W_BLOCK = 12           # terms per block of the near-one series
 _BLOCK_LIVE = 256       # live entries at or below which a raw-series chunk is one block
+_CACHE_BLOCK = 16384    # raw-series entries per slice: four work arrays in 512 KB
 
 # 14-term Lanczos coefficients (g = 671/128); relative error < 2e-15 on the
 # positive real axis, which is what the reflection step below leans on.
@@ -411,24 +412,35 @@ def _near_one_window(d: float) -> float:
 def _series_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     """The raw series, chunked, over an array of z (shared parameters).
 
-    The entries still summing are kept packed in contiguous arrays of z,
-    term and partial sum, advanced 64 terms a chunk; finished entries are
-    written back and the arrays shrink only between chunks.  While more than
-    _BLOCK_LIVE entries are live a chunk is 64 in-place ``term *= z*ratio;
-    total += term`` steps; at or below it, a chunk is one ``_w_block`` call
-    on the 64 step rows, which rounds each entry the same way with far fewer
-    ufunc calls.  A chunk ends with the stopping test: the last term below
-    _SERIES_RTOL of the sum.  Each entry sees the same arithmetic and
-    stopping rule whatever else shares the array, so a value does not depend
-    on the grid it was evaluated in.  Accepts any shape; c must not be a
-    non-positive integer.
+    The flattened input is summed in consecutive slices of _CACHE_BLOCK
+    entries, so that a slice's work arrays stay in cache however large the
+    grid; each slice is written back in place and the result reshaped.
+    Within a slice, the entries still summing are kept packed in contiguous
+    arrays of z, term and partial sum, advanced 64 terms a chunk; finished
+    entries are written back and the arrays shrink only between chunks.
+    While more than _BLOCK_LIVE entries are live a chunk is 64 in-place
+    ``term *= z*ratio; total += term`` steps; at or below it, a chunk is one
+    ``_w_block`` call on the 64 step rows, which rounds each entry the same
+    way with far fewer ufunc calls.  A chunk ends with the stopping test:
+    the last term below _SERIES_RTOL of the sum.  Each entry sees the same
+    arithmetic and stopping rule whatever else shares the array or the
+    slice, so a value does not depend on the grid it was evaluated in.
+    Accepts any shape; c must not be a non-positive integer.  Past the term
+    cap, the error names the worst unconverged z of the slice that hit it.
     """
-    out = np.ones(z.size)
-    zp = z.ravel()
-    idx = np.arange(z.size)
-    term = np.ones(z.size)
-    total = np.ones(z.size)
-    step = np.empty(z.size)
+    zflat = z.ravel()
+    out = np.empty(zflat.size)
+    for lo in range(0, zflat.size, _CACHE_BLOCK):
+        _series_slice(a, b, c, zflat[lo:lo + _CACHE_BLOCK], out[lo:lo + _CACHE_BLOCK])
+    return out.reshape(z.shape)
+
+
+def _series_slice(a: float, b: float, c: float, zp: np.ndarray, out: np.ndarray) -> None:
+    """``_series_vec``'s packed loop on one 1-D slice, summed into ``out``."""
+    idx = np.arange(zp.size)
+    term = np.ones(zp.size)
+    total = np.ones(zp.size)
+    step = np.empty(zp.size)
     k = 0
     while idx.size:
         if idx.size > _BLOCK_LIVE:
@@ -454,7 +466,6 @@ def _series_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
             raise ConvergenceError(
                 f"2F1 series exceeded {_SERIES_CAP} terms on a grid; worst z = "
                 f"{zp.max()} at (a={a}, b={b}, c={c})")
-    return out.reshape(z.shape)
 
 
 def hyp2f1_grid(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergnorm import specfun
 from bergnorm.intop import (
     LebesgueExponent,
     OperatorParams,
@@ -184,6 +185,15 @@ def test_discretize_measure_weights_have_unit_mass_limit():
     # quadrature's ability to resolve the (1-t)^(-sigma) factor
     dop = discretize(OperatorParams(1.0, 0.5), order=256)
     assert dop.measure_weights.sum() == pytest.approx(1.0, abs=2e-4)
+
+
+def test_discretize_bytes_do_not_depend_on_cache_slices(monkeypatch):
+    # order 1024 sums 524,800 grid entries in slices; one slice gives the same bytes
+    params = OperatorParams(2.0, 0.5)
+    sliced = discretize(params, 2.0, 1024).matrix
+    monkeypatch.setattr(specfun, "_CACHE_BLOCK", 1 << 20)
+    whole = discretize(params, 2.0, 1024).matrix
+    assert sliced.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("mu, sigma, order", [

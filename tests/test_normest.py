@@ -34,6 +34,7 @@ from bergnorm.normest import (
     supremum_grid,
 )
 from bergnorm.quadrature import make_jacobi_rule
+from bergnorm.specfun import ConvergenceError
 
 mid_params = st.tuples(st.floats(0.5, 4.0), st.floats(0.05, 3.0))
 
@@ -420,6 +421,34 @@ def test_power_method_agrees_with_svd_at_p_two():
         power = lp_opnorm_numeric(disc)
         svd = l2_opnorm_svd(disc)
         assert power == pytest.approx(svd, rel=1e-9)
+
+
+def _assert_top_singular_value(disc):
+    with np.errstate(all="raise"):
+        first = l2_opnorm_svd(disc)
+        second = l2_opnorm_svd(disc)
+    assert first.hex() == second.hex()
+    # the dense oracle: all singular values from LAPACK, the top one kept
+    dense = np.linalg.svd(normest._weight_conjugated(disc, 2.0), compute_uv=False)[0]
+    assert abs(first - dense) <= 1e-14 * dense
+
+
+@pytest.mark.parametrize("order", [2, 3, 64, 256, 1024])
+@pytest.mark.parametrize("mu, sigma", [(1.0, 0.0), (3.0, 2.0), (0.6, 1.5)])
+def test_l2_opnorm_svd_matches_dense_svd(order, mu, sigma):
+    _assert_top_singular_value(discretize(OperatorParams(mu, sigma), 2.0, order))
+
+
+@pytest.mark.parametrize("mu, sigma", [(1.0, 0.0), (2.0, 0.5)])
+def test_l2_opnorm_svd_matches_dense_svd_on_graded_rule(mu, sigma):
+    _assert_top_singular_value(discretize_graded(OperatorParams(mu, sigma), 2.0, 256))
+
+
+def test_l2_opnorm_svd_raises_when_the_bound_is_never_met(monkeypatch):
+    # a zero bound is met only on exact breakdown, which this matrix never reaches
+    monkeypatch.setattr(normest, "_LANCZOS_RTOL", 0.0)
+    with pytest.raises(ConvergenceError, match="in 8 steps"):
+        l2_opnorm_svd(discretize(OperatorParams(1.0, 0.0), 2.0, 8))
 
 
 def test_power_method_is_deterministic():

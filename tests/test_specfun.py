@@ -303,10 +303,13 @@ def test_series_vec_matches_masked_reference_on_edge_shapes():
 
 
 @pytest.mark.parametrize("size", [1, specfun._BLOCK_LIVE - 1, specfun._BLOCK_LIVE,
-                                  specfun._BLOCK_LIVE + 1, 4096])
+                                  specfun._BLOCK_LIVE + 1, 4096,
+                                  specfun._CACHE_BLOCK - 1, specfun._CACHE_BLOCK,
+                                  specfun._CACHE_BLOCK + 1, 2 * specfun._CACHE_BLOCK + 7])
 def test_series_vec_block_path_matches_masked_reference(size):
     # at or below _BLOCK_LIVE live entries a chunk is one _w_block call;
-    # z up to 0.995 keeps entries summing for thousands of terms
+    # z up to 0.995 keeps entries summing for thousands of terms.  Past
+    # _CACHE_BLOCK entries the series runs slice by slice
     z = np.random.default_rng(size).uniform(0.0, 0.995, size)
     for a, b, c in [(0.3, 0.7, 1.9), (1.0, 1.0, 2.0), (-3.0, 1.5, 2.2), (2.5, 0.4, 1.1)]:
         packed = specfun._series_vec(a, b, c, z)
@@ -331,6 +334,17 @@ def test_series_vec_switches_to_blocks_mid_call(monkeypatch):
     packed = specfun._series_vec(1.25, 0.75, 1.5, z)
     assert live and max(live) <= n < z.size
     assert packed.tobytes() == _masked_series_vec(1.25, 0.75, 1.5, z).tobytes()
+
+
+def test_hyp2f1_grid_cache_slices_keep_a_2d_terminating_grid(monkeypatch):
+    # a = -3 sends the whole (200, 200) grid, three slices, to the series
+    z = np.random.default_rng(15).uniform(0.0, 0.999, (200, 200))
+    assert z.size > 2 * specfun._CACHE_BLOCK
+    packed = hyp2f1_grid(-3.0, 1.5, 2.2, z)
+    monkeypatch.setattr(specfun, "_series_vec", _masked_series_vec)
+    masked = hyp2f1_grid(-3.0, 1.5, 2.2, z)
+    assert packed.shape == z.shape
+    assert packed.tobytes() == masked.tobytes()
 
 
 def test_hyp2f1_grid_terminating_path_ignores_memory_layout():

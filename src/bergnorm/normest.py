@@ -15,16 +15,14 @@ None of the routes trusts the closed form it is checking.
   pairs whose bilinear forms against the operator are computable in closed
   form and climb to the norm from below as the family degenerates;
 
-* the discrete route: a Nystrom matrix with the measure-weighted p-norm
-  power method, converging to the norm from below as the order grows.
-  At p = 2 ``l2_opnorm_svd`` checks it with the top singular value alone,
-  by Lanczos bidiagonalization from a positive start vector: the matrix is
-  entrywise positive, so its top right singular vector is positive too and
-  the start vector cannot be orthogonal to it.  Two matrices feed it: ``discretize`` on one
-  Gauss-Jacobi rule, whose gap closes like 1/log(order) (0.863*pi at
-  order 256 for the flagship (1, 0, 2)), and ``discretize_graded`` on
-  panels graded toward t = 1 (0.956*pi at order 256).  ``norm_report``
-  uses the single rule.
+* the discrete route: the measure-weighted p-norm of a Nystrom matrix,
+  bracketed from both sides by the power method from one positive start
+  and checked at p = 2 by the top singular value (Lanczos).  It certifies
+  the *matrix*, whose norm approaches the operator's from below as the
+  order grows: like 1/log(order) on one Gauss-Jacobi rule (``discretize``,
+  0.863*pi at order 256 for the flagship (1, 0, 2), the rule
+  ``norm_report`` uses), faster on panels graded toward t = 1
+  (``discretize_graded``, 0.956*pi at order 256).
 
 ``norm_report`` bundles all applicable routes for one (mu, sigma, p) into
 a NormReport record.
@@ -34,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -414,9 +413,8 @@ def lower_bound_sweep(params: OperatorParams, p, eta_sequence) -> list[tuple[flo
 # discrete route: weighted p-norm power method
 # ----------------------------------------------------------------------
 
-_POWER_TOL = 1e-10
 _POWER_MAXITER = 10_000
-_POWER_RESTARTS = 5
+_BRACKET_RTOL = 1e-12   # relative width at which the p-norm bracket stops
 _LANCZOS_RTOL = 1e-15   # Ritz residual bound, relative to the top singular value
 
 
@@ -478,16 +476,22 @@ def l2_opnorm_svd(disc: DiscretizedOperator) -> float:
         f"Lanczos bidiagonalization did not reach its residual bound in {n} steps")
 
 
-def lp_opnorm_numeric(disc: DiscretizedOperator, restarts: int = _POWER_RESTARTS,
-                      seed: int = 0, maxiter: int = _POWER_MAXITER,
-                      tol: float = _POWER_TOL) -> float:
-    """Discrete L^p -> L^p operator norm by the duality-map power method.
+class _Bracket(NamedTuple):
+    lower: float
+    upper: float
+    steps: int
 
-    Iterates x <- J_q(B^T J_p(B x)) on the weight-conjugated matrix, where
-    J_r(v) = sign(v) |v|^(r-1), tracking the Rayleigh-type quotient
-    ||B x||_p / ||x||_p to relative stagnation ``tol``; the best quotient
-    over ``restarts`` random starts is returned.  This approaches the true
-    norm from below (it maximizes over the iterated subspace only).
+
+def _pnorm_bracket(disc: DiscretizedOperator) -> _Bracket:
+    """Two-sided bracket on ||B||_p, B the weight-conjugated Nystrom matrix,
+    by the duality-map power method from ones(n).  As B > 0 (checked),
+    S(x) = J_q(B^T J_p(B x)), J_r(v) = v^(r-1), is order-preserving and of
+    degree (p-1)(q-1) = 1 on the positive cone, with eigenvalue ||B||_p^q,
+    which the Collatz-Wielandt ratios S(x)/x of any positive x enclose (Boyd,
+    Linear Algebra Appl. 9 (1974) 95-101; Lemmens & Nussbaum 2012).  Runs in
+    logs, each vector shifted by its maximum, so no power overflows; stops
+    when the bracket is _BRACKET_RTOL wide (relative), and raises
+    ConvergenceError after _POWER_MAXITER steps or when B is not positive.
     """
     exp = disc.p
     if exp.is_one or exp.is_infinite:
@@ -495,34 +499,27 @@ def lp_opnorm_numeric(disc: DiscretizedOperator, restarts: int = _POWER_RESTARTS
                          "(use l1_norm_numeric for p = 1)")
     p, q = exp.p, exp.q
     b = _weight_conjugated(disc, p)
-    bt = b.T.copy()
-    rng = np.random.default_rng(seed)
+    if not b.min() > 0.0:   # also catches NaN
+        raise ConvergenceError("p-norm power method needs an entrywise positive "
+                               f"matrix; its smallest entry is {b.min()!r}")
+    log_x = np.zeros(b.shape[1])
+    for step in range(1, _POWER_MAXITER + 1):
+        y = b @ np.exp(log_x)
+        y_max = y.max()
+        log_s = math.log(y_max) + (q - 1.0) * np.log((y / y_max) ** (p - 1.0) @ b)
+        log_ratio = log_s - log_x
+        lo, hi = log_ratio.min(), log_ratio.max()
+        if math.expm1((hi - lo) / q) <= _BRACKET_RTOL:
+            return _Bracket(math.exp(lo / q), math.exp(hi / q), step)
+        log_x = log_s - log_s.max()
+    raise ConvergenceError(f"p-norm power method: bracket open after {step} steps")
 
-    def dual_map(v, r):
-        return np.sign(v) * np.abs(v) ** (r - 1.0)
 
-    best = 0.0
-    for _ in range(max(restarts, 1)):
-        x = rng.uniform(0.1, 1.0, size=b.shape[1])
-        x /= np.linalg.norm(x, p)
-        gamma_prev = -1.0
-        for _ in range(maxiter):
-            y = b @ x
-            gamma = float(np.linalg.norm(y, p))
-            if abs(gamma - gamma_prev) <= tol * max(gamma, 1e-300):
-                break
-            gamma_prev = gamma
-            z = bt @ dual_map(y, p)
-            x = dual_map(z, q)
-            nx = np.linalg.norm(x, p)
-            if nx == 0.0:
-                break
-            x /= nx
-        else:
-            raise ConvergenceError(
-                f"p-norm power method did not stagnate in {maxiter} iterations")
-        best = max(best, gamma)
-    return best
+def lp_opnorm_numeric(disc: DiscretizedOperator, *, seed: int | None = None) -> float:
+    """Discrete L^p norm: the certified lower end of ``_pnorm_bracket``.  It
+    certifies the Nystrom matrix, not the operator.  ``seed`` is ignored;
+    ``bench/worker.py`` passes ``seed=0`` and compares the float as JSON."""
+    return _pnorm_bracket(disc).lower
 
 
 # ----------------------------------------------------------------------
@@ -536,7 +533,10 @@ class NormReport:
     In the unbounded regime ``closed_form`` is +inf, the route fields that
     need boundedness are NaN, and ``divergence_flagged`` records whether
     the discrete estimates were seen growing with the order (the numeric
-    signature of an unbounded operator).
+    signature of an unbounded operator).  For 1 < p < infinity,
+    ``nystrom_estimate`` is the certified lower end of the Nystrom matrix's
+    norm (at the largest probe order when unbounded); it certifies the
+    matrix, not the operator.  At p = 1 it is the column-mass supremum.
     """
 
     params: OperatorParams
@@ -575,15 +575,15 @@ _DIVERGENCE_PROBE_ORDERS = (64, 128, 256)
 
 
 def norm_report(params: OperatorParams, p, order: int = 128,
-                grid_size: int = 64, eta_min: float = 1e-4,
-                seed: int = 0) -> NormReport:
+                grid_size: int = 64, eta_min: float = 1e-4) -> NormReport:
     """Assemble every applicable route for one parameter set.
 
     Bounded, 1 < p < infinity: Schur maxima, the eta-sweep lower bound,
-    and the Nystrom estimate.  p = 1: the column-mass supremum plays the
-    numeric role and the Schur/sweep fields are NaN.  Unbounded: the
-    discrete estimates are probed across increasing orders and flagged
-    when they grow instead of stabilizing.
+    and the Nystrom estimate, the certified lower end of the discrete norm
+    (``lp_opnorm_numeric``: it certifies the matrix, not the operator).
+    p = 1: the column-mass supremum plays the numeric role and the
+    Schur/sweep fields are NaN.  Unbounded: the discrete estimates are
+    probed across increasing orders and flagged when they grow.
     """
     exp = _as_exponent(p)
     nan = math.nan
@@ -601,7 +601,7 @@ def norm_report(params: OperatorParams, p, order: int = 128,
                 col = disc.measure_weights @ disc.matrix
                 estimates.append(float(np.max(col / disc.measure_weights)))
             else:
-                estimates.append(lp_opnorm_numeric(disc, seed=seed))
+                estimates.append(lp_opnorm_numeric(disc))
         flagged = estimates[-1] > estimates[0] * 1.02
         return NormReport(params=params, p=exp, closed_form=math.inf,
                           schur_max_ratio_right=nan, schur_max_ratio_left=nan,
@@ -623,7 +623,7 @@ def norm_report(params: OperatorParams, p, order: int = 128,
         etas.append(eta_min)
     sweep = lower_bound_sweep(params, exp, etas)
     best_lower = max(v for _, v in sweep)
-    est = lp_opnorm_numeric(discretize(params, exp, order), seed=seed)
+    est = lp_opnorm_numeric(discretize(params, exp, order))
     return NormReport(params=params, p=exp, closed_form=closed,
                       schur_max_ratio_right=right, schur_max_ratio_left=left,
                       sweep_best_lower=best_lower, nystrom_estimate=est,

@@ -1,6 +1,7 @@
 """Tests for the norm-estimation routes: column masses, Schur quotients,
 the extremal lower-bound family, discrete norms, and the report."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -423,13 +424,25 @@ def test_power_method_agrees_with_svd_at_p_two():
         assert power == pytest.approx(svd, rel=1e-9)
 
 
+_DENSE_SVD: dict = {}
+
+
+def _dense_top_singular_value(disc):
+    """The dense oracle: all singular values from LAPACK, the top one kept;
+    cached per matrix, which two tests share at order 1024."""
+    key = (disc.params, disc.rule.nodes.tobytes(), disc.rule.weights.tobytes())
+    if key not in _DENSE_SVD:
+        b = normest._weight_conjugated(disc, 2.0)
+        _DENSE_SVD[key] = np.linalg.svd(b, compute_uv=False)[0]
+    return _DENSE_SVD[key]
+
+
 def _assert_top_singular_value(disc):
     with np.errstate(all="raise"):
         first = l2_opnorm_svd(disc)
         second = l2_opnorm_svd(disc)
     assert first.hex() == second.hex()
-    # the dense oracle: all singular values from LAPACK, the top one kept
-    dense = np.linalg.svd(normest._weight_conjugated(disc, 2.0), compute_uv=False)[0]
+    dense = _dense_top_singular_value(disc)
     assert abs(first - dense) <= 1e-14 * dense
 
 
@@ -453,7 +466,70 @@ def test_l2_opnorm_svd_raises_when_the_bound_is_never_met(monkeypatch):
 
 def test_power_method_is_deterministic():
     disc = discretize(OperatorParams(1.0, 0.0), 2.0, 64)
-    assert lp_opnorm_numeric(disc, seed=3) == lp_opnorm_numeric(disc, seed=3)
+    first = lp_opnorm_numeric(disc)
+    assert first.hex() == lp_opnorm_numeric(disc).hex()
+    # the start is fixed, so the ignored seed cannot move a bit
+    assert lp_opnorm_numeric(disc, seed=3).hex() == first.hex()
+
+
+@pytest.mark.parametrize("order", [256, 1024])
+@pytest.mark.parametrize("mu, sigma", [(1.0, 0.0), (3.0, 2.0), (0.6, 1.5)])
+def test_pnorm_bracket_holds_dense_svd_at_p_two(order, mu, sigma):
+    disc = discretize(OperatorParams(mu, sigma), 2.0, order)
+    bracket = normest._pnorm_bracket(disc)
+    assert bracket.upper - bracket.lower <= 1e-12 * bracket.lower
+    assert bracket.lower <= _dense_top_singular_value(disc) <= bracket.upper
+    assert lp_opnorm_numeric(disc) == bracket.lower
+
+
+def _duality_map_ratios(disc, x):
+    """S(x)/x for S(x) = (B^T (B x)^(p-1))^(q-1), in plain powers."""
+    p, q = disc.p.p, disc.p.q
+    d = disc.measure_weights ** (1.0 / p)
+    b = d[:, None] * disc.matrix / d[None, :]
+    return (b.T @ (b @ x) ** (p - 1.0)) ** (q - 1.0) / x
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1.0, 0.0), (2.0, 0.5), (0.7, 1.5)]),
+       st.floats(1.2, 6.0),
+       st.lists(st.floats(0.01, 1.0), min_size=32, max_size=32))
+def test_pnorm_bracket_lies_inside_any_collatz_wielandt_bracket(pair, p, x):
+    disc = discretize(OperatorParams(*pair), p, 32)
+    bracket = normest._pnorm_bracket(disc)
+    ratios = _duality_map_ratios(disc, np.array(x))
+    q = disc.p.q
+    assert ratios.min() <= bracket.lower ** q * (1.0 + 1e-12)
+    assert bracket.upper ** q <= ratios.max() * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0 + 1e-7, 1.001, 100.0, 1000.0])
+def test_pnorm_bracket_closes_at_extreme_exponents(p):
+    disc = discretize(OperatorParams(1.0, 0.0), p, 128)
+    with np.errstate(all="raise", under="ignore"):
+        bracket = normest._pnorm_bracket(disc)
+    assert math.isfinite(bracket.upper)
+    assert bracket.steps <= 10
+    if p == 100.0:
+        assert bracket.lower == pytest.approx(8.76109184311, abs=1e-11)
+    if p == 1.0 + 1e-7:
+        # the p -> 1 limit: the discrete column-mass supremum
+        col = disc.measure_weights @ disc.matrix / disc.measure_weights
+        assert bracket.lower == pytest.approx(col.max(), rel=1e-6)
+
+
+def test_pnorm_bracket_raises_when_it_does_not_close(monkeypatch):
+    monkeypatch.setattr(normest, "_POWER_MAXITER", 2)
+    with pytest.raises(ConvergenceError, match="bracket open after 2 steps"):
+        lp_opnorm_numeric(discretize(OperatorParams(1.0, 0.0), 2.0, 64))
+
+
+def test_pnorm_bracket_rejects_a_matrix_that_is_not_positive():
+    disc = discretize(OperatorParams(1.0, 0.0), 2.0, 16)
+    matrix = disc.matrix.copy()
+    matrix[3, 5] = 0.0
+    with pytest.raises(ConvergenceError, match="entrywise positive"):
+        lp_opnorm_numeric(dataclasses.replace(disc, matrix=matrix))
 
 
 def test_power_method_estimates_increase_with_order():

@@ -66,9 +66,7 @@ from .normest import norm_report
 from .quadrature import QuadratureError, make_jacobi_rules
 from .specfun import (
     ConvergenceError,
-    HypArgs,
     beta_fn,
-    hyp2f1,
     hyp2f1_at_one,
     hyp2f1_grid,
 )
@@ -133,6 +131,13 @@ def _finish(scenario: str, inputs: dict, closed: float | None, routes: dict,
                         status="pass" if ok else "fail")
 
 
+def _failure(err: Exception) -> str:
+    """The reason a flagged record gives for a route that raised ``err``."""
+    if isinstance(err, OverflowError):
+        return f"overflow beyond double range: {err}"
+    return str(err)
+
+
 def _flagged(scenario: str, inputs: dict, reason: str) -> ReportRecord:
     inputs = dict(inputs)
     inputs["error"] = reason
@@ -142,6 +147,12 @@ def _flagged(scenario: str, inputs: dict, reason: str) -> ReportRecord:
 
 # ---------------------------------------------------------------------------
 # identities suite
+#
+# Each check first makes all of its draws, with the rng calls of a check
+# that evaluates one draw at a time, in the same order.  It then evaluates
+# every draw's 2F1 values in one ``hyp2f1_grid`` call per side of its
+# identity, one parameter set per draw; each value has the bits of a
+# one-draw call.
 # ---------------------------------------------------------------------------
 
 def euler_integral_check(rng: np.random.Generator, draws: int,
@@ -163,11 +174,11 @@ def euler_integral_check(rng: np.random.Generator, draws: int,
         z = rng.uniform(0.0, 0.95)
         params.append((a, b, c, z))
     rules = make_jacobi_rules(order, [(b - 1.0, c - b - 1.0) for _, b, c, _ in params])
+    series = hyp2f1_grid(*np.array(params).T).tolist()
     worst = 0.0
-    for (a, b, c, z), rule in zip(params, rules):
-        series = hyp2f1(HypArgs(a, b, c, z))
+    for (a, b, c, z), rule, value in zip(params, rules, series):
         integral = rule.integrate((1.0 - z * rule.nodes) ** (-a))
-        worst = max(worst, abs(series - integral / beta_fn(b, c - b)) / abs(series))
+        worst = max(worst, abs(value - integral / beta_fn(b, c - b)) / abs(value))
     return worst
 
 
@@ -178,14 +189,18 @@ def euler_transform_check(rng: np.random.Generator, draws: int) -> float:
     series; at larger z the evaluator applies this very transform
     internally and the comparison would be vacuous.
     """
-    worst = 0.0
+    params = []
     for _ in range(draws):
         a = rng.uniform(0.1, 2.5)
         b = rng.uniform(0.1, 2.5)
         c = rng.uniform(0.6, 4.0)
         z = rng.uniform(0.05, 0.70)
-        lhs = hyp2f1(HypArgs(a, b, c, z))
-        rhs = (1.0 - z) ** (c - a - b) * hyp2f1(HypArgs(c - a, c - b, c, z))
+        params.append((a, b, c, z))
+    a, b, c, z = np.array(params).T
+    sides = zip(hyp2f1_grid(a, b, c, z).tolist(), hyp2f1_grid(c - a, c - b, c, z).tolist())
+    worst = 0.0
+    for (a, b, c, z), (lhs, transformed) in zip(params, sides):
+        rhs = (1.0 - z) ** (c - a - b) * transformed
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
     return worst
 
@@ -207,10 +222,13 @@ def beta_average_check(rng: np.random.Generator, draws: int,
         x = rng.uniform(0.05, 0.95)
         params.append((a, b, c, d, x))
     rules = make_jacobi_rules(order, [(c - 1.0, d - 1.0) for _, _, c, d, _ in params])
+    a, b, c, d, x = np.array(params).T[:, :, None]
+    nodes = np.array([rule.nodes for rule in rules])
+    sides = zip(hyp2f1_grid(a, b, c, x * nodes), hyp2f1_grid(a, b, c + d, x)[:, 0].tolist())
     worst = 0.0
-    for (a, b, c, d, x), rule in zip(params, rules):
-        lhs = rule.integrate(hyp2f1_grid(a, b, c, x * rule.nodes))
-        rhs = beta_fn(c, d) * hyp2f1(HypArgs(a, b, c + d, x))
+    for (a, b, c, d, x), rule, (integrand, series) in zip(params, rules, sides):
+        lhs = rule.integrate(integrand)
+        rhs = beta_fn(c, d) * series
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     return worst
 
@@ -234,9 +252,11 @@ def value_at_one_check(rng: np.random.Generator, draws: int,
         d = rng.uniform(0.8, 1.2)
         params.append((a, b, c, d))
     rules = make_jacobi_rules(order, [(c - 1.0, d - 1.0) for _, _, c, d in params])
+    a, b, c, _ = np.array(params).T[:, :, None]
+    integrands = hyp2f1_grid(a, b, c, np.array([rule.nodes for rule in rules]))
     worst = 0.0
-    for (a, b, c, d), rule in zip(params, rules):
-        lhs = rule.integrate(hyp2f1_grid(a, b, c, rule.nodes))
+    for (a, b, c, d), rule, integrand in zip(params, rules, integrands):
+        lhs = rule.integrate(integrand)
         rhs = beta_fn(c, d) * hyp2f1_at_one(a, b, c + d)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     return worst
@@ -263,8 +283,8 @@ def identities_suite(cfg: SuiteConfig) -> list[ReportRecord]:
     for scenario, run, inputs in plan:
         try:
             worst = run()
-        except (ConvergenceError, QuadratureError) as err:
-            records.append(_flagged(scenario, inputs, str(err)))
+        except (ConvergenceError, QuadratureError, OverflowError) as err:
+            records.append(_flagged(scenario, inputs, _failure(err)))
             continue
         records.append(_finish(scenario, inputs, None,
                                {"max_rel_error": worst},
@@ -307,10 +327,8 @@ def _norm_record(scenario: str, inputs: dict, params: OperatorParams,
                                  eta_min=cfg.eta_min)
         if not report.unbounded:
             closed_form = report.closed_form if closed is None else closed()
-    except (QuadratureError, ConvergenceError) as err:
-        return _flagged(scenario, inputs, str(err))
-    except OverflowError as err:
-        return _flagged(scenario, inputs, f"overflow beyond double range: {err}")
+    except (QuadratureError, ConvergenceError, OverflowError) as err:
+        return _flagged(scenario, inputs, _failure(err))
     if report.unbounded:
         inputs["growth"] = report.growth
         return _finish(scenario + " (divergent)", inputs, None,

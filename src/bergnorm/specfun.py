@@ -3,10 +3,14 @@
 Everything here is self-contained double-precision code: a fixed-coefficient
 Lanczos log-gamma, a shift-plus-asymptotic digamma, the Euler beta function,
 and a Gauss hypergeometric evaluator 2F1(a,b;c;z) for real parameters and z
-in [0,1].  ``hyp2f1_grid`` evaluates an array of z in [0,1) with shared
-parameters; ``hyp2f1`` is its one-entry call, plus Gauss summation at z = 1.
+in [0,1].  ``hyp2f1_grid`` evaluates an array of z in [0,1), with (a, b, c)
+shared by every entry or given per entry as arrays that broadcast to the
+shape of z; the result has the shape of z, and each entry has the bits of
+a call with its own parameters alone.  ``hyp2f1`` is its one-entry call,
+plus Gauss summation at z = 1.
 
-The 2F1 evaluator picks between three routes for each entry:
+The 2F1 evaluator picks between three routes for each entry, deciding for
+each distinct (a, b, c) of a call as it would for that set alone:
 
   * the raw power series (z <= 0.7, or whenever it terminates),
   * the Euler transform (1-z)^(c-a-b) * 2F1(c-a,c-b;c;z) when z > 0.7 and
@@ -200,8 +204,7 @@ class HypArgs:
     z: float
 
     def __post_init__(self):
-        if self.c <= 0.0 and self.c == math.floor(self.c):
-            raise ValueError(f"2F1 parameter c must not be a non-positive integer, got {self.c!r}")
+        _check_c(self.c)
         if not 0.0 <= self.z <= 1.0:
             raise ValueError(f"2F1 argument z must lie in [0,1], got {self.z!r}")
         if self.z == 1.0 and self.c - self.a - self.b <= 0.0:
@@ -215,6 +218,11 @@ class HypArgs:
 
 def _is_nonpos_int(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
+
+
+def _check_c(c: float) -> None:
+    if _is_nonpos_int(c):
+        raise ValueError(f"2F1 parameter c must not be a non-positive integer, got {c!r}")
 
 
 def hyp2f1_at_one(a: float, b: float, c: float) -> float:
@@ -409,105 +417,191 @@ def _near_one_window(d: float) -> float:
     return _NEAR_ONE_W_WIDE if abs(d - round(d)) >= _WIDE_GAP else _NEAR_ONE_W
 
 
-def _series_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
-    """The raw series, chunked, over an array of z (shared parameters).
+def _series_vec(table: np.ndarray, rows: np.ndarray | None, z: np.ndarray) -> np.ndarray:
+    """The raw series, chunked, over an array of z, each entry with its own
+    row of a parameter table.
 
+    ``table`` is an (S, 3) array of (a, b, c); ``rows`` gives each entry's
+    row, with the shape of ``z``, or is None when the table has one row.
     The flattened input is summed in consecutive slices of _CACHE_BLOCK
     entries, so that a slice's work arrays stay in cache however large the
     grid; each slice is written back in place and the result reshaped.
     Within a slice, the entries still summing are kept packed in contiguous
     arrays of z, term and partial sum, advanced 64 terms a chunk; finished
     entries are written back and the arrays shrink only between chunks.
-    While more than _BLOCK_LIVE entries are live a chunk is 64 in-place
-    ``term *= z*ratio; total += term`` steps; at or below it, a chunk is one
-    ``_w_block`` call on the 64 step rows, which rounds each entry the same
-    way with far fewer ufunc calls.  A chunk ends with the stopping test:
-    the last term below _SERIES_RTOL of the sum.  Each entry sees the same
-    arithmetic and stopping rule whatever else shares the array or the
-    slice, so a value does not depend on the grid it was evaluated in.
-    Accepts any shape; c must not be a non-positive integer.  Past the term
-    cap, the error names the worst unconverged z of the slice that hit it.
+    Each chunk starts from the (64, S) table of term ratios
+    ``(a + k) * (b + k) / ((c + k) * (k + 1))``, rounded as that scalar
+    expression is.  While more than _BLOCK_LIVE entries are live a chunk is
+    64 in-place ``term *= z*ratio; total += term`` steps, multiplying by
+    the ratio as a scalar when there is one row and gathering each entry's
+    ratio otherwise; at or below it, a chunk is one ``_w_block`` call on
+    the 64 step rows, which rounds each entry the same way with far fewer
+    ufunc calls.  A chunk ends with the stopping test: the last term below
+    _SERIES_RTOL of the sum.  Each entry sees the same arithmetic and
+    stopping rule whatever else shares the array, the slice or the table,
+    so a value depends on its own z and parameters alone.  c must not be a
+    non-positive integer.  Past the term cap, the error names the worst
+    unconverged z of the slice that hit it, with its parameters.
     """
     zflat = z.ravel()
+    rflat = None if rows is None else rows.ravel()
     out = np.empty(zflat.size)
     for lo in range(0, zflat.size, _CACHE_BLOCK):
-        _series_slice(a, b, c, zflat[lo:lo + _CACHE_BLOCK], out[lo:lo + _CACHE_BLOCK])
+        hi = lo + _CACHE_BLOCK
+        _series_slice(table, None if rflat is None else rflat[lo:hi], zflat[lo:hi], out[lo:hi])
     return out.reshape(z.shape)
 
 
-def _series_slice(a: float, b: float, c: float, zp: np.ndarray, out: np.ndarray) -> None:
+def _series_slice(table: np.ndarray, rows: np.ndarray | None, zp: np.ndarray,
+                  out: np.ndarray) -> None:
     """``_series_vec``'s packed loop on one 1-D slice, summed into ``out``."""
+    # one set: scalar parameters, and a scalar ratio per in-place step
+    a, b, c = table[0].tolist() if rows is None else table.T
     idx = np.arange(zp.size)
     term = np.ones(zp.size)
     total = np.ones(zp.size)
     step = np.empty(zp.size)
     k = 0
     while idx.size:
+        ks = np.arange(k, k + 64, dtype=float)[:, None]
+        ratio = (a + ks) * (b + ks) / ((c + ks) * (ks + 1.0))  # (64, S)
         if idx.size > _BLOCK_LIVE:
-            for _ in range(64):
-                ratio = (a + k) * (b + k) / ((c + k) * (k + 1))
-                np.multiply(zp, ratio, out=step)
+            for r in (ratio.ravel().tolist() if rows is None else ratio):
+                if rows is None:
+                    np.multiply(zp, r, out=step)
+                else:
+                    np.take(r, rows, out=step)  # each entry's ratio
+                    np.multiply(zp, step, out=step)
                 np.multiply(term, step, out=term)
                 np.add(total, term, out=total)
-                k += 1
         else:
-            ks = np.arange(k, k + 64, dtype=float)
-            ratio = (a + ks) * (b + ks) / ((c + ks) * (ks + 1.0))
-            p, s = _w_block(term, total, ratio[:, None] * zp)
+            steps = (ratio if rows is None else ratio[:, rows]) * zp
+            p, s = _w_block(term, total, steps)
             term, total = p[-1], s[-1]
-            k += 64
+        k += 64
         done = np.abs(term) < _SERIES_RTOL * np.abs(total)
         if done.any():
             out[idx[done]] = total[done]
             keep = ~done
             idx, zp, term, total = idx[keep], zp[keep], term[keep], total[keep]
+            rows = None if rows is None else rows[keep]
             step = step[:idx.size]
         if k >= _SERIES_CAP and idx.size:
+            worst = int(zp.argmax())
+            pa, pb, pc = table[0 if rows is None else rows[worst]].tolist()
             raise ConvergenceError(
                 f"2F1 series exceeded {_SERIES_CAP} terms on a grid; worst z = "
-                f"{zp.max()} at (a={a}, b={b}, c={c})")
+                f"{zp[worst]} at (a={pa}, b={pb}, c={pc})")
 
 
-def hyp2f1_grid(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
-    """2F1(a,b;c;z) over an array of arguments in [0,1), shared parameters.
+def _parameter_sets(a, b, c, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray | None]:
+    """The distinct (a, b, c) of a ``hyp2f1_grid`` call as the rows of an
+    (S, 3) table, and each flattened entry's row (None for scalar
+    parameters, whose table has one row).  Every c is checked first."""
+    if np.ndim(a) == np.ndim(b) == np.ndim(c) == 0:
+        _check_c(float(c))
+        return np.array([[a, b, c]], dtype=float), None
+    abc = [np.asarray(p, dtype=float) for p in (a, b, c)]
+    try:
+        own = np.broadcast_shapes(*(p.shape for p in abc))
+        fits = np.broadcast_shapes(own, shape) == shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ValueError(f"2F1 parameters of shapes {[p.shape for p in abc]} "
+                         f"do not broadcast to z's shape {shape}")
+    flat = np.stack([np.broadcast_to(p, own).ravel() for p in abc], axis=1)
+    table, inverse = np.unique(flat, axis=0, return_inverse=True)
+    for cc in table[:, 2].tolist():
+        _check_c(cc)
+    if len(table) == 1:
+        return table, None
+    return table, np.broadcast_to(inverse.reshape(own), shape).ravel()
 
-    Picks the routes of the module docstring per entry; the entries in the
-    near-one window go through the connection formulas in one call.  The
-    window is 1-z < 2e-2 when c-a-b is at least 0.1 from an integer and
-    1-z < 5e-3 otherwise, because the connection formula cancels like
-    1/eps as c-a-b nears an integer (see the module docstring).  Each
-    entry's value depends on its own z alone, never on the other entries,
-    so a caller may evaluate any subset of a grid (``intop`` builds its
-    symmetric Nystrom grid from the upper triangle) and place the values
-    back unchanged.
+
+def _by_row(rows: np.ndarray | None, mask: np.ndarray):
+    """The entries of a boolean ``mask`` split by parameter row: (row,
+    index) pairs in row order, each index selecting that row's entries in
+    their order.  With one row the index is the mask itself."""
+    if not mask.any():
+        return []
+    if rows is None:
+        return [(0, mask)]
+    idx = np.flatnonzero(mask)
+    r = rows[idx]
+    order = np.argsort(r, kind="stable")
+    idx, r = idx[order], r[order]
+    cuts = np.flatnonzero(r[1:] != r[:-1]) + 1
+    return [(int(r[lo]), part) for lo, part in zip([0, *cuts.tolist()], np.split(idx, cuts))]
+
+
+def hyp2f1_grid(a, b, c, z: np.ndarray) -> np.ndarray:
+    """2F1(a,b;c;z) over an array of arguments in [0,1).
+
+    ``a``, ``b`` and ``c`` are floats, shared by every entry, or arrays that
+    broadcast to the shape of ``z`` (an (R, 1) column of parameters against
+    an (R, n) grid, say); the result has the shape of ``z``.  A c that is a
+    non-positive integer, anywhere in an array, or parameters that do not
+    broadcast to ``z.shape``, raise ValueError before any arithmetic.
+
+    The entries are grouped by their distinct (a, b, c), and each set takes
+    the routes of the module docstring as a one-set call would: the
+    terminating case, the near-one window 1-z < 2e-2 when c-a-b is at least
+    0.1 from an integer and 1-z < 5e-3 otherwise (the connection formula
+    cancels like 1/eps as c-a-b nears an integer, see the module
+    docstring), and the Euler transform when c-a-b < 0.  The raw and the
+    transformed series of every set run together in one packed pass per
+    band (z <= 0.7, then the rest), and each set's near-one entries go
+    through the connection formulas in one call.  Each entry's value
+    depends on its own (a, b, c, z) alone, never on the other entries or
+    sets, and has the bits of a one-set call on that entry; so a caller may
+    evaluate any subset of a grid (``intop`` builds its symmetric Nystrom
+    grid from the upper triangle), or many parameter sets at once, and
+    place the values back unchanged.
     """
     z = np.asarray(z, dtype=float)
+    table, rows = _parameter_sets(a, b, c, z.shape)
     if z.size and (z.min() < 0.0 or z.max() >= 1.0):
         raise ValueError("hyp2f1_grid needs 0 <= z < 1")
-    out = np.empty_like(z)
-    d = c - a - b
-    if _is_nonpos_int(a) or _is_nonpos_int(b):
-        return _series_vec(a, b, c, z)
-    low = z <= _RAW_SERIES_Z
-    if np.any(low):
-        out[low] = _series_vec(a, b, c, z[low])
-    high = ~low
-    if not np.any(high):
-        return out
-    transform_terminates = d < 0.0 and (_is_nonpos_int(c - a) or _is_nonpos_int(c - b))
-    near = high & (1.0 - z < _near_one_window(d))
-    if transform_terminates:
-        near &= False  # the transformed series is exact arbitrarily close to 1
-    mid = high & ~near
-    if np.any(mid):
-        zm = z[mid]
+    zf = z.ravel()
+    # per set: the mid band's series parameters, the Euler exponent c-a-b
+    # where the transform applies, the near-one window (0 where there is
+    # none), and whether the raw series terminates and takes every entry
+    mid_table = table.copy()
+    exponent: dict[int, float] = {}
+    window = np.zeros(len(table))
+    terminating = np.zeros(len(table), dtype=bool)
+    for s, (pa, pb, pc) in enumerate(table.tolist()):
+        if _is_nonpos_int(pa) or _is_nonpos_int(pb):
+            terminating[s] = True
+            continue
+        d = pc - pa - pb
         if d < 0.0:
-            out[mid] = (1.0 - zm) ** d * _series_vec(c - a, c - b, c, zm)
-        else:
-            out[mid] = _series_vec(a, b, c, zm)
-    if np.any(near):
-        out[near] = _near_one_vec(a, b, c, z[near])
-    return out
+            mid_table[s] = (pc - pa, pc - pb, pc)
+            exponent[s] = d
+            if _is_nonpos_int(pc - pa) or _is_nonpos_int(pc - pb):
+                continue  # the transformed series is exact arbitrarily close to 1
+        window[s] = _near_one_window(d)
+    at = 0 if rows is None else rows  # each entry's set
+    out = np.empty(zf.size)
+    low = (zf <= _RAW_SERIES_Z) | terminating[at]
+    if low.any():
+        out[low] = _series_vec(table, None if rows is None else rows[low], zf[low])
+    # the other bands' masks only now, so that they are not live in the low pass
+    high = ~low
+    near = high & (1.0 - zf < window[at])
+    mid = high & ~near
+    if mid.any():
+        out[mid] = _series_vec(mid_table, None if rows is None else rows[mid], zf[mid])
+    # the Euler prefactor with each set's scalar exponent, as a one-set call
+    # computes it (numpy's power need not round alike for an exponent array)
+    if exponent:
+        for s, idx in _by_row(rows, mid):
+            if s in exponent:
+                out[idx] = (1.0 - zf[idx]) ** exponent[s] * out[idx]
+    for s, idx in _by_row(rows, near):
+        out[idx] = _near_one_vec(*table[s].tolist(), zf[idx])
+    return out.reshape(z.shape)
 
 
 def hyp2f1(args: HypArgs) -> float:

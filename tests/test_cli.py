@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bergnorm import cli
+from bergnorm import cli, specfun
 from bergnorm.ball import BallParams, c_sigma, tilde_norm_formula
 from bergnorm.cli import (
     ConfigError,
@@ -21,7 +21,14 @@ from bergnorm.cli import (
     run_suite,
 )
 from bergnorm.quadrature import make_jacobi_rules
-from bergnorm.specfun import ConvergenceError
+from bergnorm.specfun import (
+    ConvergenceError,
+    HypArgs,
+    beta_fn,
+    hyp2f1,
+    hyp2f1_at_one,
+    hyp2f1_grid,
+)
 
 
 # ----------------------------------------------------------------------
@@ -97,6 +104,122 @@ def test_identity_checks_keep_their_draws(monkeypatch):
     assert transform.scenario == "identity-euler-transform"
     assert transform.numeric_routes["max_rel_error"] == float.fromhex(
         "0x1.0495300f5398dp-49")
+
+
+# The identity checks as they were written before they batched their 2F1
+# calls: one scalar hyp2f1 or one-set hyp2f1_grid call per draw.  The
+# batched checks must give each record the same bits.
+
+def _reference_euler_integral(rng, draws, order):
+    params = []
+    for _ in range(draws):
+        a = rng.uniform(0.2, 2.0)
+        b = rng.uniform(0.4, 2.5)
+        c = b + rng.uniform(0.4, 2.5)
+        z = rng.uniform(0.0, 0.95)
+        params.append((a, b, c, z))
+    rules = make_jacobi_rules(order, [(b - 1.0, c - b - 1.0) for _, b, c, _ in params])
+    worst = 0.0
+    for (a, b, c, z), rule in zip(params, rules):
+        series = hyp2f1(HypArgs(a, b, c, z))
+        integral = rule.integrate((1.0 - z * rule.nodes) ** (-a))
+        worst = max(worst, abs(series - integral / beta_fn(b, c - b)) / abs(series))
+    return worst
+
+
+def _reference_euler_transform(rng, draws):
+    worst = 0.0
+    for _ in range(draws):
+        a = rng.uniform(0.1, 2.5)
+        b = rng.uniform(0.1, 2.5)
+        c = rng.uniform(0.6, 4.0)
+        z = rng.uniform(0.05, 0.70)
+        lhs = hyp2f1(HypArgs(a, b, c, z))
+        rhs = (1.0 - z) ** (c - a - b) * hyp2f1(HypArgs(c - a, c - b, c, z))
+        worst = max(worst, abs(lhs - rhs) / abs(lhs))
+    return worst
+
+
+def _reference_beta_average(rng, draws, order):
+    params = []
+    for _ in range(draws):
+        a = rng.uniform(0.2, 1.8)
+        b = rng.uniform(0.2, 1.8)
+        c = rng.uniform(0.7, 3.0)
+        d = rng.uniform(0.4, 2.5)
+        x = rng.uniform(0.05, 0.95)
+        params.append((a, b, c, d, x))
+    rules = make_jacobi_rules(order, [(c - 1.0, d - 1.0) for _, _, c, d, _ in params])
+    worst = 0.0
+    for (a, b, c, d, x), rule in zip(params, rules):
+        lhs = rule.integrate(hyp2f1_grid(a, b, c, x * rule.nodes))
+        rhs = beta_fn(c, d) * hyp2f1(HypArgs(a, b, c + d, x))
+        worst = max(worst, abs(lhs - rhs) / abs(rhs))
+    return worst
+
+
+def _reference_value_at_one(rng, draws, order):
+    params = []
+    for _ in range(draws):
+        a = rng.uniform(0.2, 1.0)
+        b = rng.uniform(0.3, 1.2)
+        c = a + b + rng.uniform(1.1, 2.2)
+        d = rng.uniform(0.8, 1.2)
+        params.append((a, b, c, d))
+    rules = make_jacobi_rules(order, [(c - 1.0, d - 1.0) for _, _, c, d in params])
+    worst = 0.0
+    for (a, b, c, d), rule in zip(params, rules):
+        lhs = rule.integrate(hyp2f1_grid(a, b, c, rule.nodes))
+        rhs = beta_fn(c, d) * hyp2f1_at_one(a, b, c + d)
+        worst = max(worst, abs(lhs - rhs) / abs(rhs))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_batched_identity_checks_keep_the_per_draw_bits(seed):
+    _, records = run_suite("identities", SuiteConfig(seed=seed))
+    rng = np.random.default_rng(seed)
+    expected = [_reference_euler_integral(rng, 120, 128),
+                _reference_euler_transform(rng, 120),
+                _reference_beta_average(rng, 120, 128),
+                _reference_value_at_one(rng, 120, 256)]
+    got = [r.numeric_routes["max_rel_error"] for r in records]
+    assert [type(v) for v in got] == [float] * 4
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+def test_identity_checks_make_six_grid_calls(monkeypatch):
+    calls = {"grid": 0, "scalar": 0}
+    real_grid, real_scalar = specfun.hyp2f1_grid, specfun.hyp2f1
+
+    def grid(*args, **kwargs):
+        calls["grid"] += 1
+        return real_grid(*args, **kwargs)
+
+    def scalar(*args, **kwargs):
+        calls["scalar"] += 1
+        return real_scalar(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "hyp2f1_grid", grid)
+    monkeypatch.setattr(specfun, "hyp2f1_grid", grid)
+    monkeypatch.setattr(specfun, "hyp2f1", scalar)
+    status, _ = run_suite("identities", SuiteConfig())
+    assert status == 0
+    assert 0 < calls["grid"] <= 6
+    assert calls["scalar"] == 0
+
+
+def test_identity_overflow_flags_its_record(monkeypatch):
+    def overflowing(rng, draws, order):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "beta_average_check", overflowing)
+    status, records = run_suite("identities", SuiteConfig())
+    assert status == 1
+    assert [r.status for r in records] == ["pass", "pass", "flagged", "pass"]
+    flagged = records[2]
+    assert flagged.scenario == "identity-beta-average"
+    assert flagged.inputs["error"] == "overflow beyond double range: math range error"
 
 
 # ----------------------------------------------------------------------

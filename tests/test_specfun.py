@@ -5,9 +5,10 @@ digits and frozen here; the library itself never imports mpmath.
 """
 
 import math
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bergnorm import specfun
@@ -248,7 +249,101 @@ def test_hyp2f1_grid_rejects_bad_arguments():
         hyp2f1_grid(1.0, 1.0, 2.0, np.array([-0.1]))
 
 
-def _masked_series_vec(a, b, c, z):
+def test_hyp2f1_grid_rejects_a_pole_c_like_hypargs():
+    # c = -1 used to divide by zero in the series and return inf/nan
+    with pytest.raises(ValueError) as expected:
+        HypArgs(0.5, 0.5, -1.0, 0.5)
+    z = np.linspace(0.0, 0.99, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (-1.0, np.float64(-1.0), np.array([1.5, 2.0, -1.0])[:, None]):
+            zz = np.broadcast_to(z, (3, 9)) if np.ndim(c) else z
+            with pytest.raises(ValueError) as got:
+                hyp2f1_grid(0.5, 0.5, c, zz)
+            assert str(got.value) == str(expected.value)
+        # one bad entry among many sets, and an empty grid
+        c = np.array([1.5, 0.0, 2.5, 3.25])
+        with pytest.raises(ValueError, match="non-positive integer, got 0.0"):
+            hyp2f1_grid(np.array([0.3, 0.4, 0.5, 0.6]), 0.5, c, np.full(4, 0.5))
+        with pytest.raises(ValueError, match="non-positive integer, got -2.0"):
+            hyp2f1_grid(0.5, 0.5, np.array([[-2.0]]), np.empty((1, 0)))
+
+
+@pytest.mark.parametrize("param_shape, z_shape", [
+    ((3,), (4,)),       # no broadcast at all
+    ((2, 5), (2, 1)),   # would grow the output past z's shape
+    ((3, 1), (3,)),     # likewise, to (3, 3)
+    ((2,), ()),         # arrays against a scalar z
+])
+def test_hyp2f1_grid_rejects_parameters_that_do_not_fit_z(param_shape, z_shape):
+    with pytest.raises(ValueError, match="do not broadcast"):
+        hyp2f1_grid(np.full(param_shape, 0.5), 0.5, 1.5, np.full(z_shape, 0.25))
+
+
+def _one_set_kind(kind, a, b, m, free):
+    """c for one parameter-set kind, from dyadic a and b (so that c - a - b
+    is exact where the kind needs it) and a free float in [0, 1)."""
+    if kind == "low-or-free":
+        return 0.2 + 4.8 * free
+    if kind == "euler":          # d < 0
+        return 0.05 + (a + b - 0.1) * free
+    if kind == "log":            # d = 0, 1 or 2 exactly
+        return a + b + m
+    if kind == "narrow":         # d within 0.1 of an integer, off it
+        return max(a + b + m + 0.198 * free - 0.099, 0.05)
+    return 0.2 + 4.8 * free      # terminating: a = -3
+
+
+_KINDS = ("low-or-free", "euler", "log", "narrow", "terminating")
+
+
+@st.composite
+def _parameter_set(draw):
+    kind = draw(st.sampled_from(_KINDS))
+    a = draw(st.integers(4, 160)) / 64.0
+    b = draw(st.integers(4, 160)) / 64.0
+    c = _one_set_kind(kind, a, b, draw(st.integers(0, 2)),
+                      draw(st.floats(0.0, 1.0, exclude_max=True)))
+    return (-3.0 if kind == "terminating" else a), b, c
+
+
+def _band_grid(rows, n, seed):
+    """An (rows, n) grid whose entry (r, j) comes from band (r + j) % 5:
+    z = 0, the raw band, the mid band, the wide near-one window and the
+    narrow one down to 1 - 1e-13."""
+    rng = np.random.default_rng(seed)
+    bands = (lambda: 0.0, lambda: rng.uniform(0.0, 0.7), lambda: rng.uniform(0.7, 0.98),
+             lambda: 1.0 - rng.uniform(5e-3, 2e-2), lambda: 1.0 - 10.0 ** -rng.uniform(2.3, 13.0))
+    return np.array([[bands[(r + j) % 5]() for j in range(n)] for r in range(rows)]).reshape(rows, n)
+
+
+# every kind, and every band in every row
+_EVERY_KIND = [(1.3, 0.4, 2.1), (1.5, 1.5, 1.0), (0.75, 0.75, 1.75), (1.0, 1.0, 2.0),
+               (0.5, 0.5, 2.0), (0.25, 0.5, 2.75), (0.5, 0.5, 2.05), (1.25, 1.25, 1.45),
+               (-3.0, 1.5, 2.2), (3.0, 1.25, 2.0)]
+
+
+@given(sets=st.lists(_parameter_set(), min_size=1, max_size=5),
+       n=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1))
+@example(sets=_EVERY_KIND, n=5, seed=0)
+@example(sets=_EVERY_KIND[:3], n=0, seed=0)
+@settings(max_examples=25, deadline=None)
+def test_hyp2f1_grid_multi_set_matches_one_set_calls(sets, n, seed):
+    # an (R, 1) column of parameter sets against an (R, n) grid, and the
+    # same entries flattened with a parameter per entry, give the bits of
+    # one one-set call per row
+    z = _band_grid(len(sets), n, seed)
+    a, b, c = np.array(sets).T[:, :, None]
+    grid = hyp2f1_grid(a, b, c, z)
+    assert grid.shape == z.shape
+    flat = hyp2f1_grid(*(np.broadcast_to(p, z.shape).ravel() for p in (a, b, c)), z.ravel())
+    assert flat.tobytes() == grid.tobytes()
+    for (pa, pb, pc), zr, row in zip(sets, z, grid.tolist()):
+        ref = hyp2f1_grid(pa, pb, pc, zr).tolist()
+        assert [v.hex() for v in row] == [v.hex() for v in ref], (pa, pb, pc)
+
+
+def _masked_series(a, b, c, z):
     """The masked series loop ``specfun._series_vec`` replaced, kept as the
     reference its packed loop must reproduce byte for byte."""
     out = np.ones_like(z)
@@ -277,6 +372,23 @@ def _masked_series_vec(a, b, c, z):
     return out
 
 
+def _masked_series_vec(table, rows, z):
+    """``_masked_series`` with ``specfun._series_vec``'s signature: each
+    entry summed with its own row of the (a, b, c) table."""
+    if rows is None:
+        return _masked_series(*np.asarray(table).tolist()[0], z)
+    out = np.empty(z.shape)
+    for r, (a, b, c) in enumerate(np.asarray(table).tolist()):
+        sel = rows == r
+        out[sel] = _masked_series(a, b, c, z[sel])
+    return out
+
+
+def _one_set(a, b, c):
+    """The parameter table of a one-set ``_series_vec`` call."""
+    return np.array([[a, b, c]])
+
+
 @pytest.mark.parametrize("a, b, c", [
     (0.3, 0.7, 1.9),     # d = c-a-b > 0: raw series in both bands
     (1.0, 1.0, 2.0),     # d = 0
@@ -297,9 +409,9 @@ def test_hyp2f1_grid_matches_masked_reference_bytes(monkeypatch, a, b, c):
 def test_series_vec_matches_masked_reference_on_edge_shapes():
     rng = np.random.default_rng(12)
     for z in (np.empty(0), rng.uniform(0.0, 0.7, (7, 9)), np.array([0.0, 0.7])):
-        packed = specfun._series_vec(0.6, 1.4, 2.3, z)
+        packed = specfun._series_vec(_one_set(0.6, 1.4, 2.3), None, z)
         assert packed.shape == z.shape
-        assert packed.tobytes() == _masked_series_vec(0.6, 1.4, 2.3, z).tobytes()
+        assert packed.tobytes() == _masked_series(0.6, 1.4, 2.3, z).tobytes()
 
 
 @pytest.mark.parametrize("size", [1, specfun._BLOCK_LIVE - 1, specfun._BLOCK_LIVE,
@@ -312,8 +424,44 @@ def test_series_vec_block_path_matches_masked_reference(size):
     # _CACHE_BLOCK entries the series runs slice by slice
     z = np.random.default_rng(size).uniform(0.0, 0.995, size)
     for a, b, c in [(0.3, 0.7, 1.9), (1.0, 1.0, 2.0), (-3.0, 1.5, 2.2), (2.5, 0.4, 1.1)]:
-        packed = specfun._series_vec(a, b, c, z)
-        assert packed.tobytes() == _masked_series_vec(a, b, c, z).tobytes()
+        packed = specfun._series_vec(_one_set(a, b, c), None, z)
+        assert packed.tobytes() == _masked_series(a, b, c, z).tobytes()
+
+
+@pytest.mark.parametrize("size, zmax", [(1, 0.995), (specfun._BLOCK_LIVE + 1, 0.995),
+                                         (4096, 0.995), (specfun._CACHE_BLOCK + 1, 0.9)])
+def test_series_vec_two_sets_match_masked_reference(size, zmax):
+    # the rows interleave, so each chunk gathers its ratios per entry, and
+    # past _CACHE_BLOCK the rows are sliced with z
+    rng = np.random.default_rng(size + 1)
+    z = rng.uniform(0.0, zmax, size)
+    rows = rng.integers(0, 2, size)
+    table = np.array([[0.3, 0.7, 1.9], [2.5, 0.4, 1.1]])
+    packed = specfun._series_vec(table, rows, z)
+    assert packed.tobytes() == _masked_series_vec(table, rows, z).tobytes()
+    for r, (a, b, c) in enumerate(table.tolist()):
+        alone = specfun._series_vec(_one_set(a, b, c), None, z[rows == r])
+        assert alone.tobytes() == packed[rows == r].tobytes()
+
+
+def test_hyp2f1_grid_two_sets_match_masked_reference_bytes(monkeypatch):
+    # a raw set and an Euler set share each band's series pass
+    rng = np.random.default_rng(16)
+    z = rng.uniform(0.0, 0.995, (60, 120))
+    a = np.where(np.arange(60) % 2, 0.3, 1.5)[:, None]
+    c = np.where(np.arange(60) % 2, 1.9, 1.0)[:, None]
+    packed = hyp2f1_grid(a, a + 0.4, c, z)
+    monkeypatch.setattr(specfun, "_series_vec", _masked_series_vec)
+    masked = hyp2f1_grid(a, a + 0.4, c, z)
+    assert packed.shape == z.shape
+    assert packed.tobytes() == masked.tobytes()
+
+
+def test_series_cap_names_the_worst_entrys_parameters(monkeypatch):
+    monkeypatch.setattr(specfun, "_SERIES_CAP", 64)
+    with pytest.raises(ConvergenceError) as excinfo:
+        hyp2f1_grid(np.array([1.0, 0.5, 1.0]), 1.0, 2.0, np.array([0.05, 0.65, 0.6]))
+    assert "worst z = 0.65 at (a=0.5, b=1.0, c=2.0)" in str(excinfo.value)
 
 
 def test_series_vec_switches_to_blocks_mid_call(monkeypatch):
@@ -331,9 +479,9 @@ def test_series_vec_switches_to_blocks_mid_call(monkeypatch):
         return real(term, total, steps, bracket)
 
     monkeypatch.setattr(specfun, "_w_block", spy)
-    packed = specfun._series_vec(1.25, 0.75, 1.5, z)
+    packed = specfun._series_vec(_one_set(1.25, 0.75, 1.5), None, z)
     assert live and max(live) <= n < z.size
-    assert packed.tobytes() == _masked_series_vec(1.25, 0.75, 1.5, z).tobytes()
+    assert packed.tobytes() == _masked_series(1.25, 0.75, 1.5, z).tobytes()
 
 
 def test_hyp2f1_grid_cache_slices_keep_a_2d_terminating_grid(monkeypatch):

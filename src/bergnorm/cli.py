@@ -443,28 +443,32 @@ def _spot_values_record() -> ReportRecord:
 def _bergman_record(cfg: SuiteConfig) -> ReportRecord:
     """Bergman-projection norm bounds at (n, sigma=1): the exact endpoint
     norms, the interpolation bound between them, and the majorant bound.
-    At p = 1 the majorant bound must coincide with the exact norm."""
+    At p = 1 the majorant bound must coincide with the exact norm.  A
+    norm beyond double range (n >= 1019) flags the record."""
     bp = BallParams(n=cfg.n, sigma=1.0)
-    exact = bergman_exact_norms(bp)
-    upper_1 = tilde_norm_formula(bp, 1.0)
-    upper_2 = tilde_norm_formula(bp, 2.0)
+    scenario, inputs = f"ball-bergman n={cfg.n} sigma=1", {"n": cfg.n, "sigma": 1.0}
     p_mid = 4.0 / 3.0
-    routes = {
-        "exact_l1": exact.l1,
-        "exact_l2": exact.l2,
-        "interp_p4_3": riesz_thorin_bound(bp, p_mid),
-        "majorant_p1": upper_1,
-        "majorant_p2": upper_2,
-    }
-    rels = {
-        "majorant_sharp_at_p1": abs(exact.l1 - upper_1) / exact.l1,
-        "conjugate_duality_p4": (abs(conj_tilde_norm_formula(bp, 4.0)
-                                     - tilde_norm_formula(bp, p_mid))
-                                 / tilde_norm_formula(bp, p_mid)),
-    }
+    try:
+        exact = bergman_exact_norms(bp)
+        upper_1 = tilde_norm_formula(bp, 1.0)
+        upper_2 = tilde_norm_formula(bp, 2.0)
+        routes = {
+            "exact_l1": exact.l1,
+            "exact_l2": exact.l2,
+            "interp_p4_3": riesz_thorin_bound(bp, p_mid),
+            "majorant_p1": upper_1,
+            "majorant_p2": upper_2,
+        }
+        rels = {
+            "majorant_sharp_at_p1": abs(exact.l1 - upper_1) / exact.l1,
+            "conjugate_duality_p4": (abs(conj_tilde_norm_formula(bp, 4.0)
+                                         - tilde_norm_formula(bp, p_mid))
+                                     / tilde_norm_formula(bp, p_mid)),
+        }
+    except OverflowError as err:
+        return _flagged(scenario, inputs, _failure(err))
     guards = exact.l2 <= upper_2 * (1.0 + _EXCESS_GUARD)
-    return _finish(f"ball-bergman n={cfg.n} sigma=1", {"n": cfg.n, "sigma": 1.0},
-                   None, routes, rels, _EXACT_TOL, guards_ok=guards)
+    return _finish(scenario, inputs, None, routes, rels, _EXACT_TOL, guards_ok=guards)
 
 
 def _radial_disc_record() -> ReportRecord:

@@ -29,10 +29,12 @@ series keeps ~1e-14 for every eps; past the gap, and for 1-z up to 2e-2,
 the connection formula is as accurate as the series (against mpmath, for a
 and b in (0, 4)) at a small fraction of its cost.
 
-Series termination: the last term of a 64-term chunk below 1e-16 of the
-partial sum (the raw and Euler series), or a term below it three times in
-a row (the generic connection series), with a hard cap of 100000 terms;
-exceeding the cap raises ConvergenceError.
+Series termination: one raw-series loop sums the raw and Euler series
+and both series of the generic connection formula, and stops once the
+last term of a 64-term chunk is below 1e-16 of the partial sum; past a
+hard cap of 100000 terms it raises ConvergenceError.  The logarithmic
+connection series stop at the first term below 1e-16 of the sum after
+the third, and end at the cap.
 """
 
 from __future__ import annotations
@@ -57,14 +59,13 @@ __all__ = [
 ]
 
 _SERIES_RTOL = 1e-16
-_SERIES_CONSEC = 3
 _SERIES_CAP = 100_000
 _RAW_SERIES_Z = 0.7
 _NEAR_ONE_W = 5e-3      # switch to connection formulas when 1-z is below this
 _NEAR_ONE_W_WIDE = 2e-2  # ... or below this, when c-a-b is far from an integer:
 _WIDE_GAP = 0.1          # at least this far (nearer, the connection formula cancels)
 _INT_SNAP = 1e-6        # treat c-a-b this close to an integer as the log case
-_W_BLOCK = 12           # terms per block of the near-one series
+_W_BLOCK = 12           # terms per block of the near-one log series
 _BLOCK_LIVE = 256       # live entries at or below which a raw-series chunk is one block
 _CACHE_BLOCK = 16384    # raw-series entries per slice: four work arrays in 512 KB
 
@@ -271,42 +272,6 @@ def _w_block(term: np.ndarray, total: np.ndarray, steps: np.ndarray,
     return p, np.cumsum(s, axis=0)
 
 
-def _series_w(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
-    """The raw series of 2F1(a, b; c; w) for each entry of a 1-D array ``w``,
-    with the bits of the per-term loop ``term *= ratio_k * w; total += term``.
-
-    Terms are formed _W_BLOCK at a time by ``_w_block``; the stopping rule
-    (a zero term, or three small terms in a row, _SERIES_CONSEC) is then
-    applied to each term of the block, as that loop applies it.  Entries
-    still summing carry their term, sum and the smallness of their last two
-    terms into the next block.
-    """
-    out = np.empty(w.size)
-    idx = np.arange(w.size)
-    term = np.ones(w.size)
-    total = np.ones(w.size)
-    last2 = np.zeros((2, w.size), dtype=bool)
-    k = 0
-    while idx.size:
-        if k >= _SERIES_CAP:
-            raise ConvergenceError(
-                f"2F1 series exceeded {_SERIES_CAP} terms near z = 1; worst 1-z = "
-                f"{w.max()} at (a={a}, b={b}, c={c})")
-        ks = range(k, min(k + _W_BLOCK, _SERIES_CAP))
-        ratio = np.array([(a + j) * (b + j) / ((c + j) * (j + 1)) for j in ks])
-        p, s = _w_block(term, total, ratio[:, None] * w)
-        tiny = np.concatenate([last2, np.abs(p[1:]) < _SERIES_RTOL * np.abs(s[1:])])
-        stop = (p[1:] == 0.0) | (tiny[2:] & tiny[1:-1] & tiny[:-2])
-        done = stop.any(axis=0)
-        cols = np.flatnonzero(done)
-        out[idx[cols]] = s[stop[:, cols].argmax(axis=0) + 1, cols]
-        keep = ~done
-        idx, w, term, total, last2 = (
-            idx[keep], w[keep], p[-1, keep], s[-1, keep], tiny[-2:, keep])
-        k += len(ks)
-    return out
-
-
 def _log_series_w(w: np.ndarray, logw: np.ndarray, term0: float, ratio, bracket,
                   scaled: bool) -> np.ndarray:
     """Sum over n of term_n * bracket_n for each entry of ``w``, same bits
@@ -348,11 +313,13 @@ def _near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     Normalizes first so the effective exponent d = c-a-b is positive
     (applying the Euler transform when it is negative), then uses the
     generic two-series connection formula, or its logarithmic limit when d
-    sits (numerically) on a non-negative integer.  The Gamma-ratio
-    coefficients and digamma constants are computed once per call; each
-    entry gets the bits of a per-entry loop over the same formulas in the
-    same order of operations, through ``math.log``/``math.exp`` and
-    ``_w_block``, whatever else shares the array.
+    sits (numerically) on a non-negative integer.  The generic formula's
+    two series are one-set ``_series_vec`` calls on w, with parameters
+    (a, b, 1-d) and (c-a, c-b, 1+d); the logarithmic series are summed by
+    ``_log_series_w``.  The Gamma-ratio coefficients and digamma constants
+    are computed once per call; each entry gets the bits of a per-entry
+    loop over the same formulas in the same order of operations, through
+    ``math.log``/``math.exp``, whatever else shares the array.
     """
     if not z.size:
         return np.empty(0)
@@ -369,8 +336,9 @@ def _near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
         # generic case: two analytic series in w
         s1 = gamma_ratio_log((c, d), (c - a, c - b))
         s2 = gamma_ratio_log((c, -d), (a, b))
-        out = (s1 * _series_w(a, b, 1.0 - d, w)
-               + s2 * _map(math.exp, d * logw) * _series_w(c - a, c - b, 1.0 + d, w))
+        out = (s1 * _series_vec(np.array([[a, b, 1.0 - d]]), None, w)
+               + s2 * _map(math.exp, d * logw)
+               * _series_vec(np.array([[c - a, c - b, 1.0 + d]]), None, w))
         return out if prefactor is None else prefactor * out
     # logarithmic case, c = a + b + m with integer m >= 0
     if m == 0:
@@ -441,7 +409,9 @@ def _series_vec(table: np.ndarray, rows: np.ndarray | None, z: np.ndarray) -> np
     stopping rule whatever else shares the array, the slice or the table,
     so a value depends on its own z and parameters alone.  c must not be a
     non-positive integer.  Past the term cap, the error names the worst
-    unconverged z of the slice that hit it, with its parameters.
+    unconverged z of the slice that hit it, with its parameters; in the
+    near-one route, that z is w = 1-z and the parameters are those of the
+    connection series, (a, b, 1-d) or (c-a, c-b, 1+d).
     """
     zflat = z.ravel()
     rflat = None if rows is None else rows.ravel()

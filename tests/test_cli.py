@@ -396,21 +396,25 @@ def test_ball_divergent_record_flags_a_failed_route(monkeypatch, capsys):
     assert first["inputs"]["error"] == "probe did not converge"
 
 
-@pytest.mark.parametrize("argv, scenario", [
+@pytest.mark.parametrize("argv, scenarios", [
     (["--suite", "ball", "--n", "600", "--sigma", "600", "--p", "inf"],
-     "ball-norm n=600 sigma=600 p=inf"),                      # c_sigma overflows
+     ["ball-norm n=600 sigma=600 p=inf"]),                    # c_sigma overflows
     (["--suite", "ball", "--n", "1", "--sigma", "1500", "--p", "2"],
-     "ball-norm n=1 sigma=1500 p=2"),                         # norm_formula overflows
+     ["ball-norm n=1 sigma=1500 p=2"]),                       # norm_formula overflows
     (["--suite", "interval-norms", "--sigma", "1500", "--p", "2"],
-     "interval-norm mu=1 sigma=1500 p=2"),
-], ids=["ball-c-sigma", "ball-closed-form", "interval-closed-form"])
-def test_closed_form_beyond_double_range_flags_the_record(argv, scenario, capsys):
+     ["interval-norm mu=1 sigma=1500 p=2"]),
+    (["--suite", "ball", "--n", "1019", "--sigma", "1", "--p", "2"],
+     ["ball-norm n=1019 sigma=1 p=2",                         # and, from n = 1019,
+      "ball-bergman n=1019 sigma=1"]),                        # the Bergman norms
+], ids=["ball-c-sigma", "ball-closed-form", "interval-closed-form", "ball-bergman"])
+def test_closed_form_beyond_double_range_flags_the_record(argv, scenarios, capsys):
     assert main([*argv, "--format", "json"]) == 1
     out, err = capsys.readouterr()
     flagged = [r for r in json.loads(out) if r["status"] != "pass"]
-    assert [r["scenario"] for r in flagged] == [scenario]
-    assert flagged[0]["status"] == "flagged"
-    assert flagged[0]["inputs"]["error"].startswith("overflow beyond double range")
+    assert [r["scenario"] for r in flagged] == scenarios
+    for record in flagged:
+        assert record["status"] == "flagged"
+        assert record["inputs"]["error"].startswith("overflow beyond double range")
     assert err == ""
 
 

@@ -364,7 +364,7 @@ def _masked_series(a, b, c, z):
         t = np.abs(termf[active])
         tiny = t < specfun._SERIES_RTOL * np.abs(outf[active])
         smallf[active] = np.where(tiny, smallf[active] + 64, 0)
-        active = active[smallf[active] < specfun._SERIES_CONSEC]
+        active = active[smallf[active] < 3]
         if k >= specfun._SERIES_CAP and active.size:
             raise ConvergenceError(
                 f"2F1 series exceeded {specfun._SERIES_CAP} terms on a grid; worst z = "
@@ -525,24 +525,22 @@ def test_series_cap_raises(monkeypatch):
 # ----------------------------------------------------------------------
 
 def _series(a, b, c, z):
-    """The per-term raw series loop, which ``specfun._series_w`` reproduces
-    bit for bit; ``_scalar_near_one`` sums its connection series with it."""
+    """The raw series summed by ``specfun._series_vec``'s chunk rule, the
+    scalar twin of ``_masked_series``: 64 terms, then the last term against
+    the sum.  ``_scalar_near_one`` sums its connection series with it."""
     term = 1.0
     total = 1.0
-    small = 0
-    for k in range(specfun._SERIES_CAP):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-        total += term
-        if term == 0.0:
-            return total
+    k = 0
+    while True:
+        for _ in range(64):
+            term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+            total += term
+            k += 1
         if abs(term) < specfun._SERIES_RTOL * abs(total):
-            small += 1
-            if small >= specfun._SERIES_CONSEC:
-                return total
-        else:
-            small = 0
-    raise ConvergenceError(
-        f"2F1 series exceeded {specfun._SERIES_CAP} terms at (a={a}, b={b}, c={c}, z={z})")
+            return total
+        if k >= specfun._SERIES_CAP:
+            raise ConvergenceError(
+                f"2F1 series exceeded {specfun._SERIES_CAP} terms at (a={a}, b={b}, c={c}, z={z})")
 
 
 def _scalar_near_one(a, b, c, z):
@@ -635,8 +633,9 @@ NEAR_ONE_CASES = [
 @pytest.mark.parametrize("cap", [None, 6])
 @pytest.mark.parametrize("a, b, c", NEAR_ONE_CASES)
 def test_near_one_vec_matches_scalar_reference(monkeypatch, a, b, c, cap):
-    # with the term cap cut to 6 the generic series raise and the
-    # logarithmic ones stop at the cap, on both routes alike
+    # with the term cap cut to 6 the generic series still finish their
+    # first 64-term chunk, and the logarithmic ones stop at the cap, on
+    # both routes alike
     if cap is not None:
         monkeypatch.setattr(specfun, "_SERIES_CAP", cap)
     rng = np.random.default_rng(17)
@@ -648,7 +647,9 @@ def test_near_one_vec_matches_scalar_reference(monkeypatch, a, b, c, cap):
 
 @pytest.mark.parametrize("a, b, c, cap, exc", [
     (-1.2, -0.3, -0.5, None, ValueError),       # m = 1 needs log_gamma(c) with c < 0
-    (0.75, 0.75, 1.75, 5, ConvergenceError),    # generic series starved of terms
+    # generic, but a = 20000 makes the connection series need 81 terms at
+    # 1-z = 1e-3, past the one 64-term chunk the cap allows
+    (20000.0, 20.0, 20020.25, 64, ConvergenceError),
 ])
 def test_near_one_vec_raises_like_scalar(monkeypatch, a, b, c, cap, exc):
     if cap is not None:
@@ -666,6 +667,25 @@ def test_hyp2f1_near_one_window_uses_the_connection_route(a, b, c):
     z = 1.0 - np.array([4.9e-3, 1e-6, 2.0 ** -40])
     ref = np.array([_scalar_near_one(a, b, c, x) for x in z.tolist()])
     assert hyp2f1_grid(a, b, c, z).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("a, b, c, w, bits", [
+    # criterion 5's twin shape, d = c-a-b = 2.5
+    (-0.6, -0.6, 1.3, [1.9e-2, 5e-3, 1e-12],
+     ["0x1.48aefd8bad7f1p+0", "0x1.49ca1507a8910p+0", "0x1.4a2f70cce5b8bp+0"]),
+    # a kernel at sigma = 0.5: d = -1.5, so the Euler swap comes first
+    (1.75, 1.75, 2.0, [1.9e-2, 4.9e-3, 1e-12],
+     ["0x1.8fd0f08d22344p+8", "0x1.7e2524144621dp+11", "0x1.d1f33cfc52355p+59"]),
+    # a value-at-one shape, d = 1.6
+    (0.3, 0.7, 2.6, [1.9e-2, 1e-12],
+     ["0x1.21c80d407d64cp+0", "0x1.236d85afd8798p+0"]),
+], ids=["twin", "euler-swap", "value-at-one"])
+def test_hyp2f1_near_one_generic_bits_are_frozen(a, b, c, w, bits):
+    # every entry lies in the near-one window, so these are the generic
+    # connection formula's bits, through the shared raw-series loop
+    assert max(w) < specfun._near_one_window(c - a - b)
+    values = hyp2f1_grid(a, b, c, 1.0 - np.array(w)).tolist()
+    assert [v.hex() for v in values] == bits
 
 
 # the band that only the wide window sends to the connection route

@@ -17,10 +17,11 @@ from bergnorm.cli import _SUITES, SuiteConfig, emit_table, run_suite
 
 
 def main() -> int:
+    defaults = SuiteConfig()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--order", type=int, default=128)
-    parser.add_argument("--eta-min", type=float, default=1e-4, dest="eta_min")
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--order", type=int, default=defaults.order)
+    parser.add_argument("--eta-min", type=float, default=defaults.eta_min, dest="eta_min")
     parser.add_argument("--artifacts", type=str, default=None,
                         help="directory for per-suite JSON output")
     args = parser.parse_args()

@@ -15,16 +15,16 @@ routes and renders the outcome as a table of records:
   points;
 * ``all``            -- everything above, in that order.
 
-A record's ``status`` is ``pass`` when every entry of ``rel_errors`` is
-within the scenario tolerance (recorded in ``inputs``), ``fail`` when one
-is not (or an internal ordering guard is violated), and ``flagged`` when a
-numeric route could not be completed or gave a value that is not finite.
-``numeric_routes`` may carry values with no ``rel_errors`` entry, to which
-no tolerance applies.  The Nystrom estimate is the standing example: it
-converges from below like 1/log(order), so its gap is not gated.  It
-still counts in a norm record's upper guard, which fails the record when
-any route, the Nystrom estimate included, exceeds the closed form by more
-than a factor 1 + 1e-9.
+One gate, ``_finish``, sets a record's ``status``: ``pass`` when every
+entry of ``rel_errors`` is within the scenario tolerance (recorded in
+``inputs``), ``fail`` when one is not (or an internal ordering guard is
+violated), and ``flagged`` when any route value is not finite, in every
+record, or when a numeric route could not be completed.  Routes with no
+``rel_errors`` entry are not gated: the norm records take their route
+table and its gated names from ``normest.norm_report``, where the Nystrom
+estimate, converging from below like 1/log(order), is ungated.  It still
+counts in a norm record's upper guard, which fails the record when any
+route exceeds the closed form by more than a factor 1 + 1e-9.
 
 ``json`` and ``csv`` output renders reals with 17 significant digits and is
 byte-identical across runs with the same configuration and seed;
@@ -123,12 +123,24 @@ class ReportRecord:
 
 def _finish(scenario: str, inputs: dict, closed: float | None, routes: dict,
             rels: dict, tol: float, guards_ok: bool = True) -> ReportRecord:
+    """The one gate (module docstring); a record with a route that is not
+    finite keeps its routes and names the broken ones in ``inputs.error``."""
     inputs = dict(inputs)
     inputs["tol"] = tol
     ok = guards_ok and all(abs(v) <= tol for v in rels.values())
+    status = "pass" if ok else "fail"
+    broken = [k for k, v in routes.items() if not math.isfinite(v)]
+    if broken:
+        inputs["error"] = f"route not finite: {', '.join(broken)}"
+        status = "flagged"
     return ReportRecord(scenario=scenario, inputs=inputs, closed_form=closed,
-                        numeric_routes=routes, rel_errors=rels,
-                        status="pass" if ok else "fail")
+                        numeric_routes=routes, rel_errors=rels, status=status)
+
+
+def _worst(errors: Sequence[float]) -> float:
+    """The largest of ``errors``, NaN when any is NaN: Python's ``max``
+    keeps its first argument against a NaN, so a broken value would hide."""
+    return float(np.max(errors))
 
 
 def _failure(err: Exception) -> str:
@@ -175,11 +187,11 @@ def euler_integral_check(rng: np.random.Generator, draws: int,
         params.append((a, b, c, z))
     rules = make_jacobi_rules(order, [(b - 1.0, c - b - 1.0) for _, b, c, _ in params])
     series = hyp2f1_grid(*np.array(params).T).tolist()
-    worst = 0.0
+    errors = []
     for (a, b, c, z), rule, value in zip(params, rules, series):
         integral = rule.integrate((1.0 - z * rule.nodes) ** (-a))
-        worst = max(worst, abs(value - integral / beta_fn(b, c - b)) / abs(value))
-    return worst
+        errors.append(abs(value - integral / beta_fn(b, c - b)) / abs(value))
+    return _worst(errors)
 
 
 def euler_transform_check(rng: np.random.Generator, draws: int) -> float:
@@ -198,11 +210,8 @@ def euler_transform_check(rng: np.random.Generator, draws: int) -> float:
         params.append((a, b, c, z))
     a, b, c, z = np.array(params).T
     sides = zip(hyp2f1_grid(a, b, c, z).tolist(), hyp2f1_grid(c - a, c - b, c, z).tolist())
-    worst = 0.0
-    for (a, b, c, z), (lhs, transformed) in zip(params, sides):
-        rhs = (1.0 - z) ** (c - a - b) * transformed
-        worst = max(worst, abs(lhs - rhs) / abs(lhs))
-    return worst
+    return _worst([abs(lhs - (1.0 - z) ** (c - a - b) * transformed) / abs(lhs)
+                   for (a, b, c, z), (lhs, transformed) in zip(params, sides)])
 
 
 def beta_average_check(rng: np.random.Generator, draws: int,
@@ -225,12 +234,12 @@ def beta_average_check(rng: np.random.Generator, draws: int,
     a, b, c, d, x = np.array(params).T[:, :, None]
     nodes = np.array([rule.nodes for rule in rules])
     sides = zip(hyp2f1_grid(a, b, c, x * nodes), hyp2f1_grid(a, b, c + d, x)[:, 0].tolist())
-    worst = 0.0
+    errors = []
     for (a, b, c, d, x), rule, (integrand, series) in zip(params, rules, sides):
         lhs = rule.integrate(integrand)
         rhs = beta_fn(c, d) * series
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return worst
+        errors.append(abs(lhs - rhs) / abs(rhs))
+    return _worst(errors)
 
 
 def value_at_one_check(rng: np.random.Generator, draws: int,
@@ -254,12 +263,12 @@ def value_at_one_check(rng: np.random.Generator, draws: int,
     rules = make_jacobi_rules(order, [(c - 1.0, d - 1.0) for _, _, c, d in params])
     a, b, c, _ = np.array(params).T[:, :, None]
     integrands = hyp2f1_grid(a, b, c, np.array([rule.nodes for rule in rules]))
-    worst = 0.0
+    errors = []
     for (a, b, c, d), rule, integrand in zip(params, rules, integrands):
         lhs = rule.integrate(integrand)
         rhs = beta_fn(c, d) * hyp2f1_at_one(a, b, c + d)
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return worst
+        errors.append(abs(lhs - rhs) / abs(rhs))
+    return _worst(errors)
 
 
 def identities_suite(cfg: SuiteConfig) -> list[ReportRecord]:
@@ -314,10 +323,10 @@ def _norm_record(scenario: str, inputs: dict, params: OperatorParams,
     whose own closed form ``closed()`` gives.  Unbounded combinations become
     a divergence-detection scenario: the check passes when the discrete
     estimates are seen growing with the order, i.e. when the numerics
-    agree that no finite norm exists.  A closed form or scale beyond double
-    range flags the record, and so does a bounded record with a route value
-    that is not finite; that record keeps its routes and names the broken
-    ones, and numpy's overflow warnings stay silent.
+    agree that no finite norm exists.  The report names its routes and the
+    gated ones; this function names none.  A closed form or scale beyond
+    double range flags the record, and numpy's overflow warnings stay
+    silent.
     """
     inputs = {**inputs, "order": cfg.order, "eta_min": cfg.eta_min}
     try:
@@ -329,32 +338,16 @@ def _norm_record(scenario: str, inputs: dict, params: OperatorParams,
             closed_form = report.closed_form if closed is None else closed()
     except (QuadratureError, ConvergenceError, OverflowError) as err:
         return _flagged(scenario, inputs, _failure(err))
+    routes = {k: factor * v for k, v in report.routes.items()}
     if report.unbounded:
         inputs["growth"] = report.growth
-        return _finish(scenario + " (divergent)", inputs, None,
-                       {"largest_probe_estimate": factor * report.nystrom_estimate},
-                       {}, 0.0, guards_ok=report.divergence_flagged)
-    if exp.is_one:
-        routes = {"column_mass_sup": report.nystrom_estimate}
-        gated, tol = ("column_mass_sup",), _L1_ROUTE_TOL
-    else:
-        routes = {
-            "schur_right": report.schur_max_ratio_right,
-            "schur_left": report.schur_max_ratio_left,
-            "sweep_lower": report.sweep_best_lower,
-            "nystrom": report.nystrom_estimate,
-        }
-        gated, tol = ("schur_right", "schur_left", "sweep_lower"), _NORM_ROUTE_TOL
-    routes = {k: factor * v for k, v in routes.items()}
-    rels = {k: (closed_form - routes[k]) / closed_form for k in gated}
+        return _finish(scenario + " (divergent)", inputs, None, routes, {}, 0.0,
+                       guards_ok=report.divergence_flagged)
+    rels = {k: (closed_form - routes[k]) / closed_form for k in report.gated}
     below = all(v <= closed_form * (1.0 + _EXCESS_GUARD) for v in routes.values())
-    record = _finish(scenario, inputs, closed_form, routes, rels, tol,
-                     guards_ok=below)
-    broken = [k for k, v in routes.items() if not math.isfinite(v)]
-    if broken:
-        record.inputs["error"] = f"route not finite: {', '.join(broken)}"
-        record.status = "flagged"
-    return record
+    tol = _L1_ROUTE_TOL if exp.is_one else _NORM_ROUTE_TOL
+    return _finish(scenario, inputs, closed_form, routes, rels, tol,
+                   guards_ok=below)
 
 
 def _interval_record(mu: float, sigma: float, p: float,
@@ -398,7 +391,7 @@ _BRIDGE_P = (1.25, 2.0, 3.0, 5.0)
 def _bridge_grid_record() -> ReportRecord:
     """Largest deviation, over a parameter grid, between the ball norm and
     its dimension bridge c_sigma(n, sigma) * (interval norm at mu = n)."""
-    worst = 0.0
+    errors = []
     for n in _BRIDGE_N:
         for sigma in _BRIDGE_SIGMA:
             for p in _BRIDGE_P:
@@ -406,7 +399,8 @@ def _bridge_grid_record() -> ReportRecord:
                 tilde = tilde_norm_formula(bp, p)
                 via_interval = (c_sigma(n, sigma)
                                 * norm_formula(bp.interval_params, p))
-                worst = max(worst, abs(tilde - via_interval) / tilde)
+                errors.append(abs(tilde - via_interval) / tilde)
+    worst = _worst(errors)
     inputs = {"n": list(_BRIDGE_N), "sigma": list(_BRIDGE_SIGMA),
               "p": list(_BRIDGE_P)}
     return _finish("ball-bridge-grid", inputs, None,
@@ -476,13 +470,14 @@ def _radial_disc_record() -> ReportRecord:
     disc, for a non-polynomial radial profile at several radii."""
     profile = lambda s: np.exp(-s) + 0.25 * s
     f = lambda w: profile(np.abs(w) ** 2)
-    worst = 0.0
+    errors = []
     for sigma in (0.0, 1.0, 2.0):
         bp = BallParams(n=1, sigma=sigma)
         for r in (0.0, 0.4, 0.8):
             a = radial_apply(bp, profile, r * r)
             b = tilde_apply_disc(sigma, f, complex(r, 0.0))
-            worst = max(worst, abs(a - b) / max(1.0, abs(a)))
+            errors.append(abs(a - b) / max(1.0, abs(a)))
+    worst = _worst(errors)
     inputs = {"sigma": [0.0, 1.0, 2.0], "radii": [0.0, 0.4, 0.8]}
     return _finish("ball-radial-vs-disc", inputs, None,
                    {"max_rel_deviation": worst},
@@ -520,11 +515,12 @@ def _berezin_table_record() -> ReportRecord:
 
 
 def _berezin_l2_record() -> ReportRecord:
-    worst = 0.0
+    errors = []
     for n in range(1, 11):
         product = berezin_norm(n, 2.0)
         direct = berezin_l2_doublefactorial(n)
-        worst = max(worst, abs(product - direct) / direct)
+        errors.append(abs(product - direct) / direct)
+    worst = _worst(errors)
     return _finish("berezin-l2-crosscheck", {"n": "1..10"}, None,
                    {"max_rel_deviation": worst},
                    {"max_rel_deviation": worst}, _EXACT_TOL)
@@ -556,9 +552,8 @@ _DISC_PROBE_POINTS = (0.0 + 0.0j, 0.3 + 0.0j, 0.5 + 0.2j, 0.6j,
 def _berezin_probability_record() -> ReportRecord:
     """The transform is a probability average: the constant one must map to
     the constant one, here via raw 2-D polar quadrature."""
-    worst = 0.0
-    for z in _DISC_PROBE_POINTS:
-        worst = max(worst, abs(berezin_apply_disc(lambda w: np.ones(w.shape), z) - 1.0))
+    worst = _worst([abs(berezin_apply_disc(lambda w: np.ones(w.shape), z) - 1.0)
+                    for z in _DISC_PROBE_POINTS])
     inputs = {"points": [str(z) for z in _DISC_PROBE_POINTS]}
     return _finish("berezin-disc-probability", inputs, 1.0,
                    {"max_abs_deviation": worst},
@@ -568,10 +563,8 @@ def _berezin_probability_record() -> ReportRecord:
 def _berezin_harmonic_record() -> ReportRecord:
     """Harmonic functions are fixed points; check f(w) = Re w at a few
     evaluation points (absolute error -- the target vanishes at 0)."""
-    worst = 0.0
-    for z in (0.0 + 0.0j, 0.3 + 0.0j, 0.6j):
-        value = berezin_apply_disc(lambda w: np.real(w), z)
-        worst = max(worst, abs(value - z.real))
+    worst = _worst([abs(berezin_apply_disc(lambda w: np.real(w), z) - z.real)
+                    for z in (0.0 + 0.0j, 0.3 + 0.0j, 0.6j)])
     inputs = {"points": ["0", "0.3", "0.6j"]}
     return _finish("berezin-disc-harmonic", inputs, None,
                    {"max_abs_deviation": worst},
@@ -582,11 +575,9 @@ def _berezin_radial_record() -> ReportRecord:
     """Radial reduction of the transform against the direct disc route."""
     profile = lambda s: np.exp(-2.0 * s)
     f = lambda w: profile(np.abs(w) ** 2)
-    worst = 0.0
-    for r2 in (0.0, 0.25, 0.64):
-        a = berezin_radial_apply(1, profile, r2)
-        b = berezin_apply_disc(f, complex(math.sqrt(r2), 0.0))
-        worst = max(worst, abs(a - b))
+    worst = _worst([abs(berezin_radial_apply(1, profile, r2)
+                        - berezin_apply_disc(f, complex(math.sqrt(r2), 0.0)))
+                    for r2 in (0.0, 0.25, 0.64)])
     return _finish("berezin-radial-vs-disc", {"r2": [0.0, 0.25, 0.64]}, None,
                    {"max_abs_deviation": worst},
                    {"max_abs_deviation": worst}, _DISC_PROBABILITY_TOL)

@@ -25,7 +25,8 @@ None of the routes trusts the closed form it is checking.
   (``discretize_graded``, 0.956*pi at order 256).
 
 ``norm_report`` bundles all applicable routes for one (mu, sigma, p) into
-a NormReport record.
+a NormReport: the closed form, and a route table (name -> value, in
+record order) with the names of the routes held to a tolerance.
 """
 
 from __future__ import annotations
@@ -65,14 +66,12 @@ __all__ = [
     "column_closed",
     "column_quadrature",
     "family_on_path",
-    "l1_norm_numeric",
     "l1_profile",
     "l2_opnorm_svd",
     "lower_bound_sweep",
     "lp_opnorm_numeric",
     "make_extremal_family",
     "norm_report",
-    "schur_check",
     "schur_profile",
     "supremum_grid",
 ]
@@ -163,19 +162,18 @@ class ColumnProfile:
                             / np.abs(closed_sub)))
 
 
-def _column_profile(params: OperatorParams, beta: float, grid_size: int,
-                    order: int, endpoint: float | None = None) -> ColumnProfile:
-    grid = supremum_grid(grid_size)
+def _column_profile(params: OperatorParams, beta: float,
+                    endpoint: float | None = None) -> ColumnProfile:
+    grid = supremum_grid()
     quad_grid = grid[grid <= QUAD_ROUTE_CUTOFF]
     return ColumnProfile(beta=beta, grid=grid,
                          closed=column_closed(params, beta, grid),
                          quadrature_grid=quad_grid,
-                         quadrature=column_quadrature(params, beta, quad_grid, order),
+                         quadrature=column_quadrature(params, beta, quad_grid),
                          endpoint=endpoint)
 
 
-def l1_profile(params: OperatorParams, grid_size: int = 64,
-               order: int = IDENTITY_CHECK_ORDER) -> ColumnProfile:
+def l1_profile(params: OperatorParams) -> ColumnProfile:
     """The column masses C_0, whose supremum is the L^1 norm.
 
     The profile increases, so its supremum is the t -> 1 limit, taken by
@@ -188,16 +186,10 @@ def l1_profile(params: OperatorParams, grid_size: int = 64,
             f"L^1 column masses diverge at t -> 1 (sigma = {params.sigma} <= 0), "
             f"{sup.kind} growth",
             growth=sup.kind, margin=params.sigma)
-    return _column_profile(params, 0.0, grid_size, order, endpoint=sup.value)
+    return _column_profile(params, 0.0, endpoint=sup.value)
 
 
-def l1_norm_numeric(params: OperatorParams, grid_size: int = 64) -> float:
-    """Numerical L^1 operator norm: the column-mass supremum."""
-    return l1_profile(params, grid_size).maximum
-
-
-def schur_profile(params: OperatorParams, p, grid_size: int = 64,
-                  order: int = IDENTITY_CHECK_ORDER) -> tuple[ColumnProfile, ColumnProfile]:
+def schur_profile(params: OperatorParams, p) -> tuple[ColumnProfile, ColumnProfile]:
     """The right and left Schur quotients of phi(t) = (1-t)^(-1/(pq)).
 
     integral K(s,t) phi(t)^q dmu(t) / phi(s)^q is C_beta(s) at
@@ -213,14 +205,8 @@ def schur_profile(params: OperatorParams, p, grid_size: int = 64,
             f"Schur test undefined: sigma <= 1/p - 1 (margin {margin})",
             growth="logarithmic" if margin == 0.0 else "power", margin=margin)
     # -1/q written as 1/p - 1: beta + 1 then gives back 1/p (exactly for p <= 2)
-    return (_column_profile(params, params.sigma - exp.inv, grid_size, order),
-            _column_profile(params, exp.inv - 1.0, grid_size, order))
-
-
-def schur_check(params: OperatorParams, p, grid_size: int = 64) -> tuple[float, float]:
-    """Maxima of the right and left Schur quotients over the supremum grid."""
-    right, left = schur_profile(params, p, grid_size)
-    return right.maximum, left.maximum
+    return (_column_profile(params, params.sigma - exp.inv),
+            _column_profile(params, exp.inv - 1.0))
 
 
 # ----------------------------------------------------------------------
@@ -496,7 +482,7 @@ def _pnorm_bracket(disc: DiscretizedOperator) -> _Bracket:
     exp = disc.p
     if exp.is_one or exp.is_infinite:
         raise ValueError("power method covers 1 < p < infinity only "
-                         "(use l1_norm_numeric for p = 1)")
+                         "(use l1_profile for p = 1)")
     p, q = exp.p, exp.q
     b = _weight_conjugated(disc, p)
     if not b.min() > 0.0:   # also catches NaN
@@ -528,65 +514,40 @@ def lp_opnorm_numeric(disc: DiscretizedOperator, *, seed: int | None = None) -> 
 
 @dataclass(frozen=True)
 class NormReport:
-    """All routes for one (mu, sigma, p), with their gaps to the closed form.
+    """Every applicable route for one (mu, sigma, p), as one table.
 
-    In the unbounded regime ``closed_form`` is +inf, the route fields that
-    need boundedness are NaN, and ``divergence_flagged`` records whether
-    the discrete estimates were seen growing with the order (the numeric
-    signature of an unbounded operator).  For 1 < p < infinity,
-    ``nystrom_estimate`` is the certified lower end of the Nystrom matrix's
-    norm (at the largest probe order when unbounded); it certifies the
-    matrix, not the operator.  At p = 1 it is the column-mass supremum.
+    ``routes`` maps each route's name, as the CLI records print it, to its
+    value, in record order; ``gated`` names those whose gap to the closed
+    form is held to a tolerance.  In the unbounded regime ``closed_form``
+    is +inf, and ``divergence_flagged`` records whether the discrete
+    estimates were seen growing with the order (the numeric signature of
+    an unbounded operator).
     """
 
-    params: OperatorParams
-    p: LebesgueExponent
     closed_form: float
-    schur_max_ratio_right: float
-    schur_max_ratio_left: float
-    sweep_best_lower: float
-    nystrom_estimate: float
-    rel_gap_lower: float
-    rel_gap_nystrom: float
+    routes: dict[str, float]
+    gated: tuple[str, ...] = ()
     unbounded: bool = False
     growth: str | None = None
     divergence_flagged: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "mu": self.params.mu,
-            "sigma": self.params.sigma,
-            "lam": self.params.lam,
-            "p": self.p.p,
-            "closed_form": self.closed_form,
-            "schur_max_ratio_right": self.schur_max_ratio_right,
-            "schur_max_ratio_left": self.schur_max_ratio_left,
-            "sweep_best_lower": self.sweep_best_lower,
-            "nystrom_estimate": self.nystrom_estimate,
-            "rel_gap_lower": self.rel_gap_lower,
-            "rel_gap_nystrom": self.rel_gap_nystrom,
-            "unbounded": self.unbounded,
-            "growth": self.growth,
-            "divergence_flagged": self.divergence_flagged,
-        }
 
 
 _DIVERGENCE_PROBE_ORDERS = (64, 128, 256)
 
 
 def norm_report(params: OperatorParams, p, order: int = 128,
-                grid_size: int = 64, eta_min: float = 1e-4) -> NormReport:
+                eta_min: float = 1e-4) -> NormReport:
     """Assemble every applicable route for one parameter set.
 
-    Bounded, 1 < p < infinity: Schur maxima, the eta-sweep lower bound,
-    and the Nystrom estimate, the certified lower end of the discrete norm
-    (``lp_opnorm_numeric``: it certifies the matrix, not the operator).
-    p = 1: the column-mass supremum plays the numeric role and the
-    Schur/sweep fields are NaN.  Unbounded: the discrete estimates are
-    probed across increasing orders and flagged when they grow.
+    Bounded, 1 < p < infinity: the Schur maxima ``schur_right`` and
+    ``schur_left`` and the eta-sweep lower bound ``sweep_lower``, gated,
+    and ``nystrom``, the certified lower end of the discrete norm: it
+    certifies the matrix, not the operator, so it is not gated.  p = 1:
+    the column-mass supremum ``column_mass_sup``, gated.  Unbounded: the
+    discrete estimates are probed across increasing orders and flagged
+    when they grow; ``largest_probe_estimate`` is the last of them.
     """
     exp = _as_exponent(p)
-    nan = math.nan
     try:
         closed = norm_formula(params, exp)
     except UnboundedOperatorError as err:
@@ -602,30 +563,25 @@ def norm_report(params: OperatorParams, p, order: int = 128,
                 estimates.append(float(np.max(col / disc.measure_weights)))
             else:
                 estimates.append(lp_opnorm_numeric(disc))
-        flagged = estimates[-1] > estimates[0] * 1.02
-        return NormReport(params=params, p=exp, closed_form=math.inf,
-                          schur_max_ratio_right=nan, schur_max_ratio_left=nan,
-                          sweep_best_lower=nan, nystrom_estimate=estimates[-1],
-                          rel_gap_lower=nan, rel_gap_nystrom=nan,
+        return NormReport(closed_form=math.inf,
+                          routes={"largest_probe_estimate": estimates[-1]},
                           unbounded=True, growth=err.growth,
-                          divergence_flagged=flagged)
+                          divergence_flagged=estimates[-1] > estimates[0] * 1.02)
     if exp.is_one:
-        est = l1_norm_numeric(params, grid_size)
-        return NormReport(params=params, p=exp, closed_form=closed,
-                          schur_max_ratio_right=nan, schur_max_ratio_left=nan,
-                          sweep_best_lower=nan, nystrom_estimate=est,
-                          rel_gap_lower=nan,
-                          rel_gap_nystrom=(closed - est) / closed)
-    right, left = schur_check(params, exp, grid_size)
+        return NormReport(closed_form=closed,
+                          routes={"column_mass_sup": l1_profile(params).maximum},
+                          gated=("column_mass_sup",))
+    right, left = schur_profile(params, exp)
     n_decades = max(1, round(-math.log10(eta_min)) - 1)
     etas = [10.0 ** -k for k in range(1, n_decades + 1)]
     if etas[-1] > eta_min:
         etas.append(eta_min)
     sweep = lower_bound_sweep(params, exp, etas)
-    best_lower = max(v for _, v in sweep)
-    est = lp_opnorm_numeric(discretize(params, exp, order))
-    return NormReport(params=params, p=exp, closed_form=closed,
-                      schur_max_ratio_right=right, schur_max_ratio_left=left,
-                      sweep_best_lower=best_lower, nystrom_estimate=est,
-                      rel_gap_lower=(closed - best_lower) / closed,
-                      rel_gap_nystrom=(closed - est) / closed)
+    routes = {
+        "schur_right": right.maximum,
+        "schur_left": left.maximum,
+        "sweep_lower": max(v for _, v in sweep),
+        "nystrom": lp_opnorm_numeric(discretize(params, exp, order)),
+    }
+    return NormReport(closed_form=closed, routes=routes,
+                      gated=("schur_right", "schur_left", "sweep_lower"))

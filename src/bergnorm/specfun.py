@@ -34,7 +34,7 @@ and both series of the generic connection formula, and stops once the
 last term of a 64-term chunk is below 1e-16 of the partial sum; past a
 hard cap of 100000 terms it raises ConvergenceError.  The logarithmic
 connection series stop at the first term below 1e-16 of the sum after
-the third, and end at the cap.
+the third, and raise ConvergenceError past the same cap.
 """
 
 from __future__ import annotations
@@ -273,15 +273,16 @@ def _w_block(term: np.ndarray, total: np.ndarray, steps: np.ndarray,
 
 
 def _log_series_w(w: np.ndarray, logw: np.ndarray, term0: float, ratio, bracket,
-                  scaled: bool) -> np.ndarray:
+                  scaled: bool, abc: tuple[float, float, float]) -> np.ndarray:
     """Sum over n of term_n * bracket_n for each entry of ``w``, same bits
     as the scalar loops of the logarithmic connection formulas.
 
     term_0 = ``term0`` and term_(n+1) = term_n * (ratio(n) * w);
     ``bracket(logw, ns)`` gives the brackets of the indices ``ns``, one row
     per index.  A loop stops after index n > 2 once the next term (times
-    logw when ``scaled``) is below _SERIES_RTOL of the sum, and otherwise
-    ends at _SERIES_CAP terms.
+    logw when ``scaled``) is below _SERIES_RTOL of the sum; past
+    _SERIES_CAP terms it raises ConvergenceError, naming the worst w and
+    the parameters ``abc`` = (a, b, c) of the 2F1 being evaluated.
     """
     out = np.empty(w.size)
     idx = np.arange(w.size)
@@ -301,7 +302,11 @@ def _log_series_w(w: np.ndarray, logw: np.ndarray, term0: float, ratio, bracket,
         keep = ~done
         idx, w, logw, term, total = idx[keep], w[keep], logw[keep], p[-1, keep], s[-1, keep]
         n += len(ns)
-    out[idx] = total
+    if idx.size:
+        a, b, c = abc
+        raise ConvergenceError(
+            f"2F1 logarithmic connection series exceeded {_SERIES_CAP} terms; "
+            f"worst w = {w.max()} at (a={a}, b={b}, c={c})")
     return out
 
 
@@ -326,6 +331,7 @@ def _near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     w = 1.0 - z
     logw = _map(math.log, w)
     d = c - a - b
+    abc = (a, b, c)
     prefactor = None
     if d < 0.0:
         prefactor = _map(math.exp, d * logw)
@@ -349,7 +355,7 @@ def _near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
             lambda n: (a + n) * (b + n) / ((n + 1.0) * (n + 1.0)),
             lambda lw, ns: np.array([2.0 * digamma(n + 1.0) - digamma(a + n) - digamma(b + n)
                                      for n in ns])[:, None] - lw,
-            scaled=False)
+            scaled=False, abc=abc)
         return (front if prefactor is None else prefactor * front) * total
     finite = np.zeros(w.size)
     term = np.ones(w.size)  # (a)_n (b)_n / (n! (1-m)_n) * w^n
@@ -374,7 +380,7 @@ def _near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
         total = _log_series_w(
             w, logw, 1.0 / math.exp(log_gamma(m + 1.0)),
             lambda n: (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)),
-            bracket, scaled=True)
+            bracket, scaled=True, abc=abc)
         second = -((-1.0) ** m) * front * total
     out = first + second
     return out if prefactor is None else prefactor * out

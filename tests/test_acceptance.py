@@ -47,12 +47,12 @@ from bergnorm.normest import (
     bilinear_form_closed,
     bilinear_form_numeric,
     family_on_path,
-    l1_norm_numeric,
+    l1_profile,
     l2_opnorm_svd,
     lp_opnorm_numeric,
     make_extremal_family,
     norm_report,
-    schur_check,
+    schur_profile,
 )
 from bergnorm.specfun import log_gamma
 
@@ -91,7 +91,7 @@ def test_criterion_02_l1_norm(capsys):
             lam = params.lam
             closed = math.exp(log_gamma(mu + 1.0) + log_gamma(sigma)
                               - 2.0 * log_gamma(lam))
-            numeric = l1_norm_numeric(params)
+            numeric = l1_profile(params).maximum
             worst = max(worst, abs(numeric - closed) / closed)
     detections = []
     for mu in (1.0, 2.0, 3.0):
@@ -119,7 +119,7 @@ def test_criterion_03_schur_suite(capsys):
             for p in (4.0 / 3.0, 2.0, 4.0):
                 params = OperatorParams(mu=mu, sigma=sigma)
                 closed = norm_formula(params, p)
-                right, left = schur_check(params, p)
+                right, left = (prof.maximum for prof in schur_profile(params, p))
                 for value in (right, left):
                     worst_excess = max(worst_excess, (value - closed) / closed)
                     worst_gap = max(worst_gap, (closed - value) / closed)

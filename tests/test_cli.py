@@ -20,6 +20,8 @@ from bergnorm.cli import (
     main,
     run_suite,
 )
+from bergnorm.intop import OperatorParams
+from bergnorm.normest import norm_report
 from bergnorm.quadrature import make_jacobi_rules
 from bergnorm.specfun import (
     ConvergenceError,
@@ -222,6 +224,24 @@ def test_identity_overflow_flags_its_record(monkeypatch):
     assert flagged.inputs["error"] == "overflow beyond double range: math range error"
 
 
+def test_identity_nan_flags_every_record(monkeypatch):
+    # one NaN among a check's 2F1 values must not vanish in its maximum
+    real = cli.hyp2f1_grid
+
+    def one_nan(*args):
+        out = np.array(real(*args), dtype=float)
+        out.flat[0] = math.nan
+        return out
+
+    monkeypatch.setattr(cli, "hyp2f1_grid", one_nan)
+    status, records = run_suite("identities", SuiteConfig())
+    assert status == 1
+    for r in records:
+        assert r.status == "flagged"
+        assert r.inputs["error"] == "route not finite: max_rel_error"
+        assert math.isnan(r.numeric_routes["max_rel_error"])
+
+
 # ----------------------------------------------------------------------
 # suites
 # ----------------------------------------------------------------------
@@ -333,6 +353,52 @@ def test_finish_respects_guards():
     rec = cli._finish("s", {}, 1.0, {"r": 1.1}, {"r": 0.0}, 1e-2,
                       guards_ok=False)
     assert rec.status == "fail"
+
+
+def test_finish_flags_a_route_that_is_not_finite():
+    # whatever the gaps: an ungated route counts too
+    rec = cli._finish("s", {}, 1.0, {"r": 1.0, "q": math.inf}, {"r": 0.0}, 1e-2)
+    assert rec.status == "flagged"
+    assert rec.inputs == {"tol": 1e-2, "error": "route not finite: q"}
+    assert rec.numeric_routes == {"r": 1.0, "q": math.inf}
+
+
+def test_radial_vs_disc_nan_flags_the_record(monkeypatch):
+    monkeypatch.setattr(cli, "tilde_apply_disc", lambda sigma, f, z: math.nan)
+    rec = cli._radial_disc_record()
+    assert rec.status == "flagged"
+    assert rec.inputs["error"] == "route not finite: max_rel_deviation"
+
+
+def test_berezin_l2_nan_flags_the_record(monkeypatch):
+    real = cli.berezin_l2_doublefactorial
+    monkeypatch.setattr(cli, "berezin_l2_doublefactorial",
+                        lambda n: math.nan if n == 5 else real(n))
+    rec = cli._berezin_l2_record()
+    assert rec.status == "flagged"
+    assert rec.inputs["error"] == "route not finite: max_rel_deviation"
+
+
+_NORM_ROUTES = ["schur_right", "schur_left", "sweep_lower", "nystrom"]
+
+
+@pytest.mark.parametrize("sigma, p, routes, gated", [
+    (0.5, 2.0, _NORM_ROUTES, _NORM_ROUTES[:3]),
+    (1.0, 1.0, ["column_mass_sup"], ["column_mass_sup"]),
+    (0.0, 1.0, ["largest_probe_estimate"], []),             # divergent, p = 1
+    (0.5, math.inf, ["largest_probe_estimate"], []),        # divergent, p = inf
+])
+def test_norm_report_route_table_reaches_the_records(sigma, p, routes, gated):
+    # at mu = 1 the interval and ball (n = 1) records show the report's
+    # table in its order, and gate exactly its gated routes
+    report = norm_report(OperatorParams(1.0, sigma), p)
+    assert list(report.routes) == routes
+    assert list(report.gated) == gated
+    cfg = SuiteConfig(n=1, sigma=sigma, p=p)
+    for record in (cli._interval_record(1.0, sigma, p, cfg), cli._ball_record(cfg)):
+        assert record.status == "pass"
+        assert list(record.numeric_routes) == routes
+        assert list(record.rel_errors) == gated
 
 
 def test_flagged_record_carries_reason():

@@ -573,6 +573,8 @@ def _scalar_near_one(a, b, c, z):
             term *= (a + n) * (b + n) / ((n + 1.0) * (n + 1.0)) * w
             if abs(term) < specfun._SERIES_RTOL * abs(total) and n > 2:
                 break
+        else:
+            raise ConvergenceError(f"log series exceeded {specfun._SERIES_CAP} terms")
         return math.exp(prefactor_log) * front * total
     finite = 0.0
     term = 1.0
@@ -596,6 +598,8 @@ def _scalar_near_one(a, b, c, z):
             term *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)) * w
             if abs(term * logw) < specfun._SERIES_RTOL * abs(total) and n > 2:
                 break
+        else:
+            raise ConvergenceError(f"log series exceeded {specfun._SERIES_CAP} terms")
         second = -((-1.0) ** m) * front * total
     return math.exp(prefactor_log) * (first + second)
 
@@ -634,8 +638,8 @@ NEAR_ONE_CASES = [
 @pytest.mark.parametrize("a, b, c", NEAR_ONE_CASES)
 def test_near_one_vec_matches_scalar_reference(monkeypatch, a, b, c, cap):
     # with the term cap cut to 6 the generic series still finish their
-    # first 64-term chunk, and the logarithmic ones stop at the cap, on
-    # both routes alike
+    # first 64-term chunk, and the logarithmic ones raise ConvergenceError
+    # when an entry has not converged by the cap, on both routes alike
     if cap is not None:
         monkeypatch.setattr(specfun, "_SERIES_CAP", cap)
     rng = np.random.default_rng(17)
@@ -659,6 +663,19 @@ def test_near_one_vec_raises_like_scalar(monkeypatch, a, b, c, cap, exc):
         _scalar_near_one(a, b, c, float(z[0]))
     with pytest.raises(exc):
         specfun._near_one_vec(a, b, c, z)
+
+
+@pytest.mark.parametrize("a, b, c", [(0.5, 0.5, 1.0), (1.5, 1.5, 1.0)])  # m = 0; swap, m = 2
+def test_log_series_cap_raises(monkeypatch, a, b, c):
+    # a starved log series raises like the raw one, never a truncated sum,
+    # and names the largest unconverged w and the caller's parameters
+    monkeypatch.setattr(specfun, "_SERIES_CAP", 6)
+    z = 1.0 - np.array([1e-15, 1e-2, 1e-4])
+    with pytest.raises(ConvergenceError) as excinfo:
+        specfun._near_one_vec(a, b, c, z)
+    msg = str(excinfo.value)
+    assert "logarithmic connection series exceeded 6 terms" in msg
+    assert f"worst w = {1.0 - z[1]} at (a={a}, b={b}, c={c})" in msg
 
 
 @pytest.mark.parametrize("a, b, c", [(0.75, 0.75, 1.75), (1.0, 1.0, 2.0), (1.5, 1.5, 1.0)])

@@ -21,11 +21,10 @@ import numpy as np
 
 from .intop import (
     OperatorParams,
-    UnboundedOperatorError,
     _as_exponent,
     apply,
-    boundedness_margin,
     kernel_moments,
+    require_bounded,
 )
 from .quadrature import DEFAULT_ORDER, QuadratureError, make_jacobi_rule
 from .specfun import hyp2f1_grid, log_gamma
@@ -163,15 +162,7 @@ def tilde_norm_formula(bp: BallParams, p) -> float:
     Gamma(n+1)/Gamma((n+1)/2)^2 * pi/sin(pi/p).
     """
     exp = _as_exponent(p)
-    if exp.is_infinite:
-        raise UnboundedOperatorError(
-            "the majorant is unbounded on L^inf (logarithmic growth)",
-            growth="logarithmic", margin=0.0)
-    margin = boundedness_margin(bp.interval_params, exp)
-    if margin <= 0.0:
-        raise UnboundedOperatorError(
-            f"unbounded: sigma = {bp.sigma} <= 1/p - 1 = {exp.inv - 1.0}",
-            growth="logarithmic" if margin == 0.0 else "power", margin=margin)
+    margin = require_bounded(bp.interval_params, exp)
     return math.exp(log_gamma(bp.n + bp.sigma + 1.0) - 2.0 * log_gamma(bp.lam)
                     - log_gamma(bp.sigma + 1.0)
                     + log_gamma(exp.inv) + log_gamma(margin))
@@ -213,11 +204,7 @@ def riesz_thorin_bound(bp: BallParams, p: float) -> float:
     norms combined with exponents 2/p - 1 and 2 - 2/p."""
     if not 1.0 <= p <= 2.0:
         raise ValueError(f"interpolation covers 1 <= p <= 2, got {p!r}")
-    if not bp.sigma > 0.0:
-        raise UnboundedOperatorError(
-            f"the L^1 endpoint needs sigma > 0, got {bp.sigma!r}",
-            growth="logarithmic" if bp.sigma == 0.0 else "power",
-            margin=bp.sigma)
+    require_bounded(bp.interval_params, 1.0)   # the L^1 endpoint: sigma > 0
     norms = bergman_exact_norms(bp)
     return math.exp((2.0 / p - 1.0) * math.log(norms.l1)
                     + (2.0 - 2.0 / p) * math.log(norms.l2))

@@ -268,25 +268,30 @@ def boundedness_margin(params: OperatorParams, p) -> float:
     return params.sigma + 1.0 - _as_exponent(p).inv
 
 
-def norm_formula(params: OperatorParams, p) -> float:
-    """Exact operator norm of F on L^p(mu t^(mu-1) dt).
+def require_bounded(params: OperatorParams, p) -> float:
+    """The margin sigma + 1 - 1/p of an operator bounded on L^p, else raise.
 
-    Raises UnboundedOperatorError outside the boundedness range
-    sigma > 1/p - 1 (for p = 1: sigma > 0), and for p = infinity, where
-    the image of the constant 1 already grows logarithmically at s -> 1.
+    The one decision of boundedness: UnboundedOperatorError outside the
+    range sigma > 1/p - 1 (for p = 1: sigma > 0), and for p = infinity,
+    where the image of the constant 1 already grows logarithmically at
+    s -> 1.  Its ``growth`` is "logarithmic" at margin 0 and at
+    p = infinity, "power" below 0.
     """
     exp = _as_exponent(p)
     margin = boundedness_margin(params, exp)
-    if exp.is_infinite:
-        raise UnboundedOperatorError(
-            "the operator is unbounded on L^infinity: the image of 1 grows "
-            "logarithmically at the right endpoint",
-            growth="logarithmic", margin=margin)
-    if margin <= 0.0:
-        growth = "logarithmic" if margin == 0.0 else "power"
-        raise UnboundedOperatorError(
-            f"operator unbounded on L^p: needs sigma > 1/p - 1, margin = {margin}",
-            growth=growth, margin=margin)
+    if margin > 0.0 and not exp.is_infinite:
+        return margin
+    raise UnboundedOperatorError(
+        f"operator unbounded on L^p, p = {exp.p}: needs sigma > 1/p - 1 and "
+        f"p < infinity, margin = {margin}",
+        growth="power" if margin < 0.0 else "logarithmic", margin=margin)
+
+
+def norm_formula(params: OperatorParams, p) -> float:
+    """Exact operator norm of F on L^p(mu t^(mu-1) dt); raises
+    UnboundedOperatorError where ``require_bounded`` does."""
+    exp = _as_exponent(p)
+    margin = require_bounded(params, exp)
     # p = 1 is the continuous limit of the same expression: Gamma(1/p)
     # becomes Gamma(1) = 1 and the margin factor becomes Gamma(sigma)
     gam = log_gamma(exp.inv) + log_gamma(margin)

@@ -5,11 +5,12 @@ None of the routes trusts the closed form it is checking.
 * L^1 and Schur are one column integral at three exponents: the
   weighted column integral C_beta(x) of ``column_closed``, scanned over
   an endpoint-refined grid by its hypergeometric reduction and by direct
-  quadrature.  At beta = 0 it is the column mass integral K(s,x) dmu(s),
-  whose supremum is the L^1 norm, closed at x -> 1 by Gauss summation.
-  At beta = sigma - 1/p and beta = -1/q it is the right and left Schur
-  quotient of the test function phi(t) = (1-t)^(-1/(pq)), whose suprema
-  reproduce the closed-form norm from above;
+  quadrature, and closed at its supremum, the x -> 1 limit, by Gauss
+  summation.  At beta = 0 it is the column mass integral K(s,x) dmu(s),
+  whose supremum is the L^1 norm.  At beta = sigma - 1/p and beta = -1/q
+  it is the right and left Schur quotient of the test function
+  phi(t) = (1-t)^(-1/(pq)), whose suprema bound the norm from above and
+  here equal it.  A grid value above the limit shows a broken route;
 
 * the extremal-family route: a two-parameter family of unit-norm function
   pairs whose bilinear forms against the operator are computable in closed
@@ -43,16 +44,16 @@ from .intop import (
     OperatorParams,
     UnboundedOperatorError,
     _as_exponent,
-    boundedness_margin,
     discretize,
     kernel_moments,
     norm_formula,
+    require_bounded,
 )
 from .quadrature import IDENTITY_CHECK_ORDER, QuadratureError, make_jacobi_rule
 from .specfun import (
     ConvergenceError,
     beta_fn,
-    diag_sup,
+    hyp2f1_at_one,
     hyp2f1_grid,
     log_gamma,
 )
@@ -105,6 +106,13 @@ def supremum_grid(grid_size: int = 64, k_max: int = 40) -> np.ndarray:
 # L^1 and Schur routes: one weighted column integral
 # ----------------------------------------------------------------------
 
+def _column_terms(params: OperatorParams, beta: float) -> tuple[float, float, float]:
+    """(mu B(mu, beta+1), c - lam, c) with c = mu + beta + 1: the front
+    factor and the 2F1 parameters of C_beta's closed form."""
+    c = params.mu + (beta + 1.0)
+    return params.mu * beta_fn(params.mu, beta + 1.0), c - params.lam, c
+
+
 def column_closed(params: OperatorParams, beta: float, x) -> np.ndarray:
     """The weighted column integral in closed form:
 
@@ -116,9 +124,8 @@ def column_closed(params: OperatorParams, beta: float, x) -> np.ndarray:
     c-parameter to mu+beta+1, and its Euler transform absorbs the prefactor.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    c = params.mu + (beta + 1.0)
-    front = params.mu * beta_fn(params.mu, beta + 1.0)
-    return front * hyp2f1_grid(c - params.lam, c - params.lam, c, x)
+    front, a, c = _column_terms(params, beta)
+    return front * hyp2f1_grid(a, a, c, x)
 
 
 def column_quadrature(params: OperatorParams, beta: float, x,
@@ -132,12 +139,14 @@ def column_quadrature(params: OperatorParams, beta: float, x,
 
 @dataclass(frozen=True)
 class ColumnProfile:
-    """C_beta on the supremum grid by both routes.
+    """C_beta on the supremum grid by both routes, and its x -> 1 limit.
 
     ``closed`` is ``column_closed`` on the full grid; ``quadrature`` is
     ``column_quadrature`` on the sub-grid where a fixed-order rule still
     resolves the integrand.  ``endpoint`` is the x -> 1 limit by Gauss
-    summation where the route has one (the L^1 route), else None.
+    summation, mu B(mu, beta+1) 2F1(c-lam, c-lam; c; 1): finite on the
+    bounded side, because c - 2(c-lam) = sigma - beta is sigma, 1/p or the
+    boundedness margin at the three exponents.
     """
 
     beta: float
@@ -145,14 +154,16 @@ class ColumnProfile:
     closed: np.ndarray
     quadrature_grid: np.ndarray
     quadrature: np.ndarray
-    endpoint: float | None = None
+    endpoint: float
 
     @property
     def maximum(self) -> float:
-        """Largest value of either route and of the endpoint limit; NaN when
-        any of them is NaN, so that a broken route cannot hide."""
-        extra = () if self.endpoint is None else (self.endpoint,)
-        return float(np.max(np.concatenate([self.closed, self.quadrature, extra])))
+        """Largest value of the endpoint limit and of either route on the
+        grid.  C_beta increases to its limit, so this is the limit unless a
+        grid value exceeds it; NaN when any value is NaN, so that a broken
+        route cannot hide."""
+        return float(np.max(np.concatenate([self.closed, self.quadrature,
+                                            (self.endpoint,)])))
 
     @property
     def route_disagreement(self) -> float:
@@ -162,31 +173,22 @@ class ColumnProfile:
                             / np.abs(closed_sub)))
 
 
-def _column_profile(params: OperatorParams, beta: float,
-                    endpoint: float | None = None) -> ColumnProfile:
+def _column_profile(params: OperatorParams, beta: float) -> ColumnProfile:
     grid = supremum_grid()
     quad_grid = grid[grid <= QUAD_ROUTE_CUTOFF]
+    front, a, c = _column_terms(params, beta)
     return ColumnProfile(beta=beta, grid=grid,
                          closed=column_closed(params, beta, grid),
                          quadrature_grid=quad_grid,
                          quadrature=column_quadrature(params, beta, quad_grid),
-                         endpoint=endpoint)
+                         endpoint=front * hyp2f1_at_one(a, a, c))
 
 
 def l1_profile(params: OperatorParams) -> ColumnProfile:
-    """The column masses C_0, whose supremum is the L^1 norm.
-
-    The profile increases, so its supremum is the t -> 1 limit, taken by
-    Gauss summation; raises when that limit is infinite.
-    """
-    a = params.mu + 1.0 - params.lam
-    sup = diag_sup(a, params.mu + 1.0)
-    if not sup.bounded:
-        raise UnboundedOperatorError(
-            f"L^1 column masses diverge at t -> 1 (sigma = {params.sigma} <= 0), "
-            f"{sup.kind} growth",
-            growth=sup.kind, margin=params.sigma)
-    return _column_profile(params, 0.0, endpoint=sup.value)
+    """The column masses C_0, whose supremum, the t -> 1 limit, is the L^1
+    norm; raises UnboundedOperatorError when that limit is infinite."""
+    require_bounded(params, 1.0)
+    return _column_profile(params, 0.0)
 
 
 def schur_profile(params: OperatorParams, p) -> tuple[ColumnProfile, ColumnProfile]:
@@ -194,16 +196,13 @@ def schur_profile(params: OperatorParams, p) -> tuple[ColumnProfile, ColumnProfi
 
     integral K(s,t) phi(t)^q dmu(t) / phi(s)^q is C_beta(s) at
     beta = sigma - 1/p, and integral K(s,t) phi(s)^p dmu(s) / phi(t)^p is
-    C_beta(t) at beta = -1/q.  Both increase to the closed-form norm.
+    C_beta(t) at beta = -1/q.  Both increase to the closed-form norm, their
+    common x -> 1 limit.
     """
     exp = _as_exponent(p)
     if exp.is_one or exp.is_infinite:
         raise ValueError("the Schur route needs 1 < p < infinity")
-    margin = boundedness_margin(params, exp)
-    if margin <= 0.0:
-        raise UnboundedOperatorError(
-            f"Schur test undefined: sigma <= 1/p - 1 (margin {margin})",
-            growth="logarithmic" if margin == 0.0 else "power", margin=margin)
+    require_bounded(params, exp)
     # -1/q written as 1/p - 1: beta + 1 then gives back 1/p (exactly for p <= 2)
     return (_column_profile(params, params.sigma - exp.inv),
             _column_profile(params, exp.inv - 1.0))
@@ -295,10 +294,7 @@ def bilinear_form_closed(params: OperatorParams, fam: ExtremalFamily) -> float:
     every factor evaluated in log domain.
     """
     exp = fam.p
-    if boundedness_margin(params, exp) <= 0.0:
-        raise UnboundedOperatorError(
-            "bilinear closed form requires sigma > 1/p - 1",
-            margin=boundedness_margin(params, exp))
+    require_bounded(params, exp)
     g = (fam.theta + fam.theta_tilde) / exp.p
     log_val = (math.log(params.mu) + math.log(fam.C) + math.log(fam.C_tilde)
                + log_gamma(params.mu + 1.0)

@@ -48,9 +48,7 @@ __all__ = [
     "ConvergenceError",
     "DivergenceError",
     "HypArgs",
-    "SupResult",
     "beta_fn",
-    "diag_sup",
     "digamma",
     "hyp2f1",
     "hyp2f1_at_one",
@@ -95,10 +93,9 @@ class DivergenceError(ValueError):
     power class ``exponent`` is the (negative) exponent of (1-r).
     """
 
-    def __init__(self, message, growth=None, coefficient=None, exponent=None):
+    def __init__(self, message, growth=None, exponent=None):
         super().__init__(message)
         self.growth = growth
-        self.coefficient = coefficient
         self.exponent = exponent
 
 
@@ -586,38 +583,3 @@ def hyp2f1(args: HypArgs) -> float:
     if args.z == 1.0:
         return hyp2f1_at_one(args.a, args.b, args.c)
     return float(hyp2f1_grid(args.a, args.b, args.c, np.array([args.z]))[0])
-
-
-@dataclass(frozen=True)
-class SupResult:
-    """Classification of sup over r in (0,1) of 2F1(x,x;y;r).
-
-    kind "bounded": value is the (finite) supremum, attained at r -> 1.
-    kind "logarithmic": grows like value * log(1/(1-r)).
-    kind "power": grows like value * (1-r)**exponent with exponent < 0.
-    """
-
-    kind: str
-    value: float
-    exponent: float | None = None
-
-    @property
-    def bounded(self) -> bool:
-        return self.kind == "bounded"
-
-
-def diag_sup(x: float, y: float) -> SupResult:
-    """Boundedness trichotomy for 2F1(x,x;y;r) on (0,1), keyed by y - 2x.
-
-    The series has non-negative coefficients (the numerator parameters are
-    equal, so each coefficient is a square over a positive factor), hence
-    the function is nondecreasing and its sup is the r -> 1 limit.
-    """
-    if y <= 0.0:
-        raise ValueError(f"diag_sup requires y > 0, got {y!r}")
-    gap = y - 2.0 * x
-    if gap > 0.0:
-        return SupResult("bounded", gamma_ratio_log((y, gap), (y - x, y - x)))
-    if gap == 0.0:
-        return SupResult("logarithmic", gamma_ratio_log((2.0 * x,), (x, x)))
-    return SupResult("power", gamma_ratio_log((y, -gap), (x, x)), exponent=gap)

@@ -260,12 +260,18 @@ def test_identities_suite_all_pass():
         assert r.rel_errors["max_rel_error"] < 1e-7
 
 
-def test_interval_suite_flagship_and_divergence():
-    status, records = run_suite("interval-norms", SuiteConfig())
+@pytest.mark.parametrize("sigma, p, closed", [
+    (0.0, 2.0, math.pi),
+    (0.0, 100.0, 100.016451234931271),   # the right Schur quotient's slow rise
+    (-0.49, 2.0, 118.638161331547199),   # near the edge: the left one's
+], ids=["defaults", "p=100", "sigma=-0.49"])
+def test_interval_suite_flagship_and_divergence(sigma, p, closed):
+    # every record passes, the first one checked route by route
+    status, records = run_suite("interval-norms", SuiteConfig(sigma=sigma, p=p))
     assert status == 0
     first = records[0]
-    assert first.scenario == "interval-norm mu=1 sigma=0 p=2"
-    assert first.closed_form == pytest.approx(math.pi, rel=1e-12)
+    assert first.scenario == f"interval-norm mu=1 sigma={sigma:g} p={p:g}"
+    assert first.closed_form == pytest.approx(closed, rel=1e-12)
     # sandwiching routes stay below the closed form
     for key in ("schur_right", "schur_left", "sweep_lower", "nystrom"):
         assert first.numeric_routes[key] <= first.closed_form * (1 + 1e-9)

@@ -20,6 +20,7 @@ from bergnorm.intop import (
     image_of_one,
     kernel_eval,
     norm_formula,
+    require_bounded,
 )
 from bergnorm.specfun import beta_fn, hyp2f1_grid
 
@@ -281,6 +282,9 @@ def test_boundedness_margin():
     assert boundedness_margin(OperatorParams(1.0, 0.0), 2.0) == pytest.approx(0.5)
     assert boundedness_margin(OperatorParams(1.0, 0.0), 1.0) == 0.0
     assert boundedness_margin(OperatorParams(5.0, 2.0), math.inf) == pytest.approx(3.0)
+    params = OperatorParams(2.0, 0.5)
+    for p in (1.0, 4.0 / 3.0, 3.0):
+        assert require_bounded(params, p) == boundedness_margin(params, p)
 
 
 @given(st.floats(min_value=0.3, max_value=4.0),

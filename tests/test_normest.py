@@ -112,22 +112,40 @@ def test_column_mass_is_nondecreasing(pair, t1, dt):
     assert vals[1] >= vals[0] * (1.0 - 1e-12)
 
 
-# mpmath oracle: Gamma(mu+1) Gamma(sigma) / Gamma(lam)^2
-L1_SUP_CASES = [
-    (1.0, 1.0, 4.0 / math.pi),
-    (2.0, 0.5, 4.19676657427945325),
-    (1.0, 2.0, 1.0),
+# (mu, sigma, p, mpmath oracle of the norm): p = 1 is the L^1 profile,
+# Gamma(mu+1) Gamma(sigma) / Gamma(lam)^2; 1 < p < inf the two Schur profiles
+ENDPOINT_CASES = [
+    (1.0, 1.0, 1.0, 4.0 / math.pi),
+    (2.0, 0.5, 1.0, 4.19676657427945325),
+    (1.0, 2.0, 1.0, 1.0),
+    (1.0, 0.0, 2.0, math.pi),
+    (2.0, 0.5, 4.0 / 3.0, 32.0 / 9.0),
+    (1.0, 0.0, 100.0, 100.016451234931271),   # right quotient ~ 1 - k (1-x)^(1/p)
+    (1.0, -0.49, 2.0, 118.638161331547199),   # left quotient ~ 1 - k (1-x)^0.01
 ]
 
 
-@pytest.mark.parametrize("mu, sigma, expected", L1_SUP_CASES)
-def test_l1_supremum_equals_endpoint_formula(mu, sigma, expected):
-    prof = l1_profile(OperatorParams(mu, sigma))
-    assert prof.maximum == pytest.approx(expected, rel=1e-13)
-    assert prof.endpoint == pytest.approx(expected, rel=1e-13)
-    # the scan never exceeds the endpoint limit
-    assert np.max(prof.closed) <= prof.maximum * (1.0 + 1e-12)
-    assert prof.route_disagreement < 1e-11
+def _endpoint_case_id(case):
+    # the p = 1 cases keep the ids they had before the Schur cases joined
+    mu, sigma, p, expected = case
+    return "-".join(repr(v) for v in ((mu, sigma, expected) if p == 1.0 else case))
+
+
+@pytest.mark.parametrize("mu, sigma, p, expected", ENDPOINT_CASES,
+                         ids=[_endpoint_case_id(c) for c in ENDPOINT_CASES])
+def test_l1_supremum_equals_endpoint_formula(mu, sigma, p, expected):
+    # every column profile ends at its Gauss-summation limit, the norm: the
+    # L^1 profile (beta = 0) and both Schur profiles (sigma - 1/p, -1/q)
+    params = OperatorParams(mu, sigma)
+    norm = norm_formula(params, p)
+    assert norm == pytest.approx(expected, rel=1e-13)
+    profiles = (l1_profile(params),) if p == 1.0 else schur_profile(params, p)
+    for prof in profiles:
+        assert prof.endpoint == pytest.approx(norm, rel=1e-13)
+        assert prof.maximum == pytest.approx(norm, rel=1e-13)
+        # the scan never exceeds the endpoint limit
+        assert np.max(prof.closed) <= prof.endpoint * (1.0 + 1e-12)
+        assert prof.route_disagreement < 1e-11
 
 
 def test_l1_supremum_matches_norm_formula():
@@ -203,15 +221,18 @@ def test_schur_quadrature_routes_agree_with_closed(mu, sigma, p):
 
 @pytest.mark.parametrize("mu, sigma, p",
                          [(1.0, 0.0, 2.0), (1.0, 1.0, 2.0),
-                          (2.0, 0.5, 4.0 / 3.0), (3.0, 2.0, 2.0)])
+                          (2.0, 0.5, 4.0 / 3.0), (3.0, 2.0, 2.0),
+                          (1.0, 0.0, 100.0),      # the right quotient's slow rise
+                          (1.0, -0.4, 2.0),       # near the edge: the left one's
+                          (1.0, -0.49, 2.0)])
 def test_schur_maxima_sandwiched_by_norm(mu, sigma, p):
     params = OperatorParams(mu, sigma)
     right, left = schur_profile(params, p)
     norm = norm_formula(params, p)
-    # both quotients stay at or below the norm and climb close to it
+    # both quotients stay at or below the norm and reach it at x -> 1
     for prof in (right, left):
         assert prof.maximum <= norm * (1.0 + 1e-12)
-        assert prof.maximum > norm * (1.0 - 1e-4)
+        assert prof.maximum > norm * (1.0 - 1e-12)
         assert prof.route_disagreement < 1e-11
 
 
@@ -222,6 +243,21 @@ def test_schur_exactness_when_left_quotient_is_constant():
     assert left == pytest.approx(2.0, rel=1e-14)
     assert norm_formula(params, 2.0) == pytest.approx(2.0, rel=1e-14)
     assert right <= 2.0 * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("sigma, p", [(-0.5, 2.0), (-0.7, 2.0), (-0.4, 1.25)])
+def test_routes_share_the_boundedness_decision(sigma, p):
+    # the closed form and every route that needs a bounded operator raise
+    # with the growth of require_bounded
+    params = OperatorParams(1.0, sigma)
+    fam = make_extremal_family(params, p, 1.5, 0.2)
+    growths = set()
+    for call in (lambda: norm_formula(params, p), lambda: schur_profile(params, p),
+                 lambda: bilinear_form_closed(params, fam)):
+        with pytest.raises(UnboundedOperatorError) as err:
+            call()
+        growths.add(err.value.growth)
+    assert growths == {"power" if sigma + 1.0 - 1.0 / p < 0.0 else "logarithmic"}
 
 
 def test_schur_domain_validation():

@@ -13,20 +13,22 @@ import argparse
 import pathlib
 import sys
 
-from bergnorm.cli import _SUITES, SuiteConfig, emit_table, run_suite
+from bergnorm.cli import (_SUITES, ConfigError, add_setting_flags, build_config,
+                          emit_table, run_suite)
 
 
-def main() -> int:
-    defaults = SuiteConfig()
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=defaults.seed)
-    parser.add_argument("--order", type=int, default=defaults.order)
-    parser.add_argument("--eta-min", type=float, default=defaults.eta_min, dest="eta_min")
+    add_setting_flags(parser, ("seed", "order", "eta_min"))
     parser.add_argument("--artifacts", type=str, default=None,
                         help="directory for per-suite JSON output")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    try:
+        cfg = build_config(args)
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
-    cfg = SuiteConfig(order=args.order, eta_min=args.eta_min, seed=args.seed)
     art_dir = None
     if args.artifacts is not None:
         art_dir = pathlib.Path(args.artifacts)

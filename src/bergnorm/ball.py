@@ -275,17 +275,11 @@ def _polar_grid(radial_order: int, angular_order: int, beta: float = 0.0):
     return rule, w
 
 
-def _sample_disc_function(f, w: np.ndarray) -> np.ndarray:
-    try:
-        values = np.asarray(f(w), dtype=float)
-        if values.shape != w.shape:
-            raise TypeError
-    except TypeError:
-        values = np.array([[float(f(x)) for x in row] for row in w])
-    return values
-
-
-def _check_disc_point(z: complex) -> complex:
+def _disc_integral(f, z, power: float, radial_order: int, angular_order: int,
+                   beta: float = 0.0) -> float:
+    """integral_U (1-|w|^2)^beta f(w) |1 - z conj(w)|^(-power) dv(w) on the
+    polar grid, the radial weight folded into the rule; ``f`` takes the
+    grid array or, failing that, one point at a time."""
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError(f"evaluation point must lie in the open disc, got {z!r}")
@@ -293,7 +287,15 @@ def _check_disc_point(z: complex) -> complex:
         raise QuadratureError(
             f"kernel too concentrated at |z| = {abs(z):.3f} > {DISC_RADIUS_LIMIT} "
             "for the fixed polar grid")
-    return z
+    rule, w = _polar_grid(radial_order, angular_order, beta=beta)
+    try:
+        values = np.asarray(f(w), dtype=float)
+        if values.shape != w.shape:
+            raise TypeError
+    except TypeError:
+        values = np.array([[float(f(x)) for x in row] for row in w])
+    kernel = np.abs(1.0 - np.conj(z) * w) ** -power
+    return float(rule.integrate(np.mean(values * kernel, axis=1)))
 
 
 def berezin_apply_disc(f, z, radial_order: int = _DISC_RADIAL_ORDER,
@@ -307,12 +309,8 @@ def berezin_apply_disc(f, z, radial_order: int = _DISC_RADIAL_ORDER,
     no interval operator) so it can cross-check them; it is not a
     general-purpose ball integrator.
     """
-    z = _check_disc_point(z)
-    rule, w = _polar_grid(radial_order, angular_order)
-    values = _sample_disc_function(f, w)
-    kernel = np.abs(1.0 - np.conj(z) * w) ** -4
-    radial = np.mean(values * kernel, axis=1)
-    return (1.0 - abs(z) ** 2) ** 2 * float(rule.integrate(radial))
+    integral = _disc_integral(f, z, 4, radial_order, angular_order)
+    return (1.0 - abs(complex(z)) ** 2) ** 2 * integral
 
 
 def tilde_apply_disc(sigma: float, f, z,
@@ -327,12 +325,8 @@ def tilde_apply_disc(sigma: float, f, z,
     """
     if not sigma > -1.0:
         raise ValueError(f"sigma must exceed -1, got {sigma!r}")
-    z = _check_disc_point(z)
-    rule, w = _polar_grid(radial_order, angular_order, beta=sigma)
-    values = _sample_disc_function(f, w)
-    kernel = np.abs(1.0 - np.conj(z) * w) ** -(sigma + 2.0)
-    radial = np.mean(values * kernel, axis=1)
-    return c_sigma(1, sigma) * float(rule.integrate(radial))
+    return c_sigma(1, sigma) * _disc_integral(f, z, sigma + 2.0, radial_order,
+                                              angular_order, beta=sigma)
 
 
 def berezin_radial_apply(n: int, H, r2, order: int = DEFAULT_ORDER):

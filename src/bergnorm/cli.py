@@ -40,7 +40,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,6 +66,7 @@ from .normest import norm_report
 from .quadrature import QuadratureError, make_jacobi_rules
 from .specfun import (
     ConvergenceError,
+    DivergenceError,
     beta_fn,
     hyp2f1_at_one,
     hyp2f1_grid,
@@ -87,21 +88,6 @@ _EXCESS_GUARD = 1e-9
 
 class ConfigError(ValueError):
     """Unusable command-line or config-file input (exit status 2)."""
-
-
-@dataclass
-class SuiteConfig:
-    """Knobs shared by every suite; flags override config-file entries."""
-
-    mu: float = 1.0
-    sigma: float = 0.0
-    p: float = 2.0
-    n: int = 1
-    order: int = 128
-    eta_min: float = 1e-4
-    seed: int = 0
-    fmt: str = "aligned-text"
-    suite: str = "all"
 
 
 @dataclass
@@ -141,6 +127,13 @@ def _worst(errors: Sequence[float]) -> float:
     """The largest of ``errors``, NaN when any is NaN: Python's ``max``
     keeps its first argument against a NaN, so a broken value would hide."""
     return float(np.max(errors))
+
+
+def _aggregate(scenario: str, inputs: dict, key: str, errors: Sequence[float],
+               tol: float, closed: float | None = None) -> ReportRecord:
+    """A record whose one route, gated at ``tol``, is the worst of ``errors``."""
+    worst = _worst(errors)
+    return _finish(scenario, inputs, closed, {key: worst}, {key: worst}, tol)
 
 
 def _failure(err: Exception) -> str:
@@ -295,9 +288,8 @@ def identities_suite(cfg: SuiteConfig) -> list[ReportRecord]:
         except (ConvergenceError, QuadratureError, OverflowError) as err:
             records.append(_flagged(scenario, inputs, _failure(err)))
             continue
-        records.append(_finish(scenario, inputs, None,
-                               {"max_rel_error": worst},
-                               {"max_rel_error": worst}, _IDENTITY_TOL))
+        records.append(_aggregate(scenario, inputs, "max_rel_error", [worst],
+                                  _IDENTITY_TOL))
     return records
 
 
@@ -336,7 +328,7 @@ def _norm_record(scenario: str, inputs: dict, params: OperatorParams,
                                  eta_min=cfg.eta_min)
         if not report.unbounded:
             closed_form = report.closed_form if closed is None else closed()
-    except (QuadratureError, ConvergenceError, OverflowError) as err:
+    except (QuadratureError, ConvergenceError, DivergenceError, OverflowError) as err:
         return _flagged(scenario, inputs, _failure(err))
     routes = {k: factor * v for k, v in report.routes.items()}
     if report.unbounded:
@@ -400,12 +392,10 @@ def _bridge_grid_record() -> ReportRecord:
                 via_interval = (c_sigma(n, sigma)
                                 * norm_formula(bp.interval_params, p))
                 errors.append(abs(tilde - via_interval) / tilde)
-    worst = _worst(errors)
     inputs = {"n": list(_BRIDGE_N), "sigma": list(_BRIDGE_SIGMA),
               "p": list(_BRIDGE_P)}
-    return _finish("ball-bridge-grid", inputs, None,
-                   {"max_rel_deviation": worst},
-                   {"max_rel_deviation": worst}, _EXACT_TOL)
+    return _aggregate("ball-bridge-grid", inputs, "max_rel_deviation", errors,
+                      _EXACT_TOL)
 
 
 def _ball_record(cfg: SuiteConfig) -> ReportRecord:
@@ -477,11 +467,9 @@ def _radial_disc_record() -> ReportRecord:
             a = radial_apply(bp, profile, r * r)
             b = tilde_apply_disc(sigma, f, complex(r, 0.0))
             errors.append(abs(a - b) / max(1.0, abs(a)))
-    worst = _worst(errors)
     inputs = {"sigma": [0.0, 1.0, 2.0], "radii": [0.0, 0.4, 0.8]}
-    return _finish("ball-radial-vs-disc", inputs, None,
-                   {"max_rel_deviation": worst},
-                   {"max_rel_deviation": worst}, _DISC_HARMONIC_TOL)
+    return _aggregate("ball-radial-vs-disc", inputs, "max_rel_deviation", errors,
+                      _DISC_HARMONIC_TOL)
 
 
 def ball_suite(cfg: SuiteConfig) -> list[ReportRecord]:
@@ -520,10 +508,8 @@ def _berezin_l2_record() -> ReportRecord:
         product = berezin_norm(n, 2.0)
         direct = berezin_l2_doublefactorial(n)
         errors.append(abs(product - direct) / direct)
-    worst = _worst(errors)
-    return _finish("berezin-l2-crosscheck", {"n": "1..10"}, None,
-                   {"max_rel_deviation": worst},
-                   {"max_rel_deviation": worst}, _EXACT_TOL)
+    return _aggregate("berezin-l2-crosscheck", {"n": "1..10"}, "max_rel_deviation",
+                      errors, _EXACT_TOL)
 
 
 def _berezin_sup_record() -> ReportRecord:
@@ -552,35 +538,32 @@ _DISC_PROBE_POINTS = (0.0 + 0.0j, 0.3 + 0.0j, 0.5 + 0.2j, 0.6j,
 def _berezin_probability_record() -> ReportRecord:
     """The transform is a probability average: the constant one must map to
     the constant one, here via raw 2-D polar quadrature."""
-    worst = _worst([abs(berezin_apply_disc(lambda w: np.ones(w.shape), z) - 1.0)
-                    for z in _DISC_PROBE_POINTS])
+    errors = [abs(berezin_apply_disc(lambda w: np.ones(w.shape), z) - 1.0)
+              for z in _DISC_PROBE_POINTS]
     inputs = {"points": [str(z) for z in _DISC_PROBE_POINTS]}
-    return _finish("berezin-disc-probability", inputs, 1.0,
-                   {"max_abs_deviation": worst},
-                   {"max_abs_deviation": worst}, _DISC_PROBABILITY_TOL)
+    return _aggregate("berezin-disc-probability", inputs, "max_abs_deviation", errors,
+                      _DISC_PROBABILITY_TOL, closed=1.0)
 
 
 def _berezin_harmonic_record() -> ReportRecord:
     """Harmonic functions are fixed points; check f(w) = Re w at a few
     evaluation points (absolute error -- the target vanishes at 0)."""
-    worst = _worst([abs(berezin_apply_disc(lambda w: np.real(w), z) - z.real)
-                    for z in (0.0 + 0.0j, 0.3 + 0.0j, 0.6j)])
+    errors = [abs(berezin_apply_disc(lambda w: np.real(w), z) - z.real)
+              for z in (0.0 + 0.0j, 0.3 + 0.0j, 0.6j)]
     inputs = {"points": ["0", "0.3", "0.6j"]}
-    return _finish("berezin-disc-harmonic", inputs, None,
-                   {"max_abs_deviation": worst},
-                   {"max_abs_deviation": worst}, _DISC_HARMONIC_TOL)
+    return _aggregate("berezin-disc-harmonic", inputs, "max_abs_deviation", errors,
+                      _DISC_HARMONIC_TOL)
 
 
 def _berezin_radial_record() -> ReportRecord:
     """Radial reduction of the transform against the direct disc route."""
     profile = lambda s: np.exp(-2.0 * s)
     f = lambda w: profile(np.abs(w) ** 2)
-    worst = _worst([abs(berezin_radial_apply(1, profile, r2)
-                        - berezin_apply_disc(f, complex(math.sqrt(r2), 0.0)))
-                    for r2 in (0.0, 0.25, 0.64)])
-    return _finish("berezin-radial-vs-disc", {"r2": [0.0, 0.25, 0.64]}, None,
-                   {"max_abs_deviation": worst},
-                   {"max_abs_deviation": worst}, _DISC_PROBABILITY_TOL)
+    errors = [abs(berezin_radial_apply(1, profile, r2)
+                  - berezin_apply_disc(f, complex(math.sqrt(r2), 0.0)))
+              for r2 in (0.0, 0.25, 0.64)]
+    return _aggregate("berezin-radial-vs-disc", {"r2": [0.0, 0.25, 0.64]},
+                      "max_abs_deviation", errors, _DISC_PROBABILITY_TOL)
 
 
 def berezin_suite(cfg: SuiteConfig) -> list[ReportRecord]:
@@ -749,37 +732,59 @@ def emit_table(records: Sequence[ReportRecord], format: str = "aligned-text") ->
 
 # ---------------------------------------------------------------------------
 # configuration and entry point
+#
+# Each setting is one ``SuiteConfig`` field whose metadata holds its key
+# (``--key`` on the command line, ``key = value`` in a config file), the
+# parser that flags and config files share, and its help line.
 # ---------------------------------------------------------------------------
 
 def _parse_exponent(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as err:
-        raise ConfigError(f"cannot parse exponent {text!r}") from err
+    value = float(text)
     if not value >= 1.0:
-        raise ConfigError(f"the Lebesgue exponent must be >= 1, got {text}")
+        raise ValueError(f"the Lebesgue exponent must be >= 1, got {text}")
     return value
 
 
-def _parse_choice(name: str, choices: Sequence[str]) -> Callable[[str], str]:
+def _parse_choice(choices: Sequence[str]) -> Callable[[str], str]:
     def parse(text: str) -> str:
         if text not in choices:
-            raise ConfigError(f"unknown {name} {text!r}; choose from {tuple(choices)}")
+            raise ValueError(f"{text!r} is not one of {', '.join(choices)}")
         return text
     return parse
 
 
-_CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
-    "mu": ("mu", float),
-    "sigma": ("sigma", float),
-    "p": ("p", _parse_exponent),
-    "n": ("n", int),
-    "order": ("order", int),
-    "eta-min": ("eta_min", float),
-    "seed": ("seed", int),
-    "format": ("fmt", _parse_choice("format", FORMAT_NAMES)),
-    "suite": ("suite", _parse_choice("suite", SUITE_NAMES)),
-}
+def _setting(default, key: str, parse: Callable[[str], object], help: str):
+    return field(default=default, metadata={"key": key, "parse": parse, "help": help})
+
+
+@dataclass
+class SuiteConfig:
+    """Knobs shared by every suite; flags override config-file entries."""
+
+    mu: float = _setting(1.0, "mu", float, "measure exponent for the interval operator")
+    sigma: float = _setting(0.0, "sigma", float, "kernel weight exponent")
+    p: float = _setting(2.0, "p", _parse_exponent, "Lebesgue exponent, a real >= 1 or inf")
+    n: int = _setting(1, "n", int, "complex dimension for the ball suites")
+    order: int = _setting(128, "order", int, "quadrature / discretization order")
+    eta_min: float = _setting(1e-4, "eta-min", float,
+                              "smallest path parameter in the lower-bound sweep")
+    seed: int = _setting(0, "seed", int, "seed for the randomized identity checks only")
+    fmt: str = _setting("aligned-text", "format", _parse_choice(FORMAT_NAMES),
+                        f"output format: {', '.join(FORMAT_NAMES)}")
+    suite: str = _setting("all", "suite", _parse_choice(SUITE_NAMES),
+                          f"which suite to run: {', '.join(SUITE_NAMES)}")
+
+
+_SETTINGS: dict[str, Field] = {f.metadata["key"]: f for f in fields(SuiteConfig)}
+
+
+def _parse_setting(setting: Field, text: str, where: str = ""):
+    """``text`` through ``setting``'s parser; ``where`` locates a config-file
+    line in the error."""
+    try:
+        return setting.metadata["parse"](text)
+    except ValueError as err:
+        raise ConfigError(f"{where}bad value for {setting.metadata['key']}: {err}") from err
 
 
 def load_config_file(path: str) -> dict[str, object]:
@@ -802,31 +807,24 @@ def load_config_file(path: str) -> dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, _, text = line.partition("=")
         key, text = key.strip(), text.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        attr, parse = _CONFIG_KEYS[key]
-        try:
-            parsed[attr] = parse(text)
-        except ConfigError:
-            raise
-        except ValueError as err:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {err}") from err
+        setting = _SETTINGS[key]
+        parsed[setting.name] = _parse_setting(setting, text, f"{path}:{lineno}: ")
     return parsed
 
 
 def build_config(args: argparse.Namespace) -> SuiteConfig:
-    cfg = SuiteConfig()
-    if args.config is not None:
-        for attr, value in load_config_file(args.config).items():
-            setattr(cfg, attr, value)
-    overrides = {
-        "mu": args.mu, "sigma": args.sigma, "p": args.p, "n": args.n,
-        "order": args.order, "eta_min": args.eta_min, "seed": args.seed,
-        "fmt": args.format, "suite": args.suite,
-    }
-    for attr, value in overrides.items():
-        if value is not None:
-            setattr(cfg, attr, value)
+    """The defaults, overridden by the entries of the config file
+    ``args.config``, overridden by the flags given (``args`` may hold any
+    subset of them); then the merged settings' ranges are checked.  Like
+    a file line, every occurrence of a flag is parsed and the last wins."""
+    path = getattr(args, "config", None)
+    values = {} if path is None else load_config_file(path)
+    for setting in fields(SuiteConfig):
+        for text in getattr(args, setting.name, None) or ():
+            values[setting.name] = _parse_setting(setting, text)
+    cfg = SuiteConfig(**values)
     if cfg.n < 1:
         raise ConfigError(f"the dimension n must be a positive integer, got {cfg.n}")
     if cfg.order < 8:
@@ -840,29 +838,25 @@ def build_config(args: argparse.Namespace) -> SuiteConfig:
     return cfg
 
 
+def add_setting_flags(parser: argparse.ArgumentParser,
+                      names: Sequence[str] | None = None) -> None:
+    """A ``--key`` flag for every setting, or for the fields in ``names``;
+    each keeps the texts it was given for ``build_config`` to parse."""
+    for setting in fields(SuiteConfig):
+        if names is None or setting.name in names:
+            key = setting.metadata["key"]
+            parser.add_argument(f"--{key}", action="append", dest=setting.name,
+                                metavar=key.upper(),
+                                help=f"{setting.metadata['help']} "
+                                     f"(default: {setting.default})")
+
+
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bergnorm",
         description="Verify closed-form operator norms against independent "
                     "numeric routes and print the results as a table.")
-    parser.add_argument("--suite", choices=SUITE_NAMES, default=None,
-                        help="which verification suite to run (default: all)")
-    parser.add_argument("--mu", type=float, default=None,
-                        help="measure exponent for the interval operator")
-    parser.add_argument("--sigma", type=float, default=None,
-                        help="kernel weight exponent")
-    parser.add_argument("--p", type=str, default=None,
-                        help="Lebesgue exponent (a real >= 1, or inf)")
-    parser.add_argument("--n", type=int, default=None,
-                        help="complex dimension for the ball suites")
-    parser.add_argument("--order", type=int, default=None,
-                        help="quadrature / discretization order")
-    parser.add_argument("--eta-min", type=float, default=None, dest="eta_min",
-                        help="smallest path parameter in the lower-bound sweep")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for the randomized identity checks")
-    parser.add_argument("--format", choices=FORMAT_NAMES, default=None,
-                        help="output format (default: aligned-text)")
+    add_setting_flags(parser)
     parser.add_argument("--config", type=str, default=None,
                         help="line-oriented key=value config file; "
                              "flags override its entries")
@@ -870,11 +864,8 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
     try:
-        if args.p is not None:
-            args.p = _parse_exponent(args.p)
         cfg = build_config(args)
         status, records = run_suite(cfg.suite, cfg)
         sys.stdout.write(emit_table(records, cfg.fmt))

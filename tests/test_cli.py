@@ -1,9 +1,12 @@
 """Tests for the verification-suite CLI: suite contents, record statuses,
 output formats, configuration handling, and exit codes."""
 
+import itertools
 import json
 import math
 import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,6 +291,22 @@ def test_interval_suite_p_one_routes():
     first = records[0]
     assert first.closed_form == pytest.approx(1.0)
     assert first.rel_errors["column_mass_sup"] == pytest.approx(0.0, abs=1e-6)
+
+
+def test_interval_suite_flags_exponents_whose_reciprocal_rounds_away(capsys):
+    # at p = 1e17, 1/p is below half an ulp of 1: the right Schur endpoint's
+    # c - a - b rounds to 0, and every bounded record is flagged with that
+    # cause instead of aborting the run
+    assert main(["--suite", "interval-norms", "--p", "1e17", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    records = json.loads(out)
+    bounded = [r for r in records if "divergent" not in r["scenario"]]
+    assert len(bounded) == 10
+    for r in bounded:
+        assert r["status"] == "flagged"
+        assert r["inputs"]["error"] == "2F1(a,b;c;1) requires c-a-b > 0, got 0.0"
+    assert records[-1]["status"] == "pass"
 
 
 def test_ball_suite_contents():
@@ -608,20 +627,61 @@ def test_flags_override_config_file(tmp_path):
     path.write_text("mu = 2.0\nseed = 9\n")
     args = cli._make_parser().parse_args(
         ["--config", str(path), "--mu", "3.0"])
-    args.p = None
     cfg = build_config(args)
     assert cfg.mu == 3.0       # flag wins
     assert cfg.seed == 9       # file survives where no flag is given
 
 
-def test_build_config_validates_ranges():
+def test_config_file_gives_the_flag_run(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("mu = 2\nsigma = 0.5\np = 3\nseed = 3\norder = 64\n")
+    from_file = build_config(cli._make_parser().parse_args(["--config", str(path)]))
+    from_flags = build_config(cli._make_parser().parse_args(
+        ["--mu", "2", "--sigma", "0.5", "--p", "3", "--seed", "3", "--order", "64"]))
+    assert from_file == from_flags == SuiteConfig(mu=2.0, sigma=0.5, p=3.0, seed=3,
+                                                  order=64)
+
+
+_BAD_VALUES = [
+    ("n", "0", "dimension n must be a positive integer"),
+    ("order", "4", "order must be at least 8"),
+    ("eta-min", "0.9", r"eta-min must lie in \(0, 0.5\]"),
+    ("sigma", "-2", "sigma must exceed -1"),
+    ("mu", "-1", "mu must be positive"),
+    ("p", "0.5", "bad value for p: the Lebesgue exponent must be >= 1"),
+    ("mu", "abc", "bad value for mu: could not convert"),
+    ("order", "8.5", "bad value for order: invalid literal"),
+    ("suite", "nonsense", "bad value for suite: 'nonsense' is not one of"),
+    ("format", "yaml", "bad value for format: 'yaml' is not one of"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_build_config_validates_ranges(source, tmp_path):
+    # a bad value fails with the same message from a flag and from a file
     parser = cli._make_parser()
-    for flags in (["--n", "0"], ["--order", "4"], ["--eta-min", "0.9"],
-                  ["--sigma", "-2"], ["--mu", "-1"]):
-        args = parser.parse_args(flags)
-        args.p = None
-        with pytest.raises(ConfigError):
-            build_config(args)
+    for key, text, message in _BAD_VALUES:
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {text}\n")
+        argv = [f"--{key}", text] if source == "flag" else ["--config", str(path)]
+        with pytest.raises(ConfigError, match=message):
+            build_config(parser.parse_args(argv))
+
+
+def test_every_occurrence_of_a_flag_is_parsed():
+    parser = cli._make_parser()
+    assert build_config(parser.parse_args(["--order", "4", "--order", "64"])).order == 64
+    with pytest.raises(ConfigError, match="bad value for mu"):
+        build_config(parser.parse_args(["--mu", "abc", "--mu", "2"]))
+
+
+def test_readme_settings_table_follows_the_fields():
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| key "))
+    table = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table]
+    assert rows == [[f"`{f.metadata['key']}`", f"`{f.default}`", f.metadata["help"]]
+                    for f in fields(SuiteConfig)]
 
 
 # ----------------------------------------------------------------------

@@ -835,6 +835,8 @@ def build_config(args: argparse.Namespace) -> SuiteConfig:
         raise ConfigError(f"sigma must exceed -1, got {cfg.sigma}")
     if not cfg.mu > 0.0:
         raise ConfigError(f"mu must be positive, got {cfg.mu}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
     return cfg
 
 

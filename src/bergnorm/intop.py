@@ -41,6 +41,8 @@ __all__ = [
     "norm_formula",
 ]
 
+_ROW_BLOCK = 65536   # upper-triangle entries per Nystrom block: four 2F1 series slices
+
 
 class UnboundedOperatorError(ValueError):
     """The requested operator norm is infinite.
@@ -188,7 +190,9 @@ class DiscretizedOperator:
     has parameters (mu-1, sigma), so the kernel's (1-t)^sigma factor is
     carried by the rule's weight rather than sampled pointwise.  Row and
     column grids coincide (the rule's nodes), so the 2F1 grid is exactly
-    symmetric and is built from its upper triangle.  ``p`` records the exponent
+    symmetric: ``matrix`` is assembled in place, its upper triangle
+    evaluated in cache-sized blocks of rows and mirrored, then scaled by mu
+    and the weights, with no second array of its size.  ``p`` records the exponent
     the discretization is meant to be measured in; ``measure_weights`` are
     the weights of the plain measure mu t^(mu-1) dt re-expressed on the
     same nodes, which the discrete L^p norms use.
@@ -219,16 +223,35 @@ class DiscretizedOperator:
 def _nystrom(params: OperatorParams, p, rule: JacobiRule) -> DiscretizedOperator:
     """Assemble the Nystrom matrix of F on a rule with parameters (mu-1, sigma).
 
-    The 2F1 grid is symmetric in (s, t): it is evaluated on the upper
-    triangle t_i * t_j, i <= j, and mirrored.  The floating-point product
-    commutes, so the grid equals the one evaluated on the full outer product.
+    The 2F1 grid is symmetric in (s, t), so only its upper triangle is
+    evaluated, in blocks of whole rows: row i is t_i * t[i:], and a block
+    holds at most _ROW_BLOCK entries (always at least one row).  Each row
+    is stored by slice into ``matrix[i, i:]``, and the block's columns are
+    mirrored into the strict lower triangle.  Then mu and the weights scale
+    the matrix in place, in the order (mu * f) * w_j.  No other array of
+    the matrix's size is made.  The floating-point product commutes and
+    each 2F1 value depends on its own z alone, so the matrix has the bits
+    of one evaluated on the full outer product.
     """
     t = rule.nodes
-    rows, cols = np.triu_indices(t.size)
-    fgrid = np.empty((t.size, t.size))
-    fgrid[rows, cols] = fgrid[cols, rows] = hyp2f1_grid(
-        params.lam, params.lam, params.mu, t[rows] * t[cols])
-    matrix = params.mu * fgrid * rule.weights[np.newaxis, :]
+    n = t.size
+    matrix = np.empty((n, n))
+    start = 0
+    while start < n:
+        stop, size = start + 1, n - start
+        while stop < n and size + n - stop <= _ROW_BLOCK:
+            size, stop = size + n - stop, stop + 1
+        values = hyp2f1_grid(params.lam, params.lam, params.mu,
+                             np.concatenate([t[i] * t[i:] for i in range(start, stop)]))
+        offset = 0
+        for i in range(start, stop):
+            matrix[i, start:i] = matrix[start:i, i]
+            matrix[i, i:] = values[offset:offset + n - i]
+            offset += n - i
+        matrix[stop:, start:stop] = matrix[start:stop, stop:].T
+        start = stop
+    np.multiply(matrix, params.mu, out=matrix)
+    np.multiply(matrix, rule.weights, out=matrix)
     measure = params.mu * rule.weights * (1.0 - t) ** (-params.sigma)
     matrix.setflags(write=False)
     measure.setflags(write=False)

@@ -404,7 +404,9 @@ def _weight_conjugated(disc: DiscretizedOperator, p: float):
     """Similarity transform B = D A D^{-1} with D = diag(w^(1/p)) that turns
     the measure-weighted p-norm into the plain vector p-norm."""
     d = disc.measure_weights ** (1.0 / p)
-    return (d[:, None] * disc.matrix) / d[None, :]
+    b = d[:, None] * disc.matrix
+    b /= d[None, :]
+    return b
 
 
 def _reorthogonalize(x: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:

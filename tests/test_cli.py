@@ -648,6 +648,7 @@ _BAD_VALUES = [
     ("eta-min", "0.9", r"eta-min must lie in \(0, 0.5\]"),
     ("sigma", "-2", "sigma must exceed -1"),
     ("mu", "-1", "mu must be positive"),
+    ("seed", "-3", "seed must be a non-negative integer, got -3"),
     ("p", "0.5", "bad value for p: the Lebesgue exponent must be >= 1"),
     ("mu", "abc", "bad value for mu: could not convert"),
     ("order", "8.5", "bad value for order: invalid literal"),
@@ -697,6 +698,14 @@ def test_main_runs_berezin_json(capsys):
 def test_main_bad_exponent_exits_two(capsys):
     assert main(["--p", "0.5"]) == 2
     assert "Lebesgue exponent" in capsys.readouterr().err
+
+
+def test_main_negative_seed_exits_two(capsys):
+    # rejected before any suite runs; numpy's generator would raise instead
+    assert main(["--seed", "-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer, got -3\n"
 
 
 def test_main_bad_config_file_exits_two(tmp_path, capsys):

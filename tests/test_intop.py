@@ -2,6 +2,7 @@
 and the closed-form norm."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,8 +222,11 @@ def test_discretize_graded_matrix_is_kernel_times_weights():
 
 
 @pytest.mark.parametrize("mu, sigma", [(1.0, 0.0), (2.0, 0.5), (0.7, 1.6)])
-@pytest.mark.parametrize("build, order", [(discretize, 96), (discretize_graded, 64)])
+@pytest.mark.parametrize("build, order", [
+    (discretize, 96), (discretize_graded, 64), (discretize, 512),
+])
 def test_nystrom_matrix_equals_full_grid_assembly(build, order, mu, sigma):
+    # order 512's upper triangle (131,328 entries) spans several row blocks
     params = OperatorParams(mu, sigma)
     dop = build(params, 2.0, order)
     t, w = dop.nodes, dop.rule.weights
@@ -234,6 +238,26 @@ def test_nystrom_matrix_equals_full_grid_assembly(build, order, mu, sigma):
     # dividing the weights back out rounds, so this symmetry holds to an ulp or two
     grid = dop.matrix / w[None, :]
     np.testing.assert_allclose(grid, grid.T, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+@pytest.mark.parametrize("build, mu, sigma", [
+    (discretize, 1.0, 0.0), (discretize, 2.0, 0.5), (discretize, 1.0, 1.0),
+    (discretize_graded, 1.0, 0.0),
+])
+def test_nystrom_assembly_makes_no_second_matrix(build, mu, sigma):
+    # the matrix is the only full-size array: its upper triangle is evaluated
+    # in row blocks, mirrored and scaled in place.  About 65% of the graded
+    # grid lies in the near-one window; at (1, 0) the connection formula there
+    # is a finite sum, elsewhere its series' work arrays raise the peak
+    params = OperatorParams(mu, sigma)
+    build(params, 2.0, 512)   # the Gauss-Jacobi rules are cached from here on
+    tracemalloc.start()
+    try:
+        dop = build(params, 2.0, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * dop.matrix.nbytes
 
 
 def test_discretize_graded_reaches_deep_into_the_corner():

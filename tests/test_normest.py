@@ -3,6 +3,7 @@ the extremal lower-bound family, discrete norms, and the report."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -456,6 +457,20 @@ def test_power_method_agrees_with_svd_at_p_two():
         power = lp_opnorm_numeric(disc)
         svd = l2_opnorm_svd(disc)
         assert power == pytest.approx(svd, rel=1e-9)
+
+
+def test_weight_conjugation_makes_one_array():
+    # B = (D A) / D in place: one array of the matrix's size, same rounding
+    disc = discretize(OperatorParams(2.0, 0.5), 3.0, 512)
+    tracemalloc.start()
+    try:
+        b = normest._weight_conjugated(disc, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * disc.matrix.nbytes
+    d = disc.measure_weights ** (1.0 / 3.0)
+    assert np.array_equal(b, (d[:, None] * disc.matrix) / d[None, :])
 
 
 _DENSE_SVD: dict = {}

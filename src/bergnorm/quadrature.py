@@ -15,9 +15,9 @@ recurrence, and map the standard [-1,1] rule affinely onto (0,1).  They
 differ in how they get weights from it:
 
 * ``make_jacobi_rule`` (Golub-Welsch) takes the full eigendecomposition
-  from LAPACK's tridiagonal solver: nodes are the eigenvalues, weights
-  come from the first components of the eigenvectors.  Its exact bits are
-  frozen, because ``discretize``, ``discretize_graded``, the norm routes
+  from LAPACK's tridiagonal solver ``dstevd``: nodes are the eigenvalues,
+  weights come from the first components of the eigenvectors.  Its exact
+  bits are frozen, because ``discretize``, ``discretize_graded``, the norm routes
   and the ball and Berezin quadratures all build on it and acceptance
   criterion 6 holds ``discretize`` byte for byte.  It caches its rules.
 * ``make_jacobi_rules`` builds a batch of throwaway rules of one order.
@@ -31,16 +31,28 @@ differ in how they get weights from it:
 
 ``make_graded_rule`` composes such rules into panels that halve in width
 toward t = 1, for integrands that vary on every scale of 1 - t.
+
+LAPACK is reached through ``scipy.linalg._flapack``, the compiled f2py
+module that ``scipy.linalg.lapack`` re-exports, loaded from scipy's
+package directory without running ``scipy/linalg/__init__.py``.  That
+package init costs about 0.3 s and 24 MiB per process, most of it scipy's
+array-API layer, and nothing else here uses it.  The calls and arguments
+are those ``scipy.linalg.eigh_tridiagonal`` makes (``dstevd`` with
+eigenvectors, ``dsterf`` without), so every rule has its bits.  If a
+scipy release moves the module, the import fails and names it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .specfun import beta_fn
 
@@ -58,6 +70,54 @@ GRADED_MAX_DEPTH = 40
 class QuadratureError(RuntimeError):
     """Rule construction produced something unusable (solver failure,
     non-increasing nodes, or a non-positive weight)."""
+
+
+def _load_flapack():
+    """``scipy.linalg._flapack``, loaded without ``scipy.linalg``'s package init.
+
+    ``import scipy`` runs only the top-level ``__init__``, which sets up the
+    libraries the compiled module links against.  The module stays out of
+    ``sys.modules``, so that a later ``import scipy.linalg`` loads it as
+    usual; if that import came first, its module is taken.
+    """
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    finder = FileFinder(os.path.join(os.path.dirname(scipy.__file__), "linalg"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled module {name} "
+                          f"in {finder.path}", name=name)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)  # an f2py module registers itself on creation
+    return module
+
+
+_flapack = _load_flapack()
+
+
+def _tridiagonal_eigen(diag: np.ndarray, off: np.ndarray, vectors: bool):
+    """Eigenvalues, ascending, and with ``vectors`` the eigenvectors as
+    columns (else None), of the symmetric tridiagonal matrix (diag, off).
+
+    LAPACK ``dstevd`` with eigenvectors and ``dsterf`` without, called as
+    ``eigh_tridiagonal`` calls them; like it, an order-1 matrix is answered
+    directly, because f2py rejects an empty off-diagonal.
+    """
+    if diag.size == 1:
+        return diag.copy(), (np.ones((1, 1)) if vectors else None)
+    if vectors:
+        vals, vecs, info = _flapack.dstevd(diag, off, compute_v=1)
+    else:
+        (vals, info), vecs = _flapack.dsterf(diag, off), None
+    if info != 0:
+        raise QuadratureError(f"tridiagonal eigensolver {'dstevd' if vectors else 'dsterf'} "
+                              f"failed: info = {info}")
+    return vals, vecs
 
 
 @dataclass(frozen=True)
@@ -145,15 +205,19 @@ def _checked_rule(order: int, alpha: float, beta: float, nodes: np.ndarray,
 
 @lru_cache(maxsize=256)
 def make_jacobi_rule(order: int, alpha: float, beta: float) -> JacobiRule:
-    """Build (and cache) the order-point rule for weight t^alpha (1-t)^beta."""
+    """Build (and cache) the order-point rule for weight t^alpha (1-t)^beta.
+
+    Golub-Welsch on LAPACK ``dstevd``, the routine (and arguments) that
+    ``scipy.linalg.eigh_tridiagonal`` picks by default, reached without
+    importing ``scipy.linalg`` (see the module docstring): the rules keep
+    the bits that acceptance criterion 6 freezes, and a process does not
+    pay for that package's init.
+    """
     _check_request(order, [(alpha, beta)])
     # on [-1,1] the (1-x) exponent pairs with the (1-t) factor and the
     # (1+x) exponent with the t factor
     diag, off, mu0 = _recurrence(order, beta, alpha)
-    try:
-        eigvals, eigvecs = eigh_tridiagonal(diag, off)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise QuadratureError(f"tridiagonal eigensolver failed: {exc}") from exc
+    eigvals, eigvecs = _tridiagonal_eigen(diag, off, vectors=True)
     nodes = 0.5 * (eigvals + 1.0)
     weights = mu0 * eigvecs[0, :] ** 2 * 2.0 ** (-(alpha + beta + 1.0))
     return _checked_rule(order, alpha, beta, nodes, weights)
@@ -183,11 +247,7 @@ def make_jacobi_rules(order: int, exponents) -> list[JacobiRule]:
     mass = np.empty((count, 1))
     for r, (alpha, beta) in enumerate(exponents):
         diag[r], off[r, 1:order], _ = _recurrence(order, beta, alpha)
-        try:
-            x[r] = eigh_tridiagonal(diag[r], off[r, 1:order], eigvals_only=True,
-                                    lapack_driver="sterf")
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise QuadratureError(f"tridiagonal eigensolver failed: {exc}") from exc
+        x[r] = _tridiagonal_eigen(diag[r], off[r, 1:order], vectors=False)[0]
         mass[r] = beta_fn(alpha + 1.0, beta + 1.0)
     # Newton step: p_order and its derivative by the recurrence
     p_prev, p = np.zeros_like(x), np.ones_like(x)

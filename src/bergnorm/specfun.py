@@ -66,6 +66,8 @@ _INT_SNAP = 1e-6        # treat c-a-b this close to an integer as the log case
 _W_BLOCK = 12           # terms per block of the near-one log series
 _BLOCK_LIVE = 256       # live entries at or below which a raw-series chunk is one block
 _CACHE_BLOCK = 16384    # raw-series entries per slice: four work arrays in 512 KB
+_NEAR_ONE_BLOCK = _CACHE_BLOCK // 4  # near-one entries per slice: the log series'
+                                     # work arrays are _W_BLOCK + 1 rows of them
 
 # 14-term Lanczos coefficients (g = 671/128); relative error < 2e-15 on the
 # positive real axis, which is what the reflection step below leans on.
@@ -495,12 +497,12 @@ def _parameter_sets(a, b, c, shape: tuple[int, ...]) -> tuple[np.ndarray, np.nda
 def _by_row(rows: np.ndarray | None, mask: np.ndarray):
     """The entries of a boolean ``mask`` split by parameter row: (row,
     index) pairs in row order, each index selecting that row's entries in
-    their order.  With one row the index is the mask itself."""
-    if not mask.any():
+    their order."""
+    idx = np.flatnonzero(mask)
+    if not idx.size:
         return []
     if rows is None:
-        return [(0, mask)]
-    idx = np.flatnonzero(mask)
+        return [(0, idx)]
     r = rows[idx]
     order = np.argsort(r, kind="stable")
     idx, r = idx[order], r[order]
@@ -525,9 +527,11 @@ def hyp2f1_grid(a, b, c, z: np.ndarray) -> np.ndarray:
     docstring), and the Euler transform when c-a-b < 0.  The raw and the
     transformed series of every set run together in one packed pass per
     band (z <= 0.7, then the rest), and each set's near-one entries go
-    through the connection formulas in one call.  Each entry's value
-    depends on its own (a, b, c, z) alone, never on the other entries or
-    sets, and has the bits of a one-set call on that entry; so a caller may
+    through the connection formulas in slices of _NEAR_ONE_BLOCK entries,
+    so that their work arrays stay small however large the grid.  Each
+    entry's value depends on its own (a, b, c, z) alone, never on the
+    other entries or sets, and has the bits of a one-set call on that
+    entry; so a caller may
     evaluate any subset of a grid (``intop`` builds its symmetric Nystrom
     grid from the upper triangle), or many parameter sets at once, and
     place the values back unchanged.
@@ -573,7 +577,9 @@ def hyp2f1_grid(a, b, c, z: np.ndarray) -> np.ndarray:
             if s in exponent:
                 out[idx] = (1.0 - zf[idx]) ** exponent[s] * out[idx]
     for s, idx in _by_row(rows, near):
-        out[idx] = _near_one_vec(*table[s].tolist(), zf[idx])
+        for lo in range(0, idx.size, _NEAR_ONE_BLOCK):
+            part = idx[lo:lo + _NEAR_ONE_BLOCK]
+            out[part] = _near_one_vec(*table[s].tolist(), zf[part])
     return out.reshape(z.shape)
 
 

@@ -242,13 +242,17 @@ def test_nystrom_matrix_equals_full_grid_assembly(build, order, mu, sigma):
 
 @pytest.mark.parametrize("build, mu, sigma", [
     (discretize, 1.0, 0.0), (discretize, 2.0, 0.5), (discretize, 1.0, 1.0),
-    (discretize_graded, 1.0, 0.0),
+    (discretize_graded, 1.0, 0.0), (discretize_graded, 2.0, 0.5),
+    (discretize_graded, 1.0, 1.0),
 ])
 def test_nystrom_assembly_makes_no_second_matrix(build, mu, sigma):
     # the matrix is the only full-size array: its upper triangle is evaluated
     # in row blocks, mirrored and scaled in place.  About 65% of the graded
-    # grid lies in the near-one window; at (1, 0) the connection formula there
-    # is a finite sum, elsewhere its series' work arrays raise the peak
+    # grid lies in the near-one window, whose connection formulas run in
+    # slices of specfun._NEAR_ONE_BLOCK entries; at (1, 1), where c - a - b
+    # is an integer, the logarithmic series' blocks of a slice add to the
+    # peak (3.5x measured, 23.8x when the window was one call)
+    bound = 4.0 if (build, mu, sigma) == (discretize_graded, 1.0, 1.0) else 3.0
     params = OperatorParams(mu, sigma)
     build(params, 2.0, 512)   # the Gauss-Jacobi rules are cached from here on
     tracemalloc.start()
@@ -257,7 +261,7 @@ def test_nystrom_assembly_makes_no_second_matrix(build, mu, sigma):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * dop.matrix.nbytes
+    assert peak <= bound * dop.matrix.nbytes
 
 
 def test_discretize_graded_reaches_deep_into_the_corner():

@@ -1,6 +1,10 @@
 """Tests for the Gauss-Jacobi rules on (0,1)."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bergnorm
+from bergnorm import quadrature
 from bergnorm.quadrature import (
+    _recurrence,
     make_jacobi_rule,
     make_jacobi_rules,
 )
@@ -210,3 +217,62 @@ def test_batched_rules_validation():
     with pytest.raises(ValueError):
         make_jacobi_rules(0, [])
     assert make_jacobi_rules(8, []) == []
+
+
+# ----------------------------------------------------------------------
+# LAPACK reached without scipy.linalg
+# ----------------------------------------------------------------------
+
+_LOADER_ORDERS = (1, 2, 3, 64, 1024)
+_LOADER_EXPONENTS = ((-0.9, 3.3), (0.5, -0.5), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("order", _LOADER_ORDERS)
+def test_rule_has_the_bits_of_eigh_tridiagonal(order):
+    # Golub-Welsch on the public scipy.linalg route, dstevd as 'auto' picks it
+    from scipy.linalg import eigh_tridiagonal
+
+    for alpha, beta in _LOADER_EXPONENTS:
+        diag, off, mu0 = _recurrence(order, beta, alpha)
+        eigvals, eigvecs = eigh_tridiagonal(diag, off, lapack_driver="stevd")
+        rule = make_jacobi_rule(order, alpha, beta)
+        assert np.array_equal(rule.nodes, 0.5 * (eigvals + 1.0))
+        assert np.array_equal(
+            rule.weights, mu0 * eigvecs[0, :] ** 2 * 2.0 ** (-(alpha + beta + 1.0)))
+
+
+@pytest.mark.parametrize("order", _LOADER_ORDERS)
+def test_batched_rules_have_the_bits_of_eigh_tridiagonal(order, monkeypatch):
+    # the same batch, its eigenvalues taken from the public dsterf route
+    from scipy.linalg import eigh_tridiagonal
+
+    def reference(diag, off, vectors):
+        assert not vectors
+        return eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="sterf"), None
+
+    got = make_jacobi_rules(order, _LOADER_EXPONENTS)
+    monkeypatch.setattr(quadrature, "_tridiagonal_eigen", reference)
+    want = make_jacobi_rules(order, _LOADER_EXPONENTS)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.nodes, w.nodes)
+        assert np.array_equal(g.weights, w.weights)
+
+
+def test_solver_failure_is_a_quadrature_error():
+    # LAPACK's info != 0 (a NaN matrix does not converge) is not a rule
+    diag = np.array([np.nan, 1.0, 2.0])
+    with pytest.raises(quadrature.QuadratureError, match="dstevd"):
+        quadrature._tridiagonal_eigen(diag, np.array([0.5, 0.5]), vectors=True)
+
+
+@pytest.mark.parametrize("modules", ["bergnorm.cli", "bergnorm.intop, bergnorm.normest"])
+def test_import_leaves_scipy_linalg_out(modules):
+    # a fresh interpreter: the rules reach LAPACK without scipy.linalg's init
+    src = str(Path(bergnorm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = (f"import sys; import {modules}; "
+            "sys.exit('scipy.linalg' in sys.modules and 'scipy.linalg was imported')")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr

@@ -19,7 +19,7 @@ from bergnorm.cli import (_SUITES, ConfigError, add_setting_flags, build_config,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    add_setting_flags(parser, ("seed", "order", "eta_min"))
+    add_setting_flags(parser, ("seed", "order"))
     parser.add_argument("--artifacts", type=str, default=None,
                         help="directory for per-suite JSON output")
     args = parser.parse_args(argv)

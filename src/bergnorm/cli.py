@@ -316,20 +316,21 @@ def _norm_record(scenario: str, inputs: dict, params: OperatorParams,
     a divergence-detection scenario: the check passes when the discrete
     estimates are seen growing with the order, i.e. when the numerics
     agree that no finite norm exists.  The report names its routes and the
-    gated ones; this function names none.  A closed form or scale beyond
-    double range flags the record, and numpy's overflow warnings stay
-    silent.
+    gated ones; this function names none.  ``inputs.eta_min`` is the
+    depth of the report's eta-sweep, null where no sweep ran.  A closed
+    form or scale beyond double range flags the record, and numpy's
+    overflow warnings stay silent.
     """
-    inputs = {**inputs, "order": cfg.order, "eta_min": cfg.eta_min}
+    inputs = {**inputs, "order": cfg.order, "eta_min": None}
     try:
         factor = scale()
         with np.errstate(over="ignore", invalid="ignore"):
-            report = norm_report(params, exp, order=cfg.order,
-                                 eta_min=cfg.eta_min)
+            report = norm_report(params, exp, order=cfg.order)
         if not report.unbounded:
             closed_form = report.closed_form if closed is None else closed()
     except (QuadratureError, ConvergenceError, DivergenceError, OverflowError) as err:
         return _flagged(scenario, inputs, _failure(err))
+    inputs["eta_min"] = report.eta_min
     routes = {k: factor * v for k, v in report.routes.items()}
     if report.unbounded:
         inputs["growth"] = report.growth
@@ -766,8 +767,6 @@ class SuiteConfig:
     p: float = _setting(2.0, "p", _parse_exponent, "Lebesgue exponent, a real >= 1 or inf")
     n: int = _setting(1, "n", int, "complex dimension for the ball suites")
     order: int = _setting(128, "order", int, "quadrature / discretization order")
-    eta_min: float = _setting(1e-4, "eta-min", float,
-                              "smallest path parameter in the lower-bound sweep")
     seed: int = _setting(0, "seed", int, "seed for the randomized identity checks only")
     fmt: str = _setting("aligned-text", "format", _parse_choice(FORMAT_NAMES),
                         f"output format: {', '.join(FORMAT_NAMES)}")
@@ -829,8 +828,6 @@ def build_config(args: argparse.Namespace) -> SuiteConfig:
         raise ConfigError(f"the dimension n must be a positive integer, got {cfg.n}")
     if cfg.order < 8:
         raise ConfigError(f"quadrature order must be at least 8, got {cfg.order}")
-    if not 0.0 < cfg.eta_min <= 0.5:
-        raise ConfigError(f"eta-min must lie in (0, 0.5], got {cfg.eta_min}")
     if not cfg.sigma > -1.0:
         raise ConfigError(f"sigma must exceed -1, got {cfg.sigma}")
     if not cfg.mu > 0.0:

@@ -33,7 +33,7 @@ record order) with the names of the routes held to a tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +44,7 @@ from .intop import (
     OperatorParams,
     UnboundedOperatorError,
     _as_exponent,
+    boundedness_margin,
     discretize,
     kernel_moments,
     norm_formula,
@@ -220,21 +221,34 @@ class ExtremalFamily:
     Psi(s) = C_tilde s^(vartheta/q) (1-s)^(vartheta_tilde/q) normalized in
     L^q.  ``vartheta`` is identically 0 and ``vartheta_tilde`` is tied to
     theta by (theta - p)/(p - 1), which is exactly the coupling that keeps
-    the bilinear form in closed form.  Build it with
-    ``make_extremal_family``, which checks p, theta and theta_tilde.
+    the bilinear form in closed form.
+
+    The family is stored by its two gaps, ``theta_gap`` = theta - 1 and
+    ``tilde_gap`` = theta_tilde + 1, which the degeneration path sends to 0
+    together.  Every quantity that vanishes with them is formed from the
+    gaps, never as a difference of O(1) numbers: theta_tilde + 1,
+    vartheta_tilde + 1 = theta_gap/(p-1) and g = (theta_gap + tilde_gap)/p.
+    Build it with ``make_extremal_family`` or ``family_on_path``.
     """
 
     p: LebesgueExponent
-    theta: float
-    theta_tilde: float
+    theta_gap: float
+    tilde_gap: float
     C: float
     C_tilde: float
     vartheta: float = 0.0
-    vartheta_tilde: float = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "vartheta_tilde",
-                           (self.theta - self.p.p) / (self.p.p - 1.0))
+    @property
+    def theta(self) -> float:
+        return 1.0 + self.theta_gap
+
+    @property
+    def theta_tilde(self) -> float:
+        return self.tilde_gap - 1.0
+
+    @property
+    def vartheta_tilde(self) -> float:
+        return self.theta_gap / (self.p.p - 1.0) - 1.0
 
     def phi_values(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -246,9 +260,10 @@ class ExtremalFamily:
         return self.C_tilde * (1.0 - s) ** (self.vartheta_tilde / self.p.q)
 
 
-def make_extremal_family(params: OperatorParams, p, theta: float,
-                         theta_tilde: float) -> ExtremalFamily:
-    """Build the family with its normalizers, all in log domain.
+def _family(params: OperatorParams, p, theta_gap: float,
+            tilde_gap: float) -> ExtremalFamily:
+    """The family at gaps theta - 1 and theta_tilde + 1, with its
+    normalizers in log domain:
 
     C^p = 1 / (mu B(theta + mu, theta_tilde + 1)) makes ||Phi||_p = 1, and
     C_tilde^q = 1 / (mu B(mu, vartheta_tilde + 1)) makes ||Psi||_q = 1.
@@ -256,30 +271,39 @@ def make_extremal_family(params: OperatorParams, p, theta: float,
     exp = _as_exponent(p)
     if exp.is_one or exp.is_infinite:
         raise ValueError("the extremal family needs 1 < p < infinity")
+    mu = params.mu
+    theta = 1.0 + theta_gap
+    vartheta_gap = theta_gap / (exp.p - 1.0)
+    log_c = -(math.log(mu) + log_gamma(theta + mu) + log_gamma(tilde_gap)
+              - log_gamma(theta + mu + tilde_gap)) / exp.p
+    log_ct = -(math.log(mu) + log_gamma(mu) + log_gamma(vartheta_gap)
+               - log_gamma(mu + vartheta_gap)) / exp.q
+    return ExtremalFamily(p=exp, theta_gap=theta_gap, tilde_gap=tilde_gap,
+                          C=math.exp(log_c), C_tilde=math.exp(log_ct))
+
+
+def make_extremal_family(params: OperatorParams, p, theta: float,
+                         theta_tilde: float) -> ExtremalFamily:
+    """The family at exponents theta > 1 and theta_tilde > -1, for
+    1 < p < infinity."""
     if not theta > 1.0:
         raise ValueError(f"theta must exceed 1, got {theta!r}")
     if not theta_tilde > -1.0:
         raise ValueError(f"theta_tilde must exceed -1, got {theta_tilde!r}")
-    mu = params.mu
-    vt = (theta - exp.p) / (exp.p - 1.0)
-    log_c = -(math.log(mu) + log_gamma(theta + mu) + log_gamma(theta_tilde + 1.0)
-              - log_gamma(theta + mu + theta_tilde + 1.0)) / exp.p
-    log_ct = -(math.log(mu) + log_gamma(mu) + log_gamma(vt + 1.0)
-               - log_gamma(mu + vt + 1.0)) / exp.q
-    return ExtremalFamily(p=exp, theta=theta, theta_tilde=theta_tilde,
-                          C=math.exp(log_c), C_tilde=math.exp(log_ct))
+    return _family(params, p, theta - 1.0, theta_tilde + 1.0)
 
 
 def family_on_path(params: OperatorParams, p, eta: float) -> ExtremalFamily:
     """The degeneration path theta = 1 + (p-1) eta, theta_tilde = eta - 1.
 
     As eta -> 0+ the bilinear form of the family climbs to the operator
-    norm; eta must be positive.
+    norm; eta must be positive.  The family is built from its gaps
+    (p-1) eta and eta, so it stays exact where 1 + (p-1) eta rounds to 1.
     """
     exp = _as_exponent(p)
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta!r}")
-    return make_extremal_family(params, exp, 1.0 + (exp.p - 1.0) * eta, eta - 1.0)
+    return _family(params, exp, (exp.p - 1.0) * eta, eta)
 
 
 def bilinear_form_closed(params: OperatorParams, fam: ExtremalFamily) -> float:
@@ -291,15 +315,17 @@ def bilinear_form_closed(params: OperatorParams, fam: ExtremalFamily) -> float:
         mu C C_tilde Gamma(mu+1) Gamma(theta/p) Gamma(theta_tilde/p+sigma+1)
         * Gamma(g) / Gamma(g + lam)^2,      g = (theta + theta_tilde)/p,
 
-    every factor evaluated in log domain.
+    every factor evaluated in log domain.  theta_tilde/p + sigma + 1 is
+    formed as margin + (theta_tilde + 1)/p, with the boundedness margin
+    sigma + 1 - 1/p, so that it keeps its digits when both are small.
     """
     exp = fam.p
-    require_bounded(params, exp)
-    g = (fam.theta + fam.theta_tilde) / exp.p
+    margin = require_bounded(params, exp)
+    g = (fam.theta_gap + fam.tilde_gap) / exp.p
     log_val = (math.log(params.mu) + math.log(fam.C) + math.log(fam.C_tilde)
                + log_gamma(params.mu + 1.0)
                + log_gamma(fam.theta / exp.p)
-               + log_gamma(fam.theta_tilde / exp.p + params.sigma + 1.0)
+               + log_gamma(margin + fam.tilde_gap / exp.p)
                + log_gamma(g) - 2.0 * log_gamma(g + params.lam))
     return math.exp(log_val)
 
@@ -516,15 +542,17 @@ class NormReport:
 
     ``routes`` maps each route's name, as the CLI records print it, to its
     value, in record order; ``gated`` names those whose gap to the closed
-    form is held to a tolerance.  In the unbounded regime ``closed_form``
-    is +inf, and ``divergence_flagged`` records whether the discrete
-    estimates were seen growing with the order (the numeric signature of
-    an unbounded operator).
+    form is held to a tolerance.  ``eta_min`` is the smallest path
+    parameter of the eta-sweep, None where no sweep runs.  In the
+    unbounded regime ``closed_form`` is +inf, and ``divergence_flagged``
+    records whether the discrete estimates were seen growing with the
+    order (the numeric signature of an unbounded operator).
     """
 
     closed_form: float
     routes: dict[str, float]
     gated: tuple[str, ...] = ()
+    eta_min: float | None = None
     unbounded: bool = False
     growth: str | None = None
     divergence_flagged: bool = False
@@ -532,9 +560,11 @@ class NormReport:
 
 _DIVERGENCE_PROBE_ORDERS = (64, 128, 256)
 
+# the eta-sweep stops where its shortfall, about eta/e, is this small
+_SWEEP_GAP = 1e-10
 
-def norm_report(params: OperatorParams, p, order: int = 128,
-                eta_min: float = 1e-4) -> NormReport:
+
+def norm_report(params: OperatorParams, p, order: int = 128) -> NormReport:
     """Assemble every applicable route for one parameter set.
 
     Bounded, 1 < p < infinity: the Schur maxima ``schur_right`` and
@@ -544,6 +574,16 @@ def norm_report(params: OperatorParams, p, order: int = 128,
     the column-mass supremum ``column_mass_sup``, gated.  Unbounded: the
     discrete estimates are probed across increasing orders and flagged
     when they grow; ``largest_probe_estimate`` is the last of them.
+
+    The sweep falls short of the norm by about eta/e, where
+    e = min(1/p, 1/q, sigma + 1 - 1/p) is the smallest of the exponents
+    that set how fast the pairing climbs, so a fixed depth leaves the
+    bound short wherever e is small (p near 1 or large, sigma near
+    1/p - 1).  It
+    therefore runs by decades from eta = 0.1 down to
+    eta_min = _SWEEP_GAP * e = 1e-10 e, which leaves a shortfall of about
+    1e-10 whatever the exponents; ``family_on_path`` keeps the pairing
+    exact that deep.
     """
     exp = _as_exponent(p)
     try:
@@ -570,10 +610,9 @@ def norm_report(params: OperatorParams, p, order: int = 128,
                           routes={"column_mass_sup": l1_profile(params).maximum},
                           gated=("column_mass_sup",))
     right, left = schur_profile(params, exp)
-    n_decades = max(1, round(-math.log10(eta_min)) - 1)
-    etas = [10.0 ** -k for k in range(1, n_decades + 1)]
-    if etas[-1] > eta_min:
-        etas.append(eta_min)
+    eta_min = _SWEEP_GAP * min(exp.inv, 1.0 / exp.q, boundedness_margin(params, exp))
+    decades = range(1, math.ceil(-math.log10(eta_min)) + 1)
+    etas = [10.0 ** -k for k in decades if 10.0 ** -k > eta_min] + [eta_min]
     sweep = lower_bound_sweep(params, exp, etas)
     routes = {
         "schur_right": right.maximum,
@@ -582,4 +621,5 @@ def norm_report(params: OperatorParams, p, order: int = 128,
         "nystrom": lp_opnorm_numeric(discretize(params, exp, order)),
     }
     return NormReport(closed_form=closed, routes=routes,
-                      gated=("schur_right", "schur_left", "sweep_lower"))
+                      gated=("schur_right", "schur_left", "sweep_lower"),
+                      eta_min=eta_min)

@@ -424,6 +424,18 @@ def test_norm_report_route_table_reaches_the_records(sigma, p, routes, gated):
         assert record.status == "pass"
         assert list(record.numeric_routes) == routes
         assert list(record.rel_errors) == gated
+        assert record.inputs["eta_min"] == report.eta_min
+
+
+@pytest.mark.parametrize("sigma, p", [(0.0, 1000.0), (-0.499, 2.0), (0.0, 1.001)])
+def test_sweep_reaches_the_norm_at_slow_exponents(sigma, p):
+    # e = min(1/p, 1/q, sigma + 1 - 1/p) is about 1e-3 at each, and the
+    # sweep ends at eta_min = 1e-10 e; a fixed eta_min = 1e-4 left it
+    # 9.1% or 4.8% short
+    record = cli._interval_record(1.0, sigma, p, SuiteConfig(sigma=sigma, p=p))
+    assert record.status == "pass"
+    assert abs(record.rel_errors["sweep_lower"]) <= 1e-9
+    assert record.inputs["eta_min"] == pytest.approx(1e-13, rel=2e-3)
 
 
 def test_flagged_record_carries_reason():
@@ -645,7 +657,6 @@ def test_config_file_gives_the_flag_run(tmp_path):
 _BAD_VALUES = [
     ("n", "0", "dimension n must be a positive integer"),
     ("order", "4", "order must be at least 8"),
-    ("eta-min", "0.9", r"eta-min must lie in \(0, 0.5\]"),
     ("sigma", "-2", "sigma must exceed -1"),
     ("mu", "-1", "mu must be positive"),
     ("seed", "-3", "seed must be a non-negative integer, got -3"),

@@ -345,6 +345,33 @@ def test_bilinear_closed_frozen_values(mu, sigma, p, theta, tt, expected):
     assert bilinear_form_closed(params, fam) == pytest.approx(expected, rel=1e-13)
 
 
+# mpmath oracle (60 digits) for the closed pairing on the degeneration path
+# theta - 1 = (p-1) eta, theta_tilde + 1 = eta, where e = min(1/p, 1/q,
+# sigma + 1 - 1/p) is 1/2 or about 1e-3; at eta = 1e-16 and 1e-30 the
+# pairing has reached the norm
+PATH_BILINEAR_CASES = [
+    (1.0, 0.0, 2.0, 1e-4, 3.1413142435364297183),
+    (1.0, 0.0, 2.0, 1e-16, 3.1415926535897929600),
+    (1.0, 0.0, 2.0, 1e-30, 3.1415926535897932385),
+    (1.0, 0.0, 1000.0, 1e-4, 909.17530247864159444),
+    (1.0, 0.0, 1000.0, 1e-16, 1000.0016449358610160),
+    (1.0, 0.0, 1000.0, 1e-30, 1000.0016449359609159),
+    (1.0, -0.499, 2.0, 1e-4, 1124.7985378583222490),
+    (1.0, -0.499, 2.0, 1e-16, 1180.9413469489290283),
+    (1.0, -0.499, 2.0, 1e-30, 1180.9413469489879783),
+    (1.0, 0.0, 1.001, 1e-4, 910.09255226492019461),
+    (1.0, 0.0, 1.001, 1e-16, 1001.0016432926746029),
+    (1.0, 0.0, 1.001, 1e-30, 1001.0016432927746029),
+]
+
+
+@pytest.mark.parametrize("mu, sigma, p, eta, expected", PATH_BILINEAR_CASES)
+def test_bilinear_closed_on_path_frozen_values(mu, sigma, p, eta, expected):
+    params = OperatorParams(mu, sigma)
+    fam = family_on_path(params, p, eta)
+    assert bilinear_form_closed(params, fam) == pytest.approx(expected, rel=1e-13)
+
+
 def test_bilinear_numeric_matches_closed_reference_case():
     params = OperatorParams(1.0, 0.0)
     fam = make_extremal_family(params, 2.0, 2.0, 0.0)
@@ -428,6 +455,21 @@ def test_family_on_path_exponents():
     assert fam.theta_tilde == pytest.approx(-0.8, rel=1e-15)
     with pytest.raises(ValueError):
         family_on_path(OperatorParams(1.0, 0.0), 2.0, 0.0)
+
+
+@pytest.mark.parametrize("p, eta, expected", [
+    (2.0, 1e-16, math.pi),
+    (1.0000001, 1e-12, 9999900.9951615995),     # mpmath, 60 digits
+])
+def test_family_on_path_builds_where_theta_rounds_to_one(p, eta, expected):
+    # 1 + (p-1) eta rounds to 1; the family is built from its gaps
+    params = OperatorParams(1.0, 0.0)
+    fam = family_on_path(params, p, eta)
+    assert fam.theta == 1.0
+    assert fam.theta_gap == (p - 1.0) * eta and fam.tilde_gap == eta
+    value = bilinear_form_closed(params, fam)
+    assert value == pytest.approx(expected, rel=1e-9)
+    assert value <= norm_formula(params, p) * (1.0 + 1e-14)
 
 
 def test_lower_bound_sweep_climbs_to_norm():
@@ -630,7 +672,9 @@ def test_norm_report_bounded_branch():
     assert rep.routes["schur_right"] <= closed * (1.0 + 1e-12)
     assert rep.routes["sweep_lower"] < closed
     assert rep.routes["nystrom"] < closed
-    assert (closed - rep.routes["sweep_lower"]) / closed < 1e-3
+    assert (closed - rep.routes["sweep_lower"]) / closed < 1e-9
+    # e = min(1/p, 1/q, sigma + 1 - 1/p) = 1/2
+    assert rep.eta_min == normest._SWEEP_GAP * 0.5
 
 
 def test_norm_report_p_one_branch():
@@ -638,6 +682,7 @@ def test_norm_report_p_one_branch():
     assert rep.closed_form == pytest.approx(4.0 / math.pi, rel=1e-13)
     assert rep.routes["column_mass_sup"] == pytest.approx(rep.closed_form, rel=1e-12)
     assert list(rep.routes) == ["column_mass_sup"]
+    assert rep.eta_min is None
 
 
 @pytest.mark.parametrize("mu, sigma, p, growth", [
@@ -654,3 +699,4 @@ def test_norm_report_unbounded_branch(mu, sigma, p, growth):
     assert list(rep.routes) == ["largest_probe_estimate"]
     assert math.isfinite(rep.routes["largest_probe_estimate"])
     assert rep.gated == ()
+    assert rep.eta_min is None

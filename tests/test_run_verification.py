@@ -13,12 +13,11 @@ _SPEC.loader.exec_module(run_verification)
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--eta-min", "0"], "error: eta-min must lie in (0, 0.5], got 0.0\n"),
     (["--order", "4"], "error: quadrature order must be at least 8, got 4\n"),
     (["--seed", "abc"], "error: bad value for seed: invalid literal for int()"
                         " with base 10: 'abc'\n"),
     (["--seed", "-1"], "error: seed must be a non-negative integer, got -1\n"),
-], ids=["eta-min=0", "order=4", "seed=abc", "seed=-1"])
+], ids=["order=4", "seed=abc", "seed=-1"])
 def test_out_of_range_settings_exit_two(argv, message, capsys):
     # the checks of bergnorm's build_config, before any suite runs
     assert run_verification.main(argv) == 2

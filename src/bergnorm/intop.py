@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import DEFAULT_ORDER, JacobiRule, make_graded_rule, make_jacobi_rule
+from .quadrature import (DEFAULT_ORDER, JacobiRule, _golub_welsch_rule, make_graded_rule,
+                         make_jacobi_rule)
 from .specfun import hyp2f1_grid, log_gamma
 
 __all__ = [
@@ -271,7 +272,7 @@ def discretize(params: OperatorParams, p=2.0,
     """
     if order < 2:
         raise ValueError(f"discretization needs order >= 2, got {order!r}")
-    return _nystrom(params, p, make_jacobi_rule(order, params.mu - 1.0, params.sigma))
+    return _nystrom(params, p, _golub_welsch_rule(order, params.mu - 1.0, params.sigma))
 
 
 def discretize_graded(params: OperatorParams, p=2.0,
@@ -287,8 +288,9 @@ def discretize_graded(params: OperatorParams, p=2.0,
 
 
 def boundedness_margin(params: OperatorParams, p) -> float:
-    """sigma + 1 - 1/p; the operator is bounded on L^p iff this is positive."""
-    return params.sigma + 1.0 - _as_exponent(p).inv
+    """sigma + 1 - 1/p, formed as sigma + 1/q to keep its relative accuracy
+    near p = 1; the operator is bounded on L^p iff this is positive."""
+    return params.sigma + 1.0 / _as_exponent(p).q
 
 
 def require_bounded(params: OperatorParams, p) -> float:

@@ -21,9 +21,9 @@ None of the routes trusts the closed form it is checking.
   and checked at p = 2 by the top singular value (Lanczos).  It certifies
   the *matrix*, whose norm approaches the operator's from below as the
   order grows: like 1/log(order) on one Gauss-Jacobi rule (``discretize``,
-  0.863*pi at order 256 for the flagship (1, 0, 2), the rule
-  ``norm_report`` uses), faster on panels graded toward t = 1
-  (``discretize_graded``, 0.956*pi at order 256).
+  0.863*pi at order 256 for the flagship (1, 0, 2); ``norm_report`` takes
+  the same matrix on ``make_jacobi_rule``'s Christoffel weights), faster
+  on panels graded toward t = 1 (``discretize_graded``, 0.956*pi at 256).
 
 ``norm_report`` bundles all applicable routes for one (mu, sigma, p) into
 a NormReport: the closed form, and a route table (name -> value, in
@@ -44,13 +44,14 @@ from .intop import (
     OperatorParams,
     UnboundedOperatorError,
     _as_exponent,
+    _nystrom,
     boundedness_margin,
-    discretize,
     kernel_moments,
     norm_formula,
     require_bounded,
 )
-from .quadrature import IDENTITY_CHECK_ORDER, QuadratureError, make_jacobi_rule
+from .quadrature import (IDENTITY_CHECK_ORDER, QuadratureError, make_jacobi_rule,
+                         make_jacobi_rules)
 from .specfun import (
     ConvergenceError,
     beta_fn,
@@ -107,11 +108,11 @@ def supremum_grid(grid_size: int = 64, k_max: int = 40) -> np.ndarray:
 # L^1 and Schur routes: one weighted column integral
 # ----------------------------------------------------------------------
 
-def _column_terms(params: OperatorParams, beta: float) -> tuple[float, float, float]:
-    """(mu B(mu, beta+1), c - lam, c) with c = mu + beta + 1: the front
-    factor and the 2F1 parameters of C_beta's closed form."""
-    c = params.mu + (beta + 1.0)
-    return params.mu * beta_fn(params.mu, beta + 1.0), c - params.lam, c
+def _column_terms(params: OperatorParams, mass: float) -> tuple[float, float, float]:
+    """(mu B(mu, mass), c - lam, c) with mass = beta + 1 and c = mu + mass:
+    the front factor and the 2F1 parameters of C_beta's closed form."""
+    c = params.mu + mass
+    return params.mu * beta_fn(params.mu, mass), c - params.lam, c
 
 
 def column_closed(params: OperatorParams, beta: float, x) -> np.ndarray:
@@ -125,7 +126,7 @@ def column_closed(params: OperatorParams, beta: float, x) -> np.ndarray:
     c-parameter to mu+beta+1, and its Euler transform absorbs the prefactor.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    front, a, c = _column_terms(params, beta)
+    front, a, c = _column_terms(params, beta + 1.0)
     return front * hyp2f1_grid(a, a, c, x)
 
 
@@ -174,22 +175,25 @@ class ColumnProfile:
                             / np.abs(closed_sub)))
 
 
-def _column_profile(params: OperatorParams, beta: float) -> ColumnProfile:
+def _column_profile(params: OperatorParams, mass: float, gap=None) -> ColumnProfile:
+    """C_beta at beta = mass - 1, taking beta + 1 (mass) and, where it is the margin,
+    sigma - beta (gap) as the caller forms them; a missing gap is Gauss summation's."""
     grid = supremum_grid()
     quad_grid = grid[grid <= QUAD_ROUTE_CUTOFF]
-    front, a, c = _column_terms(params, beta)
-    return ColumnProfile(beta=beta, grid=grid,
-                         closed=column_closed(params, beta, grid),
+    front, a, c = _column_terms(params, mass)
+    endpoint = front * (hyp2f1_at_one(a, a, c) if gap is None else math.exp(
+        log_gamma(c) + log_gamma(gap) - 2.0 * log_gamma(params.lam)))
+    return ColumnProfile(beta=mass - 1.0, grid=grid,
+                         closed=front * hyp2f1_grid(a, a, c, grid),
                          quadrature_grid=quad_grid,
-                         quadrature=column_quadrature(params, beta, quad_grid),
-                         endpoint=front * hyp2f1_at_one(a, a, c))
+                         quadrature=column_quadrature(params, mass - 1.0, quad_grid),
+                         endpoint=endpoint)
 
 
 def l1_profile(params: OperatorParams) -> ColumnProfile:
     """The column masses C_0, whose supremum, the t -> 1 limit, is the L^1
     norm; raises UnboundedOperatorError when that limit is infinite."""
-    require_bounded(params, 1.0)
-    return _column_profile(params, 0.0)
+    return _column_profile(params, 1.0, require_bounded(params, 1.0))
 
 
 def schur_profile(params: OperatorParams, p) -> tuple[ColumnProfile, ColumnProfile]:
@@ -203,10 +207,10 @@ def schur_profile(params: OperatorParams, p) -> tuple[ColumnProfile, ColumnProfi
     exp = _as_exponent(p)
     if exp.is_one or exp.is_infinite:
         raise ValueError("the Schur route needs 1 < p < infinity")
-    require_bounded(params, exp)
-    # -1/q written as 1/p - 1: beta + 1 then gives back 1/p (exactly for p <= 2)
-    return (_column_profile(params, params.sigma - exp.inv),
-            _column_profile(params, exp.inv - 1.0))
+    margin = require_bounded(params, exp)
+    # the margin is beta + 1 on the right, sigma - beta on the left
+    return (_column_profile(params, margin),
+            _column_profile(params, exp.inv, margin))
 
 
 # ----------------------------------------------------------------------
@@ -362,11 +366,8 @@ def bilinear_form_numeric(params: OperatorParams, fam: ExtremalFamily,
     b_s = fam.vartheta_tilde / exp.q
     a_u = b_t + b_s - sigma                     # ridge-corrected corner exponent
 
-    def triangle(n: int, outer_beta: float, inner_alpha: float,
-                 sampled_exp: float) -> float:
+    def triangle(n: int, rule_u, rule_w, sampled_exp: float) -> float:
         # outer variable u (distance to the corner), inner scaling w = v/u
-        rule_u = make_jacobi_rule(n, a_u, outer_beta)
-        rule_w = make_jacobi_rule(n, inner_alpha, 0.0)
         w = rule_w.nodes[None, :]
         acc = np.zeros(n)
         step = max(1, _TWIN_GRID_CAP // n)
@@ -381,8 +382,10 @@ def bilinear_form_numeric(params: OperatorParams, fam: ExtremalFamily,
         return float(acc @ rule_w.weights)
 
     def value_at(n: int) -> float:
-        lower = triangle(n, a_t, b_s, a_s)      # v <= u, i.e. 1-s <= 1-t
-        upper = triangle(n, a_s, b_t, a_t)      # u <= v
+        u_lower, w_lower, u_upper, w_upper = make_jacobi_rules(
+            n, [(a_u, a_t), (b_s, 0.0), (a_u, a_s), (b_t, 0.0)])
+        lower = triangle(n, u_lower, w_lower, a_s)      # v <= u, i.e. 1-s <= 1-t
+        upper = triangle(n, u_upper, w_upper, a_t)      # u <= v
         return mu ** 2 * fam.C * fam.C_tilde * (lower + upper)
 
     def gap(coarse: float, fine: float) -> float:
@@ -591,7 +594,7 @@ def norm_report(params: OperatorParams, p, order: int = 128) -> NormReport:
     except UnboundedOperatorError as err:
         estimates = []
         for n in _DIVERGENCE_PROBE_ORDERS:
-            disc = discretize(params, exp, n)
+            disc = _nystrom(params, exp, make_jacobi_rule(n, params.mu - 1.0, params.sigma))
             if exp.is_infinite:
                 # sup norm of the discrete image of the constant one
                 estimates.append(float(np.max(disc.matrix.sum(axis=1))))
@@ -614,11 +617,12 @@ def norm_report(params: OperatorParams, p, order: int = 128) -> NormReport:
     decades = range(1, math.ceil(-math.log10(eta_min)) + 1)
     etas = [10.0 ** -k for k in decades if 10.0 ** -k > eta_min] + [eta_min]
     sweep = lower_bound_sweep(params, exp, etas)
+    rule = make_jacobi_rule(order, params.mu - 1.0, params.sigma)
     routes = {
         "schur_right": right.maximum,
         "schur_left": left.maximum,
         "sweep_lower": max(v for _, v in sweep),
-        "nystrom": lp_opnorm_numeric(discretize(params, exp, order)),
+        "nystrom": lp_opnorm_numeric(_nystrom(params, exp, rule)),
     }
     return NormReport(closed_form=closed, routes=routes,
                       gated=("schur_right", "schur_left", "sweep_lower"),

@@ -9,35 +9,30 @@ exponents live in the weight, so integrands with t^(mu-1) or (1-t)^sigma
 singularities are handled by folding those exponents into the rule
 analytically instead of sampling them.
 
-Both builders start from the symmetric tridiagonal Jacobi matrix of the
+Every rule starts from the symmetric tridiagonal Jacobi matrix of the
 weight's orthogonal polynomials, assembled from the known three-term
-recurrence, and map the standard [-1,1] rule affinely onto (0,1).  They
-differ in how they get weights from it:
+recurrence, and maps the standard [-1,1] rule affinely onto (0,1).  One
+builder, ``make_jacobi_rules``, serves every route: LAPACK's eigenvalues,
+one Newton step on the recurrence, and Christoffel weights
+mu0 / sum_k p_k(x)^2, a sum of positive terms that keeps every weight's
+relative accuracy.  ``make_jacobi_rule`` is its cached one-rule form.
 
-* ``make_jacobi_rule`` (Golub-Welsch) takes the full eigendecomposition
-  from LAPACK's tridiagonal solver ``dstevd``: nodes are the eigenvalues,
-  weights come from the first components of the eigenvectors.  Its exact
-  bits are frozen, because ``discretize``, ``discretize_graded``, the norm routes
-  and the ball and Berezin quadratures all build on it and acceptance
-  criterion 6 holds ``discretize`` byte for byte.  It caches its rules.
-* ``make_jacobi_rules`` builds a batch of throwaway rules of one order.
-  It asks LAPACK for eigenvalues only, refines them by one Newton step on
-  the three-term recurrence and takes the weights from the Christoffel
-  sum, run as one recurrence over all rules of the batch.  It skips the
-  eigenvectors, which are most of the cost.  Its weights differ from
-  Golub-Welsch in the last digits, so only the identity checks of the
-  ``identities`` suite use it; they need a fresh rule for every random
-  draw, which a cache never serves.
+Golub-Welsch weights, mu0 v_1^2 from the eigenvectors' first components,
+are accurate only in absolute terms (Golub and Welsch, Math. Comp. 23
+(1969); Hale and Townsend, SIAM J. Sci. Comput. 35 (2013)): beside a
+(1-t)^20 endpoint at order 128 the smallest weight is 3.6e-40, not
+1.0e-44, and a kernel growing like (1-t)^(-sigma-1) makes that a wrong
+norm.  They live on only in ``_golub_welsch_rule``, for ``intop.discretize``,
+whose output acceptance criterion 6 freezes byte for byte.
 
-``make_graded_rule`` composes such rules into panels that halve in width
+``make_graded_rule`` composes rules into panels that halve in width
 toward t = 1, for integrands that vary on every scale of 1 - t.
 
 LAPACK is reached through ``scipy.linalg._flapack``, the compiled f2py
 module that ``scipy.linalg.lapack`` re-exports, loaded from scipy's
-package directory without running ``scipy/linalg/__init__.py``.  That
-package init costs about 0.3 s and 24 MiB per process, most of it scipy's
-array-API layer, and nothing else here uses it.  The calls and arguments
-are those ``scipy.linalg.eigh_tridiagonal`` makes (``dstevd`` with
+package directory without running ``scipy/linalg/__init__.py`` (about
+0.3 s and 24 MiB per process, which nothing here needs).  The calls are
+those ``scipy.linalg.eigh_tridiagonal`` makes (``dstevd`` with
 eigenvectors, ``dsterf`` without), so every rule has its bits.  If a
 scipy release moves the module, the import fails and names it.
 """
@@ -205,34 +200,21 @@ def _checked_rule(order: int, alpha: float, beta: float, nodes: np.ndarray,
 
 @lru_cache(maxsize=256)
 def make_jacobi_rule(order: int, alpha: float, beta: float) -> JacobiRule:
-    """Build (and cache) the order-point rule for weight t^alpha (1-t)^beta.
-
-    Golub-Welsch on LAPACK ``dstevd``, the routine (and arguments) that
-    ``scipy.linalg.eigh_tridiagonal`` picks by default, reached without
-    importing ``scipy.linalg`` (see the module docstring): the rules keep
-    the bits that acceptance criterion 6 freezes, and a process does not
-    pay for that package's init.
-    """
-    _check_request(order, [(alpha, beta)])
-    # on [-1,1] the (1-x) exponent pairs with the (1-t) factor and the
-    # (1+x) exponent with the t factor
-    diag, off, mu0 = _recurrence(order, beta, alpha)
-    eigvals, eigvecs = _tridiagonal_eigen(diag, off, vectors=True)
-    nodes = 0.5 * (eigvals + 1.0)
-    weights = mu0 * eigvecs[0, :] ** 2 * 2.0 ** (-(alpha + beta + 1.0))
-    return _checked_rule(order, alpha, beta, nodes, weights)
+    """Build (and cache) the order-point rule for weight t^alpha (1-t)^beta:
+    ``make_jacobi_rules`` for the one pair."""
+    return make_jacobi_rules(order, [(alpha, beta)])[0]
 
 
 def make_jacobi_rules(order: int, exponents) -> list[JacobiRule]:
     """One order-point rule per (alpha, beta) pair, for weight t^alpha (1-t)^beta.
 
-    Nodes are the eigenvalues of each Jacobi matrix (no eigenvectors),
-    polished by one Newton step on the three-term recurrence.  Weights are
-    the Christoffel numbers mu0 / sum_k p_k(x_i)^2, with p_k the
-    orthonormal polynomials scaled to p_0 = 1, each rule's weights then
-    rescaled to sum to its exact mass B(alpha+1, beta+1).  Both recurrence
-    passes run over the whole batch at once, so a batch costs ``order``
-    array steps per pass however many rules it holds.  Nothing is cached.
+    Nodes are each Jacobi matrix's eigenvalues (no eigenvectors), polished
+    by one Newton step delta on the three-term recurrence; weights are the
+    Christoffel numbers mu0 / S, S = sum_k p_k(x_i)^2 over the orthonormal
+    p_k with p_0 = 1, rescaled to each rule's mass B(alpha+1, beta+1).  One
+    recurrence pass over the whole batch (``order`` array steps) carries
+    p_k, p_k', S and D = sum_k p_k p_k'; S + 2 delta D is S at the polished
+    node to first order.  No cache.
     """
     exponents = [(float(alpha), float(beta)) for alpha, beta in exponents]
     _check_request(order, exponents)
@@ -246,30 +228,42 @@ def make_jacobi_rules(order: int, exponents) -> list[JacobiRule]:
     x = np.empty((count, order))
     mass = np.empty((count, 1))
     for r, (alpha, beta) in enumerate(exponents):
+        # on [-1,1] the (1-x) exponent pairs with the (1-t) factor and the
+        # (1+x) exponent with the t factor
         diag[r], off[r, 1:order], _ = _recurrence(order, beta, alpha)
         x[r] = _tridiagonal_eigen(diag[r], off[r, 1:order], vectors=False)[0]
         mass[r] = beta_fn(alpha + 1.0, beta + 1.0)
-    # Newton step: p_order and its derivative by the recurrence
     p_prev, p = np.zeros_like(x), np.ones_like(x)
     dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+    christoffel, slope = np.zeros_like(x), np.zeros_like(x)
     for k in range(order):
+        christoffel += p * p
+        slope += p * dp
         shifted = x - diag[:, k:k + 1]
         b_in, b_out = off[:, k:k + 1], off[:, k + 1:k + 2]
         dp_prev, dp = dp, (p + shifted * dp - b_in * dp_prev) / b_out
         p_prev, p = p, (shifted * p - b_in * p_prev) / b_out
-    x -= p / dp
-    # Christoffel sum at the polished nodes
-    p_prev, p = np.zeros_like(x), np.ones_like(x)
-    christoffel = np.ones_like(x)
-    for k in range(order - 1):
-        b_in, b_out = off[:, k:k + 1], off[:, k + 1:k + 2]
-        p_prev, p = p, ((x - diag[:, k:k + 1]) * p - b_in * p_prev) / b_out
-        christoffel += p * p
+    delta = -p / dp
+    x += delta
+    christoffel += 2.0 * delta * slope
     weights = 1.0 / christoffel
     weights *= mass / weights.sum(axis=1, keepdims=True)
     nodes = 0.5 * (x + 1.0)
     return [_checked_rule(order, alpha, beta, nodes[r].copy(), weights[r].copy())
             for r, (alpha, beta) in enumerate(exponents)]
+
+
+@lru_cache(maxsize=256)
+def _golub_welsch_rule(order: int, alpha: float, beta: float) -> JacobiRule:
+    """The cached Golub-Welsch rule for weight t^alpha (1-t)^beta, for
+    ``intop.discretize`` alone, whose bits acceptance criterion 6 freezes:
+    weights mu0 v_1^2 from LAPACK ``dstevd``, called as ``eigh_tridiagonal`` does."""
+    _check_request(order, [(alpha, beta)])
+    diag, off, mu0 = _recurrence(order, beta, alpha)
+    eigvals, eigvecs = _tridiagonal_eigen(diag, off, vectors=True)
+    nodes = 0.5 * (eigvals + 1.0)
+    weights = mu0 * eigvecs[0, :] ** 2 * 2.0 ** (-(alpha + beta + 1.0))
+    return _checked_rule(order, alpha, beta, nodes, weights)
 
 
 def make_graded_rule(order: int, alpha: float, beta: float) -> JacobiRule:

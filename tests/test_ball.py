@@ -139,7 +139,9 @@ def test_tilde_norm_frozen_values(n, sigma, p, expected):
 @settings(max_examples=120, deadline=None)
 def test_tilde_norm_bridges_to_interval_norm(n, sigma, p):
     bp = BallParams(n, sigma)
-    if sigma + 1.0 - 1.0 / p <= 0.0:
+    # the margin as sigma + (p-1)/p, exact at p = 1: a sigma of 1e-256 is
+    # bounded there, where sigma + 1 - 1/p rounds to 0
+    if sigma + (p - 1.0) / p <= 0.0:
         with pytest.raises(UnboundedOperatorError):
             tilde_norm_formula(bp, p)
         return

@@ -288,6 +288,11 @@ def test_norm_formula_frozen_values():
     assert norm_formula(OperatorParams(1.0, 1.0), 1.0) == pytest.approx(4.0 / math.pi, rel=1e-14)
     assert norm_formula(OperatorParams(2.0, 0.5), 2.0) == pytest.approx(4.19676657427945325, rel=1e-13)
     assert norm_formula(OperatorParams(1.0, 1.0), 2.0) == pytest.approx(2.0, rel=1e-14)
+    # p near 1, where sigma + 1 - 1/p cancels: 50-digit mpmath at the binary p
+    assert norm_formula(OperatorParams(1.0, 0.0), 1.0000001) == pytest.approx(
+        10000000.994161492729, rel=1e-14)
+    assert norm_formula(OperatorParams(1.0, 0.0), 1.001) == pytest.approx(
+        1001.0016432927746029, rel=1e-14)
 
 
 def test_norm_formula_accepts_exponent_objects():

@@ -3,6 +3,7 @@ the extremal lower-bound family, discrete norms, and the report."""
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergnorm import normest
+from bergnorm import cli, normest
 from bergnorm.intop import (
     OperatorParams,
     UnboundedOperatorError,
@@ -123,6 +124,8 @@ ENDPOINT_CASES = [
     (2.0, 0.5, 4.0 / 3.0, 32.0 / 9.0),
     (1.0, 0.0, 100.0, 100.016451234931271),   # right quotient ~ 1 - k (1-x)^(1/p)
     (1.0, -0.49, 2.0, 118.638161331547199),   # left quotient ~ 1 - k (1-x)^0.01
+    (1.0, 0.0, 1.00001, 100001.00001579405578),  # margin 1/q ~ 1e-5: both
+                                                 # quotients take it as formed
 ]
 
 
@@ -700,3 +703,36 @@ def test_norm_report_unbounded_branch(mu, sigma, p, growth):
     assert math.isfinite(rep.routes["largest_probe_estimate"])
     assert rep.gated == ()
     assert rep.eta_min is None
+
+
+@pytest.mark.parametrize("mu, sigma, p", [(1.0, 20.0, 2.0), (1.0, 60.0, 3.0),
+                                          (1.0, 100.0, 2.0)])
+def test_norm_report_routes_hold_at_large_sigma(mu, sigma, p):
+    # the kernel grows like (1-t)^(-sigma-1) toward t = 1, where the rule's
+    # smallest weights sit: they must keep their relative accuracy
+    rep = norm_report(OperatorParams(mu, sigma), p)
+    closed = rep.closed_form
+    assert rep.routes["nystrom"] <= closed * (1.0 + cli._EXCESS_GUARD)
+    right = rep.routes["schur_right"]
+    assert right <= closed * (1.0 + cli._EXCESS_GUARD)
+    assert abs(closed - right) / closed <= cli._NORM_ROUTE_TOL
+
+
+def test_norm_report_builds_near_the_weight_edge():
+    # the right Schur rule's exponent sigma - 1/p lies 1e-12 above -1
+    rep = norm_report(OperatorParams(1.0, -0.499999999999), 2.0)
+    assert all(math.isfinite(v) for v in rep.routes.values())
+
+
+@pytest.mark.parametrize("sigma, p", [(0.0, 2.0), (1.0, 1.0), (0.5, math.inf)])
+def test_norm_report_never_reaches_golub_welsch(sigma, p, monkeypatch):
+    # the Golub-Welsch rule serves discretize alone; bounded, p = 1 and
+    # unbounded reports all build their rules without it
+    def refuse(*args):
+        raise AssertionError("norm_report reached the Golub-Welsch rule")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("bergnorm")]:
+        if hasattr(module, "_golub_welsch_rule"):
+            monkeypatch.setattr(module, "_golub_welsch_rule", refuse)
+    rep = norm_report(OperatorParams(1.0, sigma), p)
+    assert all(math.isfinite(v) for v in rep.routes.values())

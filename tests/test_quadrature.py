@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import bergnorm
 from bergnorm import quadrature
 from bergnorm.quadrature import (
+    _golub_welsch_rule,
     _recurrence,
     make_jacobi_rule,
     make_jacobi_rules,
@@ -148,15 +149,15 @@ def test_batched_rule_is_a_gauss_rule(alpha, beta, order):
 
 
 def test_batched_rules_agree_with_golub_welsch():
-    # Golub-Welsch squares an eigenvector component that carries an absolute
-    # error near machine epsilon, so its smallest weights (~1e-19 beside
-    # an exponent-4 endpoint at order 256) are off by up to ~4e-8 relative;
-    # the absolute floor covers those
+    # discretize's frozen Golub-Welsch rule squares an eigenvector component
+    # that carries an absolute error near machine epsilon, so its smallest
+    # weights (~1e-19 beside an exponent-4 endpoint at order 256) are off by
+    # up to ~4e-8 relative; the absolute floor covers those
     exponents = [(-0.9, -0.9), (-0.6, 1.5), (0.0, 0.0), (2.4, 0.1), (4.0, -0.9),
                  (1.7, 3.3)]
     for order in (1, 2, 8, 128, 256):
         for rule, (a, b) in zip(make_jacobi_rules(order, exponents), exponents):
-            frozen = make_jacobi_rule(order, a, b)
+            frozen = _golub_welsch_rule(order, a, b)
             np.testing.assert_allclose(rule.nodes, frozen.nodes, rtol=0.0, atol=4e-16)
             np.testing.assert_allclose(rule.weights, frozen.weights, rtol=1e-11,
                                        atol=1e-18 * frozen.total_mass)
@@ -190,10 +191,20 @@ def _gauss_jacobi_mp(order, alpha, beta, starts):
         return out
 
 
-@pytest.mark.parametrize("alpha, beta, order", [(-0.6, 1.5, 128), (2.4, 0.1, 256),
-                                                (-0.6, 1.5, 512)])
-def test_batched_rule_against_mpmath(alpha, beta, order):
-    rule = make_jacobi_rules(order, [(alpha, beta)])[0]
+# the last three cases sit beside a (1-t)^20 endpoint and beyond, where
+# Golub-Welsch weights keep no correct digit in their smallest entries
+_MPMATH_CASES = [(-0.6, 1.5, 128), (2.4, 0.1, 256), (-0.6, 1.5, 512),
+                 (0.0, 20.0, 128), (0.0, 60.0, 128), (0.0, 100.0, 128)]
+# both entry points: the batch of one (plain ids) and the cached rule
+_ENTRY_POINTS = [("", lambda order, a, b: make_jacobi_rules(order, [(a, b)])[0]),
+                 ("cached-", make_jacobi_rule)]
+
+
+@pytest.mark.parametrize("build, alpha, beta, order", [
+    pytest.param(build, *case, id=prefix + "-".join(map(str, case)))
+    for prefix, build in _ENTRY_POINTS for case in _MPMATH_CASES])
+def test_batched_rule_against_mpmath(build, alpha, beta, order):
+    rule = build(order, alpha, beta)
     picks = sorted({*np.linspace(0, order - 1, 17).astype(int), 1, order - 2})
     ref = _gauss_jacobi_mp(order, alpha, beta, rule.nodes[picks])
     for i, (node, weight) in zip(picks, ref):
@@ -229,13 +240,14 @@ _LOADER_EXPONENTS = ((-0.9, 3.3), (0.5, -0.5), (0.0, 0.0))
 
 @pytest.mark.parametrize("order", _LOADER_ORDERS)
 def test_rule_has_the_bits_of_eigh_tridiagonal(order):
-    # Golub-Welsch on the public scipy.linalg route, dstevd as 'auto' picks it
+    # discretize's Golub-Welsch rule on the public scipy.linalg route,
+    # dstevd as 'auto' picks it
     from scipy.linalg import eigh_tridiagonal
 
     for alpha, beta in _LOADER_EXPONENTS:
         diag, off, mu0 = _recurrence(order, beta, alpha)
         eigvals, eigvecs = eigh_tridiagonal(diag, off, lapack_driver="stevd")
-        rule = make_jacobi_rule(order, alpha, beta)
+        rule = _golub_welsch_rule(order, alpha, beta)
         assert np.array_equal(rule.nodes, 0.5 * (eigvals + 1.0))
         assert np.array_equal(
             rule.weights, mu0 * eigvecs[0, :] ** 2 * 2.0 ** (-(alpha + beta + 1.0)))

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import (DEFAULT_ORDER, JacobiRule, _golub_welsch_rule, make_graded_rule,
-                         make_jacobi_rule)
+from .quadrature import DEFAULT_ORDER, JacobiRule, make_graded_rule, make_jacobi_rule
 from .specfun import hyp2f1_grid, log_gamma
 
 __all__ = [
@@ -262,7 +261,7 @@ def _nystrom(params: OperatorParams, p, rule: JacobiRule) -> DiscretizedOperator
 
 def discretize(params: OperatorParams, p=2.0,
                order: int = DEFAULT_ORDER) -> DiscretizedOperator:
-    """Build the Nystrom matrix of F at the given quadrature order.
+    """Build the Nystrom matrix of F on ``make_jacobi_rule``'s cached rule.
 
     One Gauss-Jacobi rule comes only to within about 1/order^2 of the
     corner s = t = 1.  There the kernel is close to a multiple of
@@ -272,7 +271,7 @@ def discretize(params: OperatorParams, p=2.0,
     """
     if order < 2:
         raise ValueError(f"discretization needs order >= 2, got {order!r}")
-    return _nystrom(params, p, _golub_welsch_rule(order, params.mu - 1.0, params.sigma))
+    return _nystrom(params, p, make_jacobi_rule(order, params.mu - 1.0, params.sigma))
 
 
 def discretize_graded(params: OperatorParams, p=2.0,

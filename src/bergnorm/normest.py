@@ -17,13 +17,13 @@ None of the routes trusts the closed form it is checking.
   form and climb to the norm from below as the family degenerates;
 
 * the discrete route: the measure-weighted p-norm of a Nystrom matrix,
-  bracketed from both sides by the power method from one positive start
-  and checked at p = 2 by the top singular value (Lanczos).  It certifies
-  the *matrix*, whose norm approaches the operator's from below as the
-  order grows: like 1/log(order) on one Gauss-Jacobi rule (``discretize``,
-  0.863*pi at order 256 for the flagship (1, 0, 2); ``norm_report`` takes
-  the same matrix on ``make_jacobi_rule``'s Christoffel weights), faster
-  on panels graded toward t = 1 (``discretize_graded``, 0.956*pi at 256).
+  exact at p = 1 and p = infinity, otherwise bracketed from both sides by
+  the power method from one positive start, and checked at p = 2 by the
+  top singular value (Lanczos).  It certifies the *matrix*, whose norm
+  approaches the operator's from below as the order grows: like
+  1/log(order) on one Gauss-Jacobi rule (``discretize``, 0.863*pi at order
+  256 for the flagship (1, 0, 2)), faster on panels graded toward t = 1
+  (``discretize_graded``, 0.956*pi at 256).
 
 ``norm_report`` bundles all applicable routes for one (mu, sigma, p) into
 a NormReport: the closed form, and a route table (name -> value, in
@@ -44,8 +44,8 @@ from .intop import (
     OperatorParams,
     UnboundedOperatorError,
     _as_exponent,
-    _nystrom,
     boundedness_margin,
+    discretize,
     kernel_moments,
     norm_formula,
     require_bounded,
@@ -223,9 +223,9 @@ class ExtremalFamily:
 
     Phi(t) = C t^(theta/p) (1-t)^(theta_tilde/p) normalized in L^p;
     Psi(s) = C_tilde s^(vartheta/q) (1-s)^(vartheta_tilde/q) normalized in
-    L^q.  ``vartheta`` is identically 0 and ``vartheta_tilde`` is tied to
-    theta by (theta - p)/(p - 1), which is exactly the coupling that keeps
-    the bilinear form in closed form.
+    L^q, with vartheta = 0.  ``vartheta_tilde`` is tied to theta by
+    (theta - p)/(p - 1), which is exactly the coupling that keeps the
+    bilinear form in closed form.
 
     The family is stored by its two gaps, ``theta_gap`` = theta - 1 and
     ``tilde_gap`` = theta_tilde + 1, which the degeneration path sends to 0
@@ -240,7 +240,6 @@ class ExtremalFamily:
     tilde_gap: float
     C: float
     C_tilde: float
-    vartheta: float = 0.0
 
     @property
     def theta(self) -> float:
@@ -408,16 +407,11 @@ def lower_bound_sweep(params: OperatorParams, p, eta_sequence) -> list[tuple[flo
 
     Returns (eta, value) pairs in the order given; each value is a
     certified lower bound on the norm (Cauchy-Schwarz/Hoelder against the
-    unit-norm pair), increasing toward it as eta decreases.
+    unit-norm pair), increasing toward it as eta decreases.  Raises
+    ValueError, through ``family_on_path``, at any eta <= 0.
     """
-    etas = [float(e) for e in eta_sequence]
-    if any(e <= 0.0 for e in etas):
-        raise ValueError("eta values must be positive")
-    out = []
-    for eta in etas:
-        fam = family_on_path(params, p, eta)
-        out.append((eta, bilinear_form_closed(params, fam)))
-    return out
+    return [(eta, bilinear_form_closed(params, family_on_path(params, p, eta)))
+            for eta in map(float, eta_sequence)]
 
 
 # ----------------------------------------------------------------------
@@ -505,12 +499,9 @@ def _pnorm_bracket(disc: DiscretizedOperator) -> _Bracket:
     logs, each vector shifted by its maximum, so no power overflows; stops
     when the bracket is _BRACKET_RTOL wide (relative), and raises
     ConvergenceError after _POWER_MAXITER steps or when B is not positive.
+    Needs 1 < p < infinity.
     """
-    exp = disc.p
-    if exp.is_one or exp.is_infinite:
-        raise ValueError("power method covers 1 < p < infinity only "
-                         "(use l1_profile for p = 1)")
-    p, q = exp.p, exp.q
+    p, q = disc.p.p, disc.p.q
     b = _weight_conjugated(disc, p)
     if not b.min() > 0.0:   # also catches NaN
         raise ConvergenceError("p-norm power method needs an entrywise positive "
@@ -529,9 +520,18 @@ def _pnorm_bracket(disc: DiscretizedOperator) -> _Bracket:
 
 
 def lp_opnorm_numeric(disc: DiscretizedOperator, *, seed: int | None = None) -> float:
-    """Discrete L^p norm: the certified lower end of ``_pnorm_bracket``.  It
-    certifies the Nystrom matrix, not the operator.  ``seed`` is ignored;
-    ``bench/worker.py`` passes ``seed=0`` and compares the float as JSON."""
+    """Discrete L^p norm of the Nystrom matrix A, in ``disc.p``: exact at
+    p = infinity (the largest row sum of A, the sup norm of the image of
+    the constant one) and at p = 1 (the largest column mass m^T A relative
+    to its own measure weight m_j); otherwise the certified lower end of
+    ``_pnorm_bracket``.  It certifies the matrix, not the operator.  ``seed``
+    is ignored; ``bench/worker.py`` passes ``seed=0`` and compares the float
+    as JSON."""
+    if disc.p.is_infinite:
+        return float(np.max(disc.matrix.sum(axis=1)))
+    if disc.p.is_one:
+        col = disc.measure_weights @ disc.matrix
+        return float(np.max(col / disc.measure_weights))
     return _pnorm_bracket(disc).lower
 
 
@@ -572,10 +572,10 @@ def norm_report(params: OperatorParams, p, order: int = 128) -> NormReport:
 
     Bounded, 1 < p < infinity: the Schur maxima ``schur_right`` and
     ``schur_left`` and the eta-sweep lower bound ``sweep_lower``, gated,
-    and ``nystrom``, the certified lower end of the discrete norm: it
+    and ``nystrom``, the discrete norm of ``discretize`` at ``order``: it
     certifies the matrix, not the operator, so it is not gated.  p = 1:
     the column-mass supremum ``column_mass_sup``, gated.  Unbounded: the
-    discrete estimates are probed across increasing orders and flagged
+    discrete norms of ``discretize`` at orders 64, 128 and 256 are flagged
     when they grow; ``largest_probe_estimate`` is the last of them.
 
     The sweep falls short of the norm by about eta/e, where
@@ -592,18 +592,8 @@ def norm_report(params: OperatorParams, p, order: int = 128) -> NormReport:
     try:
         closed = norm_formula(params, exp)
     except UnboundedOperatorError as err:
-        estimates = []
-        for n in _DIVERGENCE_PROBE_ORDERS:
-            disc = _nystrom(params, exp, make_jacobi_rule(n, params.mu - 1.0, params.sigma))
-            if exp.is_infinite:
-                # sup norm of the discrete image of the constant one
-                estimates.append(float(np.max(disc.matrix.sum(axis=1))))
-            elif exp.is_one:
-                # largest discrete column mass relative to its own weight
-                col = disc.measure_weights @ disc.matrix
-                estimates.append(float(np.max(col / disc.measure_weights)))
-            else:
-                estimates.append(lp_opnorm_numeric(disc))
+        estimates = [lp_opnorm_numeric(discretize(params, exp, n))
+                     for n in _DIVERGENCE_PROBE_ORDERS]
         return NormReport(closed_form=math.inf,
                           routes={"largest_probe_estimate": estimates[-1]},
                           unbounded=True, growth=err.growth,
@@ -617,12 +607,11 @@ def norm_report(params: OperatorParams, p, order: int = 128) -> NormReport:
     decades = range(1, math.ceil(-math.log10(eta_min)) + 1)
     etas = [10.0 ** -k for k in decades if 10.0 ** -k > eta_min] + [eta_min]
     sweep = lower_bound_sweep(params, exp, etas)
-    rule = make_jacobi_rule(order, params.mu - 1.0, params.sigma)
     routes = {
         "schur_right": right.maximum,
         "schur_left": left.maximum,
         "sweep_lower": max(v for _, v in sweep),
-        "nystrom": lp_opnorm_numeric(_nystrom(params, exp, rule)),
+        "nystrom": lp_opnorm_numeric(discretize(params, exp, order)),
     }
     return NormReport(closed_form=closed, routes=routes,
                       gated=("schur_right", "schur_left", "sweep_lower"),

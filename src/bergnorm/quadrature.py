@@ -18,12 +18,11 @@ mu0 / sum_k p_k(x)^2, a sum of positive terms that keeps every weight's
 relative accuracy.  ``make_jacobi_rule`` is its cached one-rule form.
 
 Golub-Welsch weights, mu0 v_1^2 from the eigenvectors' first components,
-are accurate only in absolute terms (Golub and Welsch, Math. Comp. 23
-(1969); Hale and Townsend, SIAM J. Sci. Comput. 35 (2013)): beside a
-(1-t)^20 endpoint at order 128 the smallest weight is 3.6e-40, not
-1.0e-44, and a kernel growing like (1-t)^(-sigma-1) makes that a wrong
-norm.  They live on only in ``_golub_welsch_rule``, for ``intop.discretize``,
-whose output acceptance criterion 6 freezes byte for byte.
+are not used: they are accurate only in absolute terms (Golub and Welsch,
+Math. Comp. 23 (1969); Hale and Townsend, SIAM J. Sci. Comput. 35 (2013)),
+so beside a (1-t)^20 endpoint at order 128 the smallest weight reads
+3.6e-40, not 1.0e-44, and a kernel growing like (1-t)^(-sigma-1) makes
+that a wrong norm.
 
 ``make_graded_rule`` composes rules into panels that halve in width
 toward t = 1, for integrands that vary on every scale of 1 - t.
@@ -31,10 +30,10 @@ toward t = 1, for integrands that vary on every scale of 1 - t.
 LAPACK is reached through ``scipy.linalg._flapack``, the compiled f2py
 module that ``scipy.linalg.lapack`` re-exports, loaded from scipy's
 package directory without running ``scipy/linalg/__init__.py`` (about
-0.3 s and 24 MiB per process, which nothing here needs).  The calls are
-those ``scipy.linalg.eigh_tridiagonal`` makes (``dstevd`` with
-eigenvectors, ``dsterf`` without), so every rule has its bits.  If a
-scipy release moves the module, the import fails and names it.
+0.3 s and 24 MiB per process, which nothing here needs).  The one call
+is ``dsterf``, eigenvalues only, as ``scipy.linalg.eigh_tridiagonal``
+makes it, so every rule has its bits.  If a scipy release moves the
+module, the import fails and names it.
 """
 
 from __future__ import annotations
@@ -95,24 +94,19 @@ def _load_flapack():
 _flapack = _load_flapack()
 
 
-def _tridiagonal_eigen(diag: np.ndarray, off: np.ndarray, vectors: bool):
-    """Eigenvalues, ascending, and with ``vectors`` the eigenvectors as
-    columns (else None), of the symmetric tridiagonal matrix (diag, off).
+def _tridiagonal_eigen(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric tridiagonal matrix (diag, off).
 
-    LAPACK ``dstevd`` with eigenvectors and ``dsterf`` without, called as
-    ``eigh_tridiagonal`` calls them; like it, an order-1 matrix is answered
-    directly, because f2py rejects an empty off-diagonal.
+    LAPACK ``dsterf``, called as ``eigh_tridiagonal`` calls it; like it, an
+    order-1 matrix is answered directly, because f2py rejects an empty
+    off-diagonal.
     """
     if diag.size == 1:
-        return diag.copy(), (np.ones((1, 1)) if vectors else None)
-    if vectors:
-        vals, vecs, info = _flapack.dstevd(diag, off, compute_v=1)
-    else:
-        (vals, info), vecs = _flapack.dsterf(diag, off), None
+        return diag.copy()
+    vals, info = _flapack.dsterf(diag, off)
     if info != 0:
-        raise QuadratureError(f"tridiagonal eigensolver {'dstevd' if vectors else 'dsterf'} "
-                              f"failed: info = {info}")
-    return vals, vecs
+        raise QuadratureError(f"tridiagonal eigensolver dsterf failed: info = {info}")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -149,8 +143,7 @@ def _recurrence(order: int, a_exp: float, b_exp: float):
     """Three-term recurrence coefficients for the monic Jacobi polynomials
     with weight (1-x)^a_exp (1+x)^b_exp on [-1,1].
 
-    Returns (diag, offdiag) of the symmetric Jacobi matrix plus the zeroth
-    moment of the weight.
+    Returns (diag, offdiag) of the symmetric Jacobi matrix.
     """
     A, B = a_exp, b_exp
     k = np.arange(order, dtype=float)
@@ -171,17 +164,7 @@ def _recurrence(order: int, a_exp: float, b_exp: float):
         num = 4.0 * kk * (kk + A) * (kk + B) * (kk + A + B)
         den = sk * sk * (sk + 1.0) * (sk - 1.0)
         off[1:] = np.sqrt(num / den)
-    mu0 = 2.0 ** (A + B + 1.0) * beta_fn(B + 1.0, A + 1.0)
-    return diag, off, mu0
-
-
-def _check_request(order, exponents) -> None:
-    if not isinstance(order, int) or order < 1:
-        raise ValueError(f"order must be a positive integer, got {order!r}")
-    for alpha, beta in exponents:
-        if not (alpha > -1.0 and beta > -1.0):
-            raise ValueError(
-                f"integrability requires alpha, beta > -1, got ({alpha!r}, {beta!r})")
+    return diag, off
 
 
 def _checked_rule(order: int, alpha: float, beta: float, nodes: np.ndarray,
@@ -210,14 +193,19 @@ def make_jacobi_rules(order: int, exponents) -> list[JacobiRule]:
 
     Nodes are each Jacobi matrix's eigenvalues (no eigenvectors), polished
     by one Newton step delta on the three-term recurrence; weights are the
-    Christoffel numbers mu0 / S, S = sum_k p_k(x_i)^2 over the orthonormal
-    p_k with p_0 = 1, rescaled to each rule's mass B(alpha+1, beta+1).  One
+    Christoffel numbers 1 / S, S = sum_k p_k(x_i)^2 over the orthonormal p_k
+    with p_0 = 1, rescaled to each rule's mass B(alpha+1, beta+1).  One
     recurrence pass over the whole batch (``order`` array steps) carries
     p_k, p_k', S and D = sum_k p_k p_k'; S + 2 delta D is S at the polished
     node to first order.  No cache.
     """
+    if not isinstance(order, int) or order < 1:
+        raise ValueError(f"order must be a positive integer, got {order!r}")
     exponents = [(float(alpha), float(beta)) for alpha, beta in exponents]
-    _check_request(order, exponents)
+    for alpha, beta in exponents:
+        if not (alpha > -1.0 and beta > -1.0):
+            raise ValueError(
+                f"integrability requires alpha, beta > -1, got ({alpha!r}, {beta!r})")
     count = len(exponents)
     # diag[r, k] = a_k; off[r, k] = b_k couples p_(k-1) and p_k, with b_0 = 0
     # and b_order = 1 (the last step then gives b_order p_order, whose zeros
@@ -230,8 +218,8 @@ def make_jacobi_rules(order: int, exponents) -> list[JacobiRule]:
     for r, (alpha, beta) in enumerate(exponents):
         # on [-1,1] the (1-x) exponent pairs with the (1-t) factor and the
         # (1+x) exponent with the t factor
-        diag[r], off[r, 1:order], _ = _recurrence(order, beta, alpha)
-        x[r] = _tridiagonal_eigen(diag[r], off[r, 1:order], vectors=False)[0]
+        diag[r], off[r, 1:order] = _recurrence(order, beta, alpha)
+        x[r] = _tridiagonal_eigen(diag[r], off[r, 1:order])
         mass[r] = beta_fn(alpha + 1.0, beta + 1.0)
     p_prev, p = np.zeros_like(x), np.ones_like(x)
     dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
@@ -251,19 +239,6 @@ def make_jacobi_rules(order: int, exponents) -> list[JacobiRule]:
     nodes = 0.5 * (x + 1.0)
     return [_checked_rule(order, alpha, beta, nodes[r].copy(), weights[r].copy())
             for r, (alpha, beta) in enumerate(exponents)]
-
-
-@lru_cache(maxsize=256)
-def _golub_welsch_rule(order: int, alpha: float, beta: float) -> JacobiRule:
-    """The cached Golub-Welsch rule for weight t^alpha (1-t)^beta, for
-    ``intop.discretize`` alone, whose bits acceptance criterion 6 freezes:
-    weights mu0 v_1^2 from LAPACK ``dstevd``, called as ``eigh_tridiagonal`` does."""
-    _check_request(order, [(alpha, beta)])
-    diag, off, mu0 = _recurrence(order, beta, alpha)
-    eigvals, eigvecs = _tridiagonal_eigen(diag, off, vectors=True)
-    nodes = 0.5 * (eigvals + 1.0)
-    weights = mu0 * eigvecs[0, :] ** 2 * 2.0 ** (-(alpha + beta + 1.0))
-    return _checked_rule(order, alpha, beta, nodes, weights)
 
 
 def make_graded_rule(order: int, alpha: float, beta: float) -> JacobiRule:

@@ -14,12 +14,7 @@ from hypothesis import strategies as st
 
 import bergnorm
 from bergnorm import quadrature
-from bergnorm.quadrature import (
-    _golub_welsch_rule,
-    _recurrence,
-    make_jacobi_rule,
-    make_jacobi_rules,
-)
+from bergnorm.quadrature import _recurrence, make_jacobi_rule, make_jacobi_rules
 from bergnorm.specfun import HypArgs, beta_fn, hyp2f1
 
 
@@ -148,19 +143,32 @@ def test_batched_rule_is_a_gauss_rule(alpha, beta, order):
             assert got == pytest.approx(beta_fn(a + k + 1.0, b + 1.0), rel=1e-11)
 
 
+def _golub_welsch_rule(order, alpha, beta):
+    """Nodes and weights B(alpha+1, beta+1) v_1^2 of the Golub-Welsch rule
+    for t^alpha (1-t)^beta, from the public scipy route (LAPACK dstevd)."""
+    from scipy.linalg import eigh_tridiagonal
+
+    mass = beta_fn(alpha + 1.0, beta + 1.0)
+    if order == 1:
+        return 0.5 * (_recurrence(1, beta, alpha)[0] + 1.0), np.array([mass])
+    eigvals, eigvecs = eigh_tridiagonal(*_recurrence(order, beta, alpha),
+                                        lapack_driver="stevd")
+    return 0.5 * (eigvals + 1.0), mass * eigvecs[0, :] ** 2
+
+
 def test_batched_rules_agree_with_golub_welsch():
-    # discretize's frozen Golub-Welsch rule squares an eigenvector component
-    # that carries an absolute error near machine epsilon, so its smallest
-    # weights (~1e-19 beside an exponent-4 endpoint at order 256) are off by
-    # up to ~4e-8 relative; the absolute floor covers those
+    # the Golub-Welsch rule squares an eigenvector component that carries
+    # an absolute error near machine epsilon, so its smallest weights
+    # (~1e-19 beside an exponent-4 endpoint at order 256) are off by up to
+    # ~4e-8 relative; the absolute floor covers those
     exponents = [(-0.9, -0.9), (-0.6, 1.5), (0.0, 0.0), (2.4, 0.1), (4.0, -0.9),
                  (1.7, 3.3)]
     for order in (1, 2, 8, 128, 256):
         for rule, (a, b) in zip(make_jacobi_rules(order, exponents), exponents):
-            frozen = _golub_welsch_rule(order, a, b)
-            np.testing.assert_allclose(rule.nodes, frozen.nodes, rtol=0.0, atol=4e-16)
-            np.testing.assert_allclose(rule.weights, frozen.weights, rtol=1e-11,
-                                       atol=1e-18 * frozen.total_mass)
+            nodes, weights = _golub_welsch_rule(order, a, b)
+            np.testing.assert_allclose(rule.nodes, nodes, rtol=0.0, atol=4e-16)
+            np.testing.assert_allclose(rule.weights, weights, rtol=1e-11,
+                                       atol=1e-18 * weights.sum())
             # each rule's weights are rescaled to its exact mass
             assert rule.total_mass == pytest.approx(beta_fn(a + 1.0, b + 1.0), rel=2e-15)
 
@@ -239,28 +247,12 @@ _LOADER_EXPONENTS = ((-0.9, 3.3), (0.5, -0.5), (0.0, 0.0))
 
 
 @pytest.mark.parametrize("order", _LOADER_ORDERS)
-def test_rule_has_the_bits_of_eigh_tridiagonal(order):
-    # discretize's Golub-Welsch rule on the public scipy.linalg route,
-    # dstevd as 'auto' picks it
-    from scipy.linalg import eigh_tridiagonal
-
-    for alpha, beta in _LOADER_EXPONENTS:
-        diag, off, mu0 = _recurrence(order, beta, alpha)
-        eigvals, eigvecs = eigh_tridiagonal(diag, off, lapack_driver="stevd")
-        rule = _golub_welsch_rule(order, alpha, beta)
-        assert np.array_equal(rule.nodes, 0.5 * (eigvals + 1.0))
-        assert np.array_equal(
-            rule.weights, mu0 * eigvecs[0, :] ** 2 * 2.0 ** (-(alpha + beta + 1.0)))
-
-
-@pytest.mark.parametrize("order", _LOADER_ORDERS)
 def test_batched_rules_have_the_bits_of_eigh_tridiagonal(order, monkeypatch):
-    # the same batch, its eigenvalues taken from the public dsterf route
+    # the batch, its eigenvalues taken from the public dsterf route
     from scipy.linalg import eigh_tridiagonal
 
-    def reference(diag, off, vectors):
-        assert not vectors
-        return eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="sterf"), None
+    def reference(diag, off):
+        return eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="sterf")
 
     got = make_jacobi_rules(order, _LOADER_EXPONENTS)
     monkeypatch.setattr(quadrature, "_tridiagonal_eigen", reference)
@@ -273,8 +265,8 @@ def test_batched_rules_have_the_bits_of_eigh_tridiagonal(order, monkeypatch):
 def test_solver_failure_is_a_quadrature_error():
     # LAPACK's info != 0 (a NaN matrix does not converge) is not a rule
     diag = np.array([np.nan, 1.0, 2.0])
-    with pytest.raises(quadrature.QuadratureError, match="dstevd"):
-        quadrature._tridiagonal_eigen(diag, np.array([0.5, 0.5]), vectors=True)
+    with pytest.raises(quadrature.QuadratureError, match="dsterf failed: info = 2"):
+        quadrature._tridiagonal_eigen(diag, np.array([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("modules", ["bergnorm.cli", "bergnorm.intop, bergnorm.normest"])

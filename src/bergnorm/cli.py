@@ -63,7 +63,7 @@ from .ball import (
 )
 from .intop import LebesgueExponent, OperatorParams, _as_exponent, norm_formula
 from .normest import norm_report
-from .quadrature import QuadratureError, make_jacobi_rules
+from .quadrature import QuadratureError, make_jacobi_rules, make_two_sided_rule
 from .specfun import (
     ConvergenceError,
     DivergenceError,
@@ -235,16 +235,21 @@ def beta_average_check(rng: np.random.Generator, draws: int,
     return _worst(errors)
 
 
-def value_at_one_check(rng: np.random.Generator, draws: int,
-                       order: int) -> float:
+def value_at_one_check(rng: np.random.Generator, draws: int) -> float:
     """Worst relative gap for the gamma-quotient value at argument one,
 
         2F1(a,b;c';1) = G(c')G(c'-a-b) / (G(c'-a)G(c'-b)),
 
     probed through the beta average at x = 1 with c' = c + d: the left side
     integrates series values of 2F1(a,b;c;t) over (0,1), the right side is
-    B(c,d) times the gamma quotient under test.  Draws keep c-a-b >= 1.1 so
-    the integrand's endpoint kink stays mild enough for the rule.
+    B(c,d) times the gamma quotient under test.  Every draw shares
+    ``make_two_sided_rule``, graded toward both ends, and samples its own
+    weight t^(c-1) (1-t)^(d-1) in log form from t and the exact 1 - t, so
+    the integrand's (1-t)^(c-a-b) kink at t = 1 is resolved on every dyadic
+    scale down to 1 - t = 2^-52; the tail left out beyond it puts a floor of
+    about 1e-12 under the gap.  The graded nodes near 1 run through the
+    near-one connection formulas; so would the nodes of any Gauss-Jacobi rule
+    fine enough for this check (order 256 reaches 1 - t ~ 1e-5).
     """
     params = []
     for _ in range(draws):
@@ -253,12 +258,14 @@ def value_at_one_check(rng: np.random.Generator, draws: int,
         c = a + b + rng.uniform(1.1, 2.2)
         d = rng.uniform(0.8, 1.2)
         params.append((a, b, c, d))
-    rules = make_jacobi_rules(order, [(c - 1.0, d - 1.0) for _, _, c, d in params])
+    rule = make_two_sided_rule()
+    log_t, log_u = np.log(rule.nodes), np.log(1.0 - rule.nodes)
     a, b, c, _ = np.array(params).T[:, :, None]
-    integrands = hyp2f1_grid(a, b, c, np.array([rule.nodes for rule in rules]))
+    integrands = hyp2f1_grid(a, b, c, np.broadcast_to(rule.nodes, (draws, rule.order)))
     errors = []
-    for (a, b, c, d), rule, integrand in zip(params, rules, integrands):
-        lhs = rule.integrate(integrand)
+    for (a, b, c, d), integrand in zip(params, integrands):
+        weights = rule.weights * np.exp((c - 1.0) * log_t + (d - 1.0) * log_u)
+        lhs = float(weights @ integrand)
         rhs = beta_fn(c, d) * hyp2f1_at_one(a, b, c + d)
         errors.append(abs(lhs - rhs) / abs(rhs))
     return _worst(errors)
@@ -266,7 +273,6 @@ def value_at_one_check(rng: np.random.Generator, draws: int,
 
 def identities_suite(cfg: SuiteConfig) -> list[ReportRecord]:
     rng = np.random.default_rng(cfg.seed)
-    at_one_order = max(256, cfg.order)
     plan: list[tuple[str, Callable[[], float], dict]] = [
         ("identity-euler-integral",
          lambda: euler_integral_check(rng, _IDENTITY_DRAWS, cfg.order),
@@ -278,8 +284,9 @@ def identities_suite(cfg: SuiteConfig) -> list[ReportRecord]:
          lambda: beta_average_check(rng, _IDENTITY_DRAWS, cfg.order),
          {"draws": _IDENTITY_DRAWS, "seed": cfg.seed, "order": cfg.order}),
         ("identity-value-at-one",
-         lambda: value_at_one_check(rng, _IDENTITY_DRAWS, at_one_order),
-         {"draws": _IDENTITY_DRAWS, "seed": cfg.seed, "order": at_one_order}),
+         lambda: value_at_one_check(rng, _IDENTITY_DRAWS),
+         {"draws": _IDENTITY_DRAWS, "seed": cfg.seed,
+          "order": make_two_sided_rule().order}),
     ]
     records = []
     for scenario, run, inputs in plan:

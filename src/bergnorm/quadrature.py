@@ -25,7 +25,9 @@ so beside a (1-t)^20 endpoint at order 128 the smallest weight reads
 that a wrong norm.
 
 ``make_graded_rule`` composes rules into panels that halve in width
-toward t = 1, for integrands that vary on every scale of 1 - t.
+toward t = 1, for integrands that vary on every scale of 1 - t;
+``make_two_sided_rule`` grades Gauss-Legendre panels toward both ends,
+for weights t^(c-1) (1-t)^(d-1) that each caller samples itself.
 
 LAPACK is reached through ``scipy.linalg._flapack``, the compiled f2py
 module that ``scipy.linalg.lapack`` re-exports, loaded from scipy's
@@ -51,7 +53,7 @@ import numpy as np
 from .specfun import beta_fn
 
 __all__ = ["JacobiRule", "QuadratureError", "make_graded_rule",
-           "make_jacobi_rule", "make_jacobi_rules"]
+           "make_jacobi_rule", "make_jacobi_rules", "make_two_sided_rule"]
 
 DEFAULT_ORDER = 64
 IDENTITY_CHECK_ORDER = 128
@@ -59,6 +61,10 @@ IDENTITY_CHECK_ORDER = 128
 # breakpoint 1 - 2^-GRADED_MAX_DEPTH
 GRADED_PANEL_POINTS = 8
 GRADED_MAX_DEPTH = 40
+# the two-sided rule's deepest dyadic panels: [2^-30, 2^-29] toward t = 0,
+# closed by [0, 2^-30], and [2^-52, 2^-51] in 1 - t toward t = 1, the last
+# scale whose nodes still round below 1
+TWO_SIDED_DEPTHS = (30, 52)
 
 
 class QuadratureError(RuntimeError):
@@ -284,3 +290,33 @@ def make_graded_rule(order: int, alpha: float, beta: float) -> JacobiRule:
     weights.setflags(write=False)
     return JacobiRule(alpha=alpha, beta=beta, order=order, nodes=nodes, weights=weights)
 
+
+@lru_cache(maxsize=None)
+def make_two_sided_rule() -> JacobiRule:
+    """Composite Gauss-Legendre rule for dt on (0,1), graded toward both ends.
+
+    Panels of GRADED_PANEL_POINTS points: [h, 2h] for h = 2^-2, ..., 2^-30
+    and a closing [0, 2^-30] toward t = 0; the same dyadic panels in
+    u = 1 - t, down to [2^-52, 2^-51], toward t = 1.  A caller samples a
+    weight t^(c-1) (1-t)^(d-1) with c, d > 0 at the nodes; every dyadic
+    scale of t and of u has its own panel, so the weight and a function
+    with a (1-t)^gap kink at t = 1 are smooth on each.  The left-out tail
+    beyond 1 - 2^-52 costs about 2^(-52 d) / d.
+
+    A node near 1 is the rounded 1 - u, so 1 - t is exact there (Sterbenz)
+    and is the node's own u: a weight sampled at 1 - t and a function
+    sampled at t see one point.  The deepest panels are a few spacings of
+    the doubles below 1 wide; nodes that round together merge and carry
+    their summed weight.  Built on first use, not at import.
+    """
+    panel = make_jacobi_rule(GRADED_PANEL_POINTS, 0.0, 0.0)
+    low, high = TWO_SIDED_DEPTHS
+    to_zero = 2.0 ** -np.arange(2, low + 1)[:, None]
+    to_one = 2.0 ** -np.arange(2, high + 1)[:, None]
+    nodes = np.concatenate([2.0 ** -low * panel.nodes,
+                            (to_zero * (1.0 + panel.nodes)).ravel(),
+                            1.0 - (to_one * (1.0 + panel.nodes)).ravel()])
+    widths = np.concatenate([[2.0 ** -low], to_zero[:, 0], to_one[:, 0]])
+    nodes, point = np.unique(nodes, return_inverse=True)
+    weights = np.bincount(point, weights=(widths[:, None] * panel.weights).ravel())
+    return _checked_rule(nodes.size, 0.0, 0.0, nodes, weights)

@@ -72,7 +72,7 @@ def test_criterion_01_identity_suite(capsys):
         "euler-integral": euler_integral_check(rng, DRAWS, 128),
         "euler-transform": euler_transform_check(rng, DRAWS),
         "beta-average": beta_average_check(rng, DRAWS, 128),
-        "value-at-one": value_at_one_check(rng, DRAWS, 256),
+        "value-at-one": value_at_one_check(rng, DRAWS),
     }
     worst = max(results.values())
     _announce(capsys, 1, worst < 1e-7,

@@ -25,7 +25,7 @@ from bergnorm.cli import (
 )
 from bergnorm.intop import OperatorParams
 from bergnorm.normest import norm_report
-from bergnorm.quadrature import make_jacobi_rules
+from bergnorm.quadrature import make_jacobi_rules, make_two_sided_rule
 from bergnorm.specfun import (
     ConvergenceError,
     HypArgs,
@@ -56,10 +56,12 @@ def test_beta_average_check_tight():
     assert cli.beta_average_check(rng, 30, 128) < 1e-11
 
 
-def test_value_at_one_check_meets_tolerance():
-    # the endpoint kink limits this one to ~1e-10, well inside the gate
-    rng = np.random.default_rng(7)
-    assert cli.value_at_one_check(rng, 30, 256) < 1e-8
+@pytest.mark.parametrize("seed", range(5))
+def test_value_at_one_check_meets_tolerance(seed):
+    # the shared two-sided rule resolves the (1-t)^(c-a-b) kink at t = 1
+    # down to 1 - t = 2^-52; the tail beyond it puts the floor near 1e-12
+    rng = np.random.default_rng(seed)
+    assert cli.value_at_one_check(rng, 30) < 5e-12
 
 
 def test_identity_checks_are_seed_deterministic():
@@ -69,22 +71,32 @@ def test_identity_checks_are_seed_deterministic():
 
 
 def test_identity_checks_keep_their_draws(monkeypatch):
-    # the checks build their rules in batches, after drawing every
-    # parameter with the same scalar rng calls, in the same order, as a
-    # check that builds one rule per draw
-    seen = []
+    # the checks build their rules and evaluate their 2F1 values in batches,
+    # after drawing every parameter with the same scalar rng calls, in the
+    # same order, as a check that handles one draw at a time
+    seen, grids, at_one = [], [], []
 
     def spy(order, exponents):
         exponents = list(exponents)
         seen.append((order, exponents))
         return make_jacobi_rules(order, exponents)
 
+    def grid_spy(a, b, c, z):
+        grids.append((a, b, c))
+        return hyp2f1_grid(a, b, c, z)
+
+    def at_one_spy(a, b, c):
+        at_one.append((a, b, c))
+        return hyp2f1_at_one(a, b, c)
+
     monkeypatch.setattr(cli, "make_jacobi_rules", spy)
+    monkeypatch.setattr(cli, "hyp2f1_grid", grid_spy)
+    monkeypatch.setattr(cli, "hyp2f1_at_one", at_one_spy)
     status, records = run_suite("identities", SuiteConfig(seed=7))
     assert status == 0
 
     rng = np.random.default_rng(7)
-    euler, beta_avg, at_one = [], [], []
+    euler, beta_avg, value_at_one = [], [], []
     for _ in range(120):
         a, b = rng.uniform(0.2, 2.0), rng.uniform(0.4, 2.5)
         c = b + rng.uniform(0.4, 2.5)
@@ -102,8 +114,13 @@ def test_identity_checks_keep_their_draws(monkeypatch):
         a, b = rng.uniform(0.2, 1.0), rng.uniform(0.3, 1.2)
         c = a + b + rng.uniform(1.1, 2.2)
         d = rng.uniform(0.8, 1.2)
-        at_one.append((c - 1.0, d - 1.0))
-    assert seen == [(128, euler), (128, beta_avg), (256, at_one)]
+        value_at_one.append((a, b, c, d))
+    assert seen == [(128, euler), (128, beta_avg)]
+    # value-at-one builds no Gauss-Jacobi rule: its (a, b, c) reach the last
+    # grid call as (120, 1) columns, and c + d reaches the gamma quotient
+    assert [column.shape for column in grids[-1]] == [(120, 1)] * 3
+    assert np.column_stack(grids[-1]).tolist() == [[a, b, c] for a, b, c, _ in value_at_one]
+    assert at_one == [(a, b, c + d) for a, b, c, d in value_at_one]
     # the euler-transform check builds no rule and so keeps its bits
     transform = records[1]
     assert transform.scenario == "identity-euler-transform"
@@ -163,18 +180,17 @@ def _reference_beta_average(rng, draws, order):
     return worst
 
 
-def _reference_value_at_one(rng, draws, order):
-    params = []
+def _reference_value_at_one(rng, draws):
+    rule = make_two_sided_rule()
+    worst = 0.0
     for _ in range(draws):
         a = rng.uniform(0.2, 1.0)
         b = rng.uniform(0.3, 1.2)
         c = a + b + rng.uniform(1.1, 2.2)
         d = rng.uniform(0.8, 1.2)
-        params.append((a, b, c, d))
-    rules = make_jacobi_rules(order, [(c - 1.0, d - 1.0) for _, _, c, d in params])
-    worst = 0.0
-    for (a, b, c, d), rule in zip(params, rules):
-        lhs = rule.integrate(hyp2f1_grid(a, b, c, rule.nodes))
+        weights = rule.weights * np.exp((c - 1.0) * np.log(rule.nodes)
+                                        + (d - 1.0) * np.log(1.0 - rule.nodes))
+        lhs = float(weights @ hyp2f1_grid(a, b, c, rule.nodes))
         rhs = beta_fn(c, d) * hyp2f1_at_one(a, b, c + d)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     return worst
@@ -187,7 +203,7 @@ def test_batched_identity_checks_keep_the_per_draw_bits(seed):
     expected = [_reference_euler_integral(rng, 120, 128),
                 _reference_euler_transform(rng, 120),
                 _reference_beta_average(rng, 120, 128),
-                _reference_value_at_one(rng, 120, 256)]
+                _reference_value_at_one(rng, 120)]
     got = [r.numeric_routes["max_rel_error"] for r in records]
     assert [type(v) for v in got] == [float] * 4
     assert [v.hex() for v in got] == [v.hex() for v in expected]

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -14,7 +15,12 @@ from hypothesis import strategies as st
 
 import bergnorm
 from bergnorm import quadrature
-from bergnorm.quadrature import _recurrence, make_jacobi_rule, make_jacobi_rules
+from bergnorm.quadrature import (
+    _recurrence,
+    make_jacobi_rule,
+    make_jacobi_rules,
+    make_two_sided_rule,
+)
 from bergnorm.specfun import HypArgs, beta_fn, hyp2f1
 
 
@@ -239,6 +245,48 @@ def test_batched_rules_validation():
 
 
 # ----------------------------------------------------------------------
+# the two-sided graded rule (identity-value-at-one's shared rule)
+# ----------------------------------------------------------------------
+
+def _two_sided_beta(c, d):
+    # sum w t^(c-1) u^(d-1), the weight sampled as the check samples it
+    rule = make_two_sided_rule()
+    return float(rule.weights @ np.exp((c - 1.0) * np.log(rule.nodes)
+                                       + (d - 1.0) * np.log(1.0 - rule.nodes)))
+
+
+def test_two_sided_rule_is_a_usable_rule():
+    rule = make_two_sided_rule()
+    t, u = rule.nodes, 1.0 - rule.nodes
+    assert rule is make_two_sided_rule()
+    assert rule.order == t.size and not t.flags.writeable
+    assert t[0] > 0.0 and t[-1] < 1.0
+    assert np.all(np.diff(t) > 0.0)
+    assert np.all(rule.weights > 0.0)
+    # beyond t = 1/2, where the kink lives, the sampled u is each node's
+    # exact complement, down to the deepest node 1 - 2^-52
+    near_one = t >= 0.5
+    assert near_one.sum() > t.size // 2
+    assert all(Fraction(1) - Fraction(x) == Fraction(y)
+               for x, y in zip(t[near_one].tolist(), u[near_one].tolist()))
+    assert u[-1] == 2.0 ** -52
+
+
+def test_two_sided_rule_integrates_the_check_weights():
+    # the value-at-one check's weight domain: c in [1.6, 4.4], d in [0.8, 1.2]
+    for c in np.linspace(1.6, 4.4, 15):
+        for d in np.linspace(0.8, 1.2, 9):
+            assert _two_sided_beta(c, d) == pytest.approx(beta_fn(c, d), rel=2e-12)
+
+
+@pytest.mark.parametrize("c, d", [(1.6, 0.8), (4.4, 0.8), (2.7, 1.05), (4.4, 1.2)])
+def test_two_sided_rule_against_mpmath(c, d):
+    with mp.workdps(30):
+        exact = float(mp.beta(c, d))
+    assert _two_sided_beta(c, d) == pytest.approx(exact, rel=2e-12)
+
+
+# ----------------------------------------------------------------------
 # LAPACK reached without scipy.linalg
 # ----------------------------------------------------------------------
 
@@ -271,12 +319,14 @@ def test_solver_failure_is_a_quadrature_error():
 
 @pytest.mark.parametrize("modules", ["bergnorm.cli", "bergnorm.intop, bergnorm.normest"])
 def test_import_leaves_scipy_linalg_out(modules):
-    # a fresh interpreter: the rules reach LAPACK without scipy.linalg's init
+    # a fresh interpreter: the rules reach LAPACK without scipy.linalg's
+    # init, and the shared two-sided rule waits for its first use
     src = str(Path(bergnorm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    code = (f"import sys; import {modules}; "
-            "sys.exit('scipy.linalg' in sys.modules and 'scipy.linalg was imported')")
+    code = (f"import sys, bergnorm.quadrature as q; import {modules}; "
+            "sys.exit('scipy.linalg' in sys.modules and 'scipy.linalg was imported' "
+            "or q.make_two_sided_rule.cache_info().currsize and 'rule built at import')")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr

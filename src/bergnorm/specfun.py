@@ -17,17 +17,20 @@ each distinct (a, b, c) of a call as it would for that set alone:
     the transform improves the convergence exponent c-a-b,
   * a connection-formula evaluation in powers of w = 1-z when z is close
     to 1, where both series above need ~36/(1-z) terms.  The connection
-    route handles the generic (non-integer c-a-b) case and the logarithmic
-    (integer) case, on all the entries in its window at once.
+    route takes the generic two-series formula when c-a-b is at least
+    _WIDE_GAP from an integer and the logarithmic form nearer, on all the
+    entries in its window at once.
 
 The near-one window has two widths, chosen by ``_near_one_window``.  It is
 1-z < _NEAR_ONE_W = 5e-3 when c-a-b lies within _WIDE_GAP = 0.1 of an
 integer, and 1-z < _NEAR_ONE_W_WIDE = 2e-2 otherwise.  The two-term
 connection formula loses digits like 1/eps as eps = |(c-a-b) - round(c-a-b)|
-shrinks (its two Gamma-ratio coefficients grow and cancel), while the raw
-series keeps ~1e-14 for every eps; past the gap, and for 1-z up to 2e-2,
-the connection formula is as accurate as the series (against mpmath, for a
-and b in (0, 4)) at a small fraction of its cost.
+shrinks (its two Gamma-ratio coefficients grow and cancel), so within the
+gap the route sums the logarithmic form instead, whose eps terms are
+carried without cancellation (~1e-14 against mpmath for every eps, exact
+integers included); past the gap, and for 1-z up to 2e-2, the two-term
+formula is as accurate as the raw series (against mpmath, for a and b in
+(0, 4)) at a small fraction of its cost.
 
 Series termination: one raw-series loop sums the raw and Euler series
 and both series of the generic connection formula, and stops once the
@@ -62,7 +65,6 @@ _RAW_SERIES_Z = 0.7
 _NEAR_ONE_W = 5e-3      # switch to connection formulas when 1-z is below this
 _NEAR_ONE_W_WIDE = 2e-2  # ... or below this, when c-a-b is far from an integer:
 _WIDE_GAP = 0.1          # at least this far (nearer, the connection formula cancels)
-_INT_SNAP = 1e-6        # treat c-a-b this close to an integer as the log case
 _W_BLOCK = 12           # terms per block of the near-one log series
 _BLOCK_LIVE = 256       # live entries at or below which a raw-series chunk is one block
 _CACHE_BLOCK = 16384    # raw-series entries per slice: four work arrays in 512 KB
@@ -81,6 +83,10 @@ _LANCZOS_COF = (
 )
 _LANCZOS_C0 = 0.999999999999997092
 _SQRT_2PI = 2.5066282746310005
+# Stirling series of log Gamma(y): B_2k / (2k (2k-1)) times y^(1-2k), k = 1..7;
+# the first term left out moves psi(y) by less than 5e-17 for y >= 10
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+             -691.0 / 360360.0, 1.0 / 156.0)
 
 
 class ConvergenceError(RuntimeError):
@@ -180,6 +186,33 @@ def digamma(x: float) -> float:
     tail = inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (
         1.0 / 240.0 - inv2 * (1.0 / 132.0 - inv2 * (691.0 / 32760.0 - inv2 / 12.0))))))
     return acc + math.log(x) - 0.5 / x - tail
+
+
+def _mul_m1(x, y, e):
+    """(XY - 1)/e from x = (X - 1)/e and y = (Y - 1)/e, without cancellation."""
+    return x + y + e * x * y
+
+
+def _gamma_ratio_m1(x: float, e: float) -> float:
+    """(Gamma(x+e)/Gamma(x) - 1)/e for e != 0, accurate however small e is
+    (it tends to psi(x)); x and x+e must not be poles.
+
+    Recurrence pushes the argument to 10 or above, one factor
+    x/(x+e) = 1 - e/(x+e) at a time, then the Stirling series, whose
+    divided differences in e are taken in closed form.
+    """
+    acc = 0.0
+    while x < 10.0:
+        acc = _mul_m1(acc, -1.0 / (x + e), e)
+        x += 1.0
+    xe = x + e
+    # log(Gamma(xe)/Gamma(x))/e = (x - 1/2) log1p(e/x)/e + log(xe) - 1 + Stirling
+    lq = (x - 0.5) * (math.log1p(e / x) / e) + math.log(xe) - 1.0
+    for k, ck in enumerate(_STIRLING):
+        # (xe^-p - x^-p)/e = -(sum_i xe^i x^(p-1-i)) / (x xe)^p, p = 2k + 1
+        p = 2 * k + 1
+        lq -= ck * sum(xe ** i * x ** (p - 1 - i) for i in range(p)) / (x * xe) ** p
+    return _mul_m1(acc, math.expm1(e * lq) / e, e)
 
 
 def beta_fn(a: float, b: float) -> float:
@@ -316,14 +349,17 @@ def _near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
 
     Normalizes first so the effective exponent d = c-a-b is positive
     (applying the Euler transform when it is negative), then uses the
-    generic two-series connection formula, or its logarithmic limit when d
-    sits (numerically) on a non-negative integer.  The generic formula's
-    two series are one-set ``_series_vec`` calls on w, with parameters
-    (a, b, 1-d) and (c-a, c-b, 1+d); the logarithmic series are summed by
-    ``_log_series_w``.  The Gamma-ratio coefficients and digamma constants
-    are computed once per call; each entry gets the bits of a per-entry
-    loop over the same formulas in the same order of operations, through
-    ``math.log``/``math.exp``, whatever else shares the array.
+    generic two-series connection formula, or the logarithmic form when d
+    lies within _WIDE_GAP of a non-negative integer m: its limit at d = m,
+    and otherwise the same series with ``_near_int_bracket``'s brackets,
+    which keep it accurate however close d comes to m.  The generic
+    formula's two series are one-set ``_series_vec`` calls on w, with
+    parameters (a, b, 1-d) and (c-a, c-b, 1+d); the logarithmic series are
+    summed by ``_log_series_w``.  The Gamma-ratio coefficients and the
+    per-index constants of the brackets are computed once per call; each
+    entry gets the bits of a per-entry loop over the same formulas in the
+    same order of operations, through ``math.log``/``math.exp``/
+    ``math.expm1``, whatever else shares the array.
     """
     if not z.size:
         return np.empty(0)
@@ -337,16 +373,18 @@ def _near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
         a, b = c - a, c - b
         d = -d
     m = round(d)
-    if abs(d - m) > _INT_SNAP:
-        # generic case: two analytic series in w
+    eps = d - m
+    if abs(eps) >= _WIDE_GAP or eps and any(map(_is_nonpos_int, (a, b, c - a, c - b))):
+        # generic case: two analytic series in w (at a 1/Gamma pole one of
+        # them vanishes, so nothing cancels however small eps is)
         s1 = gamma_ratio_log((c, d), (c - a, c - b))
         s2 = gamma_ratio_log((c, -d), (a, b))
         out = (s1 * _series_vec(np.array([[a, b, 1.0 - d]]), None, w)
                + s2 * _map(math.exp, d * logw)
                * _series_vec(np.array([[c - a, c - b, 1.0 + d]]), None, w))
         return out if prefactor is None else prefactor * out
-    # logarithmic case, c = a + b + m with integer m >= 0
-    if m == 0:
+    # logarithmic case, c = a + b + m + eps with integer m >= 0, |eps| < _WIDE_GAP
+    if m == 0 and not eps:
         front = gamma_ratio_log((c,), (a, b))
         # terms are (a)_n (b)_n / (n!)^2 * w^n
         total = _log_series_w(
@@ -357,32 +395,73 @@ def _near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
             scaled=False, abc=abc)
         return (front if prefactor is None else prefactor * front) * total
     finite = np.zeros(w.size)
-    term = np.ones(w.size)  # (a)_n (b)_n / (n! (1-m)_n) * w^n
+    term = np.ones(w.size)  # (a)_n (b)_n / (n! (1-m-eps)_n) * w^n
     for n in range(m):
         finite = finite + term
         if n + 1 < m:
-            term = term * ((a + n) * (b + n) / ((n + 1.0) * (1.0 - m + n)) * w)
-    first = gamma_ratio_log((float(m), c), (a + m, b + m)) * finite
+            term = term * ((a + n) * (b + n) / ((n + 1.0) * (1.0 - m + n - eps)) * w)
+    first = gamma_ratio_log((m + eps, c), (a + m + eps, b + m + eps)) * finite
     ga, sa = _log_gamma_signed(a)
     gb, sb = _log_gamma_signed(b)
     if sa == 0.0 or sb == 0.0:
         second = 0.0  # 1/Gamma pole kills the logarithmic branch
     else:
         front = sa * sb * _map(math.exp, (log_gamma(c) - ga - gb) + m * logw)
+        if eps:
+            bracket, scale = _near_int_bracket(a + m, b + m, m, eps)
+        else:
+            scale = 1.0
 
-        def bracket(lw, ns):
-            psi = np.array([(digamma(n + 1.0), digamma(n + m + 1.0),
-                             digamma(a + n + m), digamma(b + n + m)) for n in ns]).T[..., None]
-            return lw - psi[0] - psi[1] + psi[2] + psi[3]
+            def bracket(lw, ns):
+                psi = np.array([(digamma(n + 1.0), digamma(n + m + 1.0),
+                                 digamma(a + n + m), digamma(b + n + m)) for n in ns]).T[..., None]
+                return lw - psi[0] - psi[1] + psi[2] + psi[3]
 
         # terms are (a+m)_n (b+m)_n / (n! (n+m)!) * w^n
         total = _log_series_w(
-            w, logw, 1.0 / math.exp(log_gamma(m + 1.0)),
+            w, logw, scale / math.exp(log_gamma(m + 1.0)),
             lambda n: (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)),
             bracket, scaled=True, abc=abc)
         second = -((-1.0) ** m) * front * total
     out = first + second
     return out if prefactor is None else prefactor * out
+
+
+def _near_int_bracket(p: float, q: float, m: int, eps: float):
+    """Brackets and scale of the logarithmic connection series at
+    c-a-b = m + eps, eps != 0, with p = a+m and q = b+m.
+
+    The generic formula's two series cancel like 1/eps near an integer m
+    (Forrey 1997; Michel & Stoitsov 2008).  Pairing their n-th terms past
+    the first m leaves the log-case series with the scale
+    (pi eps / sin(pi eps)) Gamma(p) Gamma(q) / (Gamma(p+eps) Gamma(q+eps))
+    and bracket v_n - u_n, where u_n = (Gamma(n+1)/Gamma(n+1-eps) - 1)/eps
+    and v_n = (q_n - 1)/eps with q_n = w^eps Gamma(p+n+eps) Gamma(q+n+eps)
+    Gamma(m+n+1) / (Gamma(p+n) Gamma(q+n) Gamma(m+n+1+eps)).  Both tend to the
+    digamma sums of the eps = 0 bracket, and both are carried from n to
+    n+1 by recurrences that never divide a difference by eps.
+    """
+    ra, rb = _gamma_ratio_m1(p, eps), _gamma_ratio_m1(q, eps)
+    r1 = _gamma_ratio_m1(m + 1.0, eps)
+    rq = _mul_m1(_mul_m1(ra, rb, eps), -r1 / (1.0 + eps * r1), eps)
+    r0 = _gamma_ratio_m1(1.0, -eps)
+    u = [r0 / (1.0 - eps * r0)]  # u_n
+    s = [0.0]  # S_n = (q_n/q_0 - 1)/eps for the v_n = (q_n - 1)/eps above
+
+    def bracket(lw, ns):
+        while len(u) <= ns[-1]:
+            n = len(u) - 1
+            u.append((u[n] * (n + 1.0) + 1.0) / (n + 1.0 - eps))
+            step = _mul_m1(_mul_m1(1.0 / (p + n), 1.0 / (q + n), eps),
+                           -1.0 / (m + n + 1.0 + eps), eps)
+            s.append(_mul_m1(s[n], step, eps))
+        v0 = _mul_m1(rq, _map(math.expm1, eps * lw) / eps, eps)
+        sn = np.array([s[n] for n in ns])[:, None]
+        un = np.array([u[n] for n in ns])[:, None]
+        return v0 * (1.0 + eps * sn) + (sn - un)
+
+    scale = math.pi * eps / math.sin(math.pi * eps) / ((1.0 + eps * ra) * (1.0 + eps * rb))
+    return bracket, scale
 
 
 def _near_one_window(d: float) -> float:

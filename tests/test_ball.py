@@ -145,7 +145,14 @@ def test_tilde_norm_bridges_to_interval_norm(n, sigma, p):
         with pytest.raises(UnboundedOperatorError):
             tilde_norm_formula(bp, p)
         return
-    bridged = c_sigma(n, sigma) * norm_formula(bp.interval_params, p)
+    try:
+        bridged = c_sigma(n, sigma) * norm_formula(bp.interval_params, p)
+    except OverflowError:
+        # at p = 1 a sigma below ~1e-307 is the margin, and Gamma(margin)
+        # puts both norms past the double range (subnormal ones give inf)
+        with pytest.raises(OverflowError):
+            tilde_norm_formula(bp, p)
+        return
     assert tilde_norm_formula(bp, p) == pytest.approx(bridged, rel=1e-12)
 
 

@@ -56,12 +56,12 @@ def test_beta_average_check_tight():
     assert cli.beta_average_check(rng, 30, 128) < 1e-11
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_value_at_one_check_meets_tolerance(seed):
+def test_value_at_one_check_meets_tolerance():
     # the shared two-sided rule resolves the (1-t)^(c-a-b) kink at t = 1
     # down to 1 - t = 2^-52; the tail beyond it puts the floor near 1e-12
-    rng = np.random.default_rng(seed)
-    assert cli.value_at_one_check(rng, 30) < 5e-12
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        assert cli.value_at_one_check(rng, 30) < 5e-12, seed
 
 
 def test_identity_checks_are_seed_deterministic():
@@ -323,6 +323,16 @@ def test_interval_suite_flags_exponents_whose_reciprocal_rounds_away(capsys):
         assert r["status"] == "flagged"
         assert r["inputs"]["error"] == "2F1(a,b;c;1) requires c-a-b > 0, got 0.0"
     assert records[-1]["status"] == "pass"
+
+
+@pytest.mark.parametrize("p", [1e6, 1.0000001])
+def test_interval_suite_passes_at_near_integer_exponents(p):
+    # the Schur endpoints' 2F1 here have c - a - b within 1e-6 of an
+    # integer; the near-one route keeps its digits there, so no record
+    # is flagged for excess over the closed form
+    status, records = run_suite("interval-norms", SuiteConfig(p=p))
+    assert [r.status for r in records] == ["pass"] * len(records)
+    assert status == 0
 
 
 def test_ball_suite_contents():

@@ -554,7 +554,9 @@ def _scalar_near_one(a, b, c, z):
         a, b = c - a, c - b
         d = -d
     m = round(d)
-    if abs(d - m) > specfun._INT_SNAP:
+    eps = d - m
+    if abs(eps) >= specfun._WIDE_GAP or eps and any(
+            map(specfun._is_nonpos_int, (a, b, c - a, c - b))):
         s1 = specfun.gamma_ratio_log((c, d), (c - a, c - b))
         s2 = specfun.gamma_ratio_log((c, -d), (a, b))
         val = (s1 * _series(a, b, 1.0 - d, w)
@@ -562,7 +564,7 @@ def _scalar_near_one(a, b, c, z):
         return math.exp(prefactor_log) * val
     m = int(m)
     logw = math.log(w)
-    if m == 0:
+    if m == 0 and not eps:
         front = specfun.gamma_ratio_log((c,), (a, b))
         total = 0.0
         term = 1.0
@@ -580,19 +582,40 @@ def _scalar_near_one(a, b, c, z):
     for n in range(m):
         finite += term
         if n + 1 < m:
-            term *= (a + n) * (b + n) / ((n + 1.0) * (1.0 - m + n)) * w
-    first = specfun.gamma_ratio_log((float(m), c), (a + m, b + m)) * finite
+            term *= (a + n) * (b + n) / ((n + 1.0) * (1.0 - m + n - eps)) * w
+    first = specfun.gamma_ratio_log((m + eps, c), (a + m + eps, b + m + eps)) * finite
     ga, sa = specfun._log_gamma_signed(a)
     gb, sb = specfun._log_gamma_signed(b)
     if sa == 0.0 or sb == 0.0:
         second = 0.0
     else:
         front = sa * sb * math.exp(log_gamma(c) - ga - gb + m * logw)
+        scale = 1.0
+        if eps:
+            # u and s carry (Gamma(n+1)/Gamma(n+1-eps) - 1)/eps and the
+            # n-step ratio of the w^eps Gamma-ratio term, minus 1, over eps
+            def mul(x, y):
+                return x + y + eps * x * y
+
+            ra = specfun._gamma_ratio_m1(a + m, eps)
+            rb = specfun._gamma_ratio_m1(b + m, eps)
+            r1 = specfun._gamma_ratio_m1(m + 1.0, eps)
+            r0 = specfun._gamma_ratio_m1(1.0, -eps)
+            v0 = mul(mul(mul(ra, rb), -r1 / (1.0 + eps * r1)), math.expm1(eps * logw) / eps)
+            u = r0 / (1.0 - eps * r0)
+            s = 0.0
+            scale = math.pi * eps / math.sin(math.pi * eps) / ((1.0 + eps * ra) * (1.0 + eps * rb))
         total = 0.0
-        term = 1.0 / math.exp(log_gamma(m + 1.0))
+        term = scale / math.exp(log_gamma(m + 1.0))
         for n in range(specfun._SERIES_CAP):
-            bracket = (logw - digamma(n + 1.0) - digamma(n + m + 1.0)
-                       + digamma(a + n + m) + digamma(b + n + m))
+            if eps:
+                bracket = v0 * (1.0 + eps * s) + (s - u)
+                u = (u * (n + 1.0) + 1.0) / (n + 1.0 - eps)
+                s = mul(s, mul(mul(1.0 / (a + m + n), 1.0 / (b + m + n)),
+                               -1.0 / (m + n + 1.0 + eps)))
+            else:
+                bracket = (logw - digamma(n + 1.0) - digamma(n + m + 1.0)
+                           + digamma(a + n + m) + digamma(b + n + m))
             total += term * bracket
             term *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)) * w
             if abs(term * logw) < specfun._SERIES_RTOL * abs(total) and n > 2:
@@ -623,10 +646,13 @@ NEAR_ONE_CASES = [
     (0.4, 1.1, 4.5),            # m = 3
     (30.0, 20.0, 51.0),         # m = 1 with large a, b: the log branch dominates,
     (20.0, 20.0, 43.0),         # m = 3     so the order of its bracket shows
-    (0.6, 0.6, 1.2 + 7e-7),     # within 1e-6 of m = 0: snapped to the log case
-    (0.6, 0.6, 1.2 - 9e-7),     # d < 0 within 1e-6 of 0: swap, then snapped
-    (1.3, 1.3, 3.6 - 4e-7),     # snapped to m = 1
-    (1.3, 1.3, 4.6 + 3e-6),     # just past the snap: generic with d ~ 2
+    (0.6, 0.6, 1.2 + 7e-7),     # d = 7e-7: the log form with its eps terms
+    (0.6, 0.6, 1.2 - 9e-7),     # d < 0 near 0: swap, then the eps log form
+    (1.3, 1.3, 3.6 - 4e-7),     # eps < 0 near m = 1
+    (1.3, 1.3, 4.6 + 3e-6),     # eps > 0 near m = 2
+    (0.3, 0.9, 3.2 + 0.0999),   # eps just inside _WIDE_GAP
+    (0.3, 0.9, 3.3 + 1e-3),     # d = 2.101, just past it: generic
+    (-1.0, 0.5, 0.501),         # d = 1.001 with a = -1: a 1/Gamma pole, so generic
     (3.0, 1.0, 2.0),            # swap gives a = -1: the 1/Gamma pole drops the log branch
     (280.0, 60.0, 320.5),       # overflows to inf in float arithmetic, silently
 ]
@@ -743,6 +769,30 @@ def test_hyp2f1_wide_window_matches_mpmath(side, seed):
         checked += 1
 
 
+@pytest.mark.parametrize("m", range(4))
+def test_hyp2f1_near_integer_exponent_matches_mpmath(m):
+    # c-a-b = m + eps within _WIDE_GAP of the integer, on both sides of the
+    # Euler transform, from the window's edge down to 1-z = 2^-52: the log
+    # form's eps terms cancel nothing, so it keeps its digits however
+    # close c-a-b comes to m (the two-term formula loses ~1/eps of them)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(40 + m)
+    z = 1.0 - np.array([4.9e-3, 1e-5, 1e-8, 1e-12, 2.0 ** -52])
+    for eps in (1e-15, 1e-12, 1e-9, 1e-7, 1e-6, 3e-6, 1e-4, 1e-2, 0.0999):
+        for sign in (1.0, -1.0) if m else (1.0,):
+            for side in (1.0, -1.0):
+                a, b = rng.uniform(0.1, 4.0, 2)
+                c = a + b + side * (m + sign * eps)
+                if c <= 0.1:
+                    c += 2.0 * (m + 1)
+                    a, b = a + m + 1, b + m + 1
+                got = hyp2f1_grid(a, b, c, z)
+                with mpmath.workdps(30):
+                    for x, g in zip(z.tolist(), got.tolist()):
+                        ref = mpmath.hyp2f1(a, b, c, x)
+                        assert abs((g - ref) / ref) < 1e-13, (a, b, c, 1.0 - x)
+
+
 @pytest.mark.parametrize("a, b, c, wide", [
     *[(a, b, c, True) for a, b, c in WIDE_CASES],
     (0.5, 0.5, 2.0 + 1e-3, False),     # d = 1 + 1e-3
@@ -812,6 +862,7 @@ def test_hyp2f1_grows_like_a_power_at_one():
 
 @given(st.floats(min_value=0.2, max_value=2.0),
        st.floats(min_value=1e-6, max_value=2.5))
+@example(1.000001, 1.000001)  # c-a-b = 1 + 1e-6: the log form's eps terms
 @settings(max_examples=40, deadline=None)
 def test_hyp2f1_stays_below_its_value_at_one(x, gap):
     # equal numerator parameters make every series coefficient non-negative,

@@ -50,7 +50,7 @@ from .intop import (
     norm_formula,
     require_bounded,
 )
-from .quadrature import (IDENTITY_CHECK_ORDER, QuadratureError, make_jacobi_rule,
+from .quadrature import (QUADRATURE_TWIN_ORDER, QuadratureError, make_jacobi_rule,
                          make_jacobi_rules)
 from .specfun import (
     ConvergenceError,
@@ -131,7 +131,7 @@ def column_closed(params: OperatorParams, beta: float, x) -> np.ndarray:
 
 
 def column_quadrature(params: OperatorParams, beta: float, x,
-                      order: int = IDENTITY_CHECK_ORDER) -> np.ndarray:
+                      order: int = QUADRATURE_TWIN_ORDER) -> np.ndarray:
     """C_beta(x) by direct quadrature in y, independent of any reduction;
     (1-y)^beta is folded into the rule's weight, never sampled."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -334,7 +334,7 @@ def bilinear_form_closed(params: OperatorParams, fam: ExtremalFamily) -> float:
 
 
 def bilinear_form_numeric(params: OperatorParams, fam: ExtremalFamily,
-                          order: int = IDENTITY_CHECK_ORDER) -> float:
+                          order: int = QUADRATURE_TWIN_ORDER) -> float:
     """The same pairing by honest double quadrature.
 
     A plain tensor rule stalls here: the kernel behaves like

@@ -40,7 +40,6 @@ module, the import fails and names it.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -56,7 +55,9 @@ __all__ = ["JacobiRule", "QuadratureError", "make_graded_rule",
            "make_jacobi_rule", "make_jacobi_rules", "make_two_sided_rule"]
 
 DEFAULT_ORDER = 64
-IDENTITY_CHECK_ORDER = 128
+# default order of normest's quadrature twins: the column integral and the
+# extremal-family bilinear form
+QUADRATURE_TWIN_ORDER = 128
 # graded composite rules: nominal points per panel, and the deepest
 # breakpoint 1 - 2^-GRADED_MAX_DEPTH
 GRADED_PANEL_POINTS = 8
@@ -145,46 +146,53 @@ class JacobiRule:
         return float(self.weights @ values)
 
 
-def _recurrence(order: int, a_exp: float, b_exp: float):
+def _recurrence(order: int, a_exp, b_exp):
     """Three-term recurrence coefficients for the monic Jacobi polynomials
     with weight (1-x)^a_exp (1+x)^b_exp on [-1,1].
 
-    Returns (diag, offdiag) of the symmetric Jacobi matrix.
+    Returns (diag, offdiag) of the symmetric Jacobi matrix.  ``a_exp`` and
+    ``b_exp`` are floats, or 1-D arrays with one exponent per rule; then
+    row r of each result is rule r's matrix, with the bits a call on that
+    rule's floats gives.
     """
-    A, B = a_exp, b_exp
+    A = np.asarray(a_exp, dtype=float)[..., None]
+    B = np.asarray(b_exp, dtype=float)[..., None]
     k = np.arange(order, dtype=float)
     s = 2.0 * k + A + B
-    diag = np.empty(order)
-    diag[0] = (B - A) / (A + B + 2.0)
-    if order > 1:
-        diag[1:] = (B * B - A * A) / (s[1:] * (s[1:] + 2.0))
-    off = np.empty(max(order - 1, 0))
+    diag = np.empty(s.shape)
+    diag[..., :1] = (B - A) / (A + B + 2.0)
+    diag[..., 1:] = (B * B - A * A) / (s[..., 1:] * (s[..., 1:] + 2.0))
+    off = np.empty(s.shape[:-1] + (max(order - 1, 0),))
     if order > 1:
         # k = 1 separately: the generic expression has a removable 0/0 when
-        # A + B + 1 = 0
-        off[0] = math.sqrt(4.0 * (1.0 + A) * (1.0 + B)
-                           / ((2.0 + A + B) ** 2 * (3.0 + A + B)))
+        # A + B + 1 = 0.  Its square is Python's float power, which calls
+        # libm's pow and can differ from numpy's x*x in the last bit
+        square = np.array([x ** 2 for x in (2.0 + A + B).ravel().tolist()]).reshape(A.shape)
+        off[..., :1] = np.sqrt(4.0 * (1.0 + A) * (1.0 + B) / (square * (3.0 + A + B)))
     if order > 2:
         kk = k[2:]
-        sk = s[2:]
+        sk = s[..., 2:]
         num = 4.0 * kk * (kk + A) * (kk + B) * (kk + A + B)
         den = sk * sk * (sk + 1.0) * (sk - 1.0)
-        off[1:] = np.sqrt(num / den)
+        off[..., 1:] = np.sqrt(num / den)
     return diag, off
 
 
-def _checked_rule(order: int, alpha: float, beta: float, nodes: np.ndarray,
-                  weights: np.ndarray) -> JacobiRule:
-    """Freeze a computed rule after checking that it is usable."""
-    if np.any(np.diff(nodes) <= 0.0):
+def _checked_rules(order: int, exponents, nodes: np.ndarray,
+                   weights: np.ndarray) -> list[JacobiRule]:
+    """Freeze computed rules, one per (alpha, beta) pair and row of ``nodes``
+    and ``weights``, after checking in one pass over the batch that every
+    rule is usable."""
+    if np.any(np.diff(nodes, axis=1) <= 0.0):
         raise QuadratureError("quadrature nodes are not strictly increasing")
     if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
         raise QuadratureError("quadrature weights must be positive and finite")
-    if nodes[0] <= 0.0 or nodes[-1] >= 1.0:
+    if np.any(nodes[:, 0] <= 0.0) or np.any(nodes[:, -1] >= 1.0):
         raise QuadratureError("quadrature nodes left the open interval (0,1)")
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return JacobiRule(alpha=alpha, beta=beta, order=order, nodes=nodes, weights=weights)
+    return [JacobiRule(alpha=alpha, beta=beta, order=order, nodes=t, weights=w)
+            for (alpha, beta), t, w in zip(exponents, nodes, weights)]
 
 
 @lru_cache(maxsize=256)
@@ -200,10 +208,13 @@ def make_jacobi_rules(order: int, exponents) -> list[JacobiRule]:
     Nodes are each Jacobi matrix's eigenvalues (no eigenvectors), polished
     by one Newton step delta on the three-term recurrence; weights are the
     Christoffel numbers 1 / S, S = sum_k p_k(x_i)^2 over the orthonormal p_k
-    with p_0 = 1, rescaled to each rule's mass B(alpha+1, beta+1).  One
-    recurrence pass over the whole batch (``order`` array steps) carries
-    p_k, p_k', S and D = sum_k p_k p_k'; S + 2 delta D is S at the polished
-    node to first order.  No cache.
+    with p_0 = 1, rescaled to each rule's mass B(alpha+1, beta+1).  The
+    batch's Jacobi matrices come from one ``_recurrence`` call and its
+    rules are checked in one ``_checked_rules`` pass; only LAPACK's
+    ``dsterf`` and the mass are taken rule by rule.  One recurrence pass
+    over the whole batch (``order`` array steps) carries p_k, p_k', S and
+    D = sum_k p_k p_k'; S + 2 delta D is S at the polished node to first
+    order.  Each rule has the bits of its one-rule batch.  No cache.
     """
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
@@ -213,18 +224,17 @@ def make_jacobi_rules(order: int, exponents) -> list[JacobiRule]:
             raise ValueError(
                 f"integrability requires alpha, beta > -1, got ({alpha!r}, {beta!r})")
     count = len(exponents)
+    alphas, betas = np.array(exponents).reshape(count, 2).T
     # diag[r, k] = a_k; off[r, k] = b_k couples p_(k-1) and p_k, with b_0 = 0
     # and b_order = 1 (the last step then gives b_order p_order, whose zeros
-    # are the nodes)
-    diag = np.empty((count, order))
+    # are the nodes).  On [-1,1] the (1-x) exponent pairs with the (1-t)
+    # factor and the (1+x) exponent with the t factor.
     off = np.zeros((count, order + 1))
     off[:, order] = 1.0
+    diag, off[:, 1:order] = _recurrence(order, betas, alphas)
     x = np.empty((count, order))
     mass = np.empty((count, 1))
     for r, (alpha, beta) in enumerate(exponents):
-        # on [-1,1] the (1-x) exponent pairs with the (1-t) factor and the
-        # (1+x) exponent with the t factor
-        diag[r], off[r, 1:order] = _recurrence(order, beta, alpha)
         x[r] = _tridiagonal_eigen(diag[r], off[r, 1:order])
         mass[r] = beta_fn(alpha + 1.0, beta + 1.0)
     p_prev, p = np.zeros_like(x), np.ones_like(x)
@@ -242,9 +252,7 @@ def make_jacobi_rules(order: int, exponents) -> list[JacobiRule]:
     christoffel += 2.0 * delta * slope
     weights = 1.0 / christoffel
     weights *= mass / weights.sum(axis=1, keepdims=True)
-    nodes = 0.5 * (x + 1.0)
-    return [_checked_rule(order, alpha, beta, nodes[r].copy(), weights[r].copy())
-            for r, (alpha, beta) in enumerate(exponents)]
+    return _checked_rules(order, exponents, 0.5 * (x + 1.0), weights)
 
 
 def make_graded_rule(order: int, alpha: float, beta: float) -> JacobiRule:
@@ -255,7 +263,8 @@ def make_graded_rule(order: int, alpha: float, beta: float) -> JacobiRule:
     its own panel.  The first panel is Gauss-Jacobi with t^alpha folded
     into its weight, the last one Gauss-Jacobi with (1-t)^beta, and the
     ones between Gauss-Legendre; the factor a panel's rule does not carry
-    is smooth there and is sampled at the nodes.  The ``order`` points are
+    is smooth there and is sampled at the nodes, (1-t)^beta on a middle
+    panel from its unrounded u = 1 - t.  The ``order`` points are
     spread as evenly as possible over order // GRADED_PANEL_POINTS panels
     (at least two, at most GRADED_MAX_DEPTH + 1, earlier panels taking any
     remainder).  Stopping at depth 2^-40 keeps the last panel thousands of
@@ -279,9 +288,12 @@ def make_graded_rule(order: int, alpha: float, beta: float) -> JacobiRule:
             t = a + h * panel.nodes
             w = h ** (beta + 1.0) * panel.weights * t ** alpha
         else:
+            # (1-t)^beta from u = 1 - t as the panel gives it, not from a
+            # rounded t; the node is the rounded 1 - u
             panel = make_jacobi_rule(n, 0.0, 0.0)
-            t = a + h * panel.nodes
-            w = h * panel.weights * t ** alpha * (1.0 - t) ** beta
+            u = h * (2.0 - panel.nodes)
+            t = 1.0 - u
+            w = h * panel.weights * t ** alpha * u ** beta
         nodes.append(t)
         weights.append(w)
     nodes = np.concatenate(nodes)
@@ -319,4 +331,4 @@ def make_two_sided_rule() -> JacobiRule:
     widths = np.concatenate([[2.0 ** -low], to_zero[:, 0], to_one[:, 0]])
     nodes, point = np.unique(nodes, return_inverse=True)
     weights = np.bincount(point, weights=(widths[:, None] * panel.weights).ravel())
-    return _checked_rule(nodes.size, 0.0, 0.0, nodes, weights)
+    return _checked_rules(nodes.size, [(0.0, 0.0)], nodes[None], weights[None])[0]

@@ -18,8 +18,9 @@ each distinct (a, b, c) of a call as it would for that set alone:
   * a connection-formula evaluation in powers of w = 1-z when z is close
     to 1, where both series above need ~36/(1-z) terms.  The connection
     route takes the generic two-series formula when c-a-b is at least
-    _WIDE_GAP from an integer and the logarithmic form nearer, on all the
-    entries in its window at once.
+    _WIDE_GAP from an integer and the logarithmic form nearer.  The
+    generic formula runs once for the window's entries of every parameter
+    set of a call, the logarithmic form once per set.
 
 The near-one window has two widths, chosen by ``_near_one_window``.  It is
 1-z < _NEAR_ONE_W = 5e-3 when c-a-b lies within _WIDE_GAP = 0.1 of an
@@ -342,47 +343,89 @@ def _log_series_w(w: np.ndarray, logw: np.ndarray, term0: float, ratio, bracket,
     return out
 
 
+def _euler_normalized(a: float, b: float, c: float):
+    """The parameters the connection formulas sum for the set (a, b, c):
+    (a, b, d, flip), where d = c-a-b is made non-negative by the Euler
+    transform, which also swaps a, b for c-a, c-b; ``flip`` is the original
+    c-a-b, the exponent of the transform's prefactor w^flip, or None when
+    the transform does not apply."""
+    d = c - a - b
+    if d < 0.0:
+        return c - a, c - b, -d, d
+    return a, b, d, None
+
+
+def _is_generic(a: float, b: float, c: float, d: float) -> bool:
+    """Whether the normalized set (a, b, c), d = c-a-b >= 0, sums the
+    generic two-series connection formula: d at least _WIDE_GAP from an
+    integer, or nearer but not on it at a 1/Gamma pole (a, b, c-a or c-b a
+    non-positive integer), where one series vanishes and nothing cancels."""
+    eps = d - round(d)
+    return abs(eps) >= _WIDE_GAP or bool(eps) and any(map(_is_nonpos_int, (a, b, c - a, c - b)))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # silent like the scalar float loops
+def _near_one_generic(table: np.ndarray, rows: np.ndarray | None, z: np.ndarray) -> np.ndarray:
+    """The generic connection formula (DLMF 15.8.4) on a 1-D array ``z`` of
+    arguments close to 1, entry i with the set ``table[rows[i]]`` of an
+    (S, 3) table of (a, b, c), or with its one row when ``rows`` is None.
+
+    Per set: the Euler normalization (``_euler_normalized``) and the two
+    Gamma-ratio coefficients.  Then, over all the entries at once, one
+    ``math.log`` map for log w, one ``math.exp`` map for the prefactors of
+    the transformed sets, one ``_series_vec`` call per connection series,
+    with per-set parameters (a, b, 1-d) and (c-a, c-b, 1+d), and one
+    ``math.exp`` map for w^d.  Each entry sees the operations of a one-set
+    call in the same order, so it has that call's bits whatever else shares
+    the array; a one-set call keeps ``_series_vec``'s scalar-ratio path.
+    """
+    w = 1.0 - z
+    logw = _map(math.log, w)
+    sets = [(*_euler_normalized(a, b, c), c) for a, b, c in table.tolist()]
+    at = np.zeros(z.size, dtype=np.intp) if rows is None else rows
+    flip = np.array([math.nan if f is None else f for _, _, _, f, _ in sets])[at]
+    flipped = ~np.isnan(flip)
+    prefactor = _map(math.exp, flip[flipped] * logw[flipped])
+    coef = np.array([(gamma_ratio_log((c, d), (c - a, c - b)),
+                      gamma_ratio_log((c, -d), (a, b)), d) for a, b, d, _, c in sets])
+    s1, s2, d = coef[at].T
+    first = np.array([(a, b, 1.0 - d) for a, b, d, _, _ in sets])
+    second = np.array([(c - a, c - b, 1.0 + d) for a, b, d, _, c in sets])
+    out = (s1 * _series_vec(first, rows, w)
+           + s2 * _map(math.exp, d * logw) * _series_vec(second, rows, w))
+    out[flipped] = prefactor * out[flipped]
+    return out
+
+
 @np.errstate(over="ignore", invalid="ignore")  # silent like the scalar float loops
 def _near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     """Evaluate 2F1 in powers of w = 1-z via connection formulas, for a
-    1-D array ``z`` of arguments close to 1.
+    1-D array ``z`` of arguments close to 1 and one parameter set.
 
     Normalizes first so the effective exponent d = c-a-b is positive
     (applying the Euler transform when it is negative), then uses the
-    generic two-series connection formula, or the logarithmic form when d
-    lies within _WIDE_GAP of a non-negative integer m: its limit at d = m,
-    and otherwise the same series with ``_near_int_bracket``'s brackets,
-    which keep it accurate however close d comes to m.  The generic
-    formula's two series are one-set ``_series_vec`` calls on w, with
-    parameters (a, b, 1-d) and (c-a, c-b, 1+d); the logarithmic series are
-    summed by ``_log_series_w``.  The Gamma-ratio coefficients and the
-    per-index constants of the brackets are computed once per call; each
-    entry gets the bits of a per-entry loop over the same formulas in the
-    same order of operations, through ``math.log``/``math.exp``/
-    ``math.expm1``, whatever else shares the array.
+    generic two-series connection formula (``_near_one_generic``, one set),
+    or the logarithmic form when d lies within _WIDE_GAP of a non-negative
+    integer m: its limit at d = m, and otherwise the same series with
+    ``_near_int_bracket``'s brackets, which keep it accurate however close
+    d comes to m.  The logarithmic series are summed by ``_log_series_w``;
+    their Gamma-ratio coefficients and the per-index constants of the
+    brackets are computed once per call.  Each entry gets the bits of a
+    per-entry loop over the same formulas in the same order of operations,
+    through ``math.log``/``math.exp``/``math.expm1``, whatever else shares
+    the array.
     """
     if not z.size:
         return np.empty(0)
+    abc = (a, b, c)
+    a, b, d, flip = _euler_normalized(a, b, c)
+    if _is_generic(a, b, c, d):
+        return _near_one_generic(np.array([abc]), None, z)
     w = 1.0 - z
     logw = _map(math.log, w)
-    d = c - a - b
-    abc = (a, b, c)
-    prefactor = None
-    if d < 0.0:
-        prefactor = _map(math.exp, d * logw)
-        a, b = c - a, c - b
-        d = -d
+    prefactor = None if flip is None else _map(math.exp, flip * logw)
     m = round(d)
     eps = d - m
-    if abs(eps) >= _WIDE_GAP or eps and any(map(_is_nonpos_int, (a, b, c - a, c - b))):
-        # generic case: two analytic series in w (at a 1/Gamma pole one of
-        # them vanishes, so nothing cancels however small eps is)
-        s1 = gamma_ratio_log((c, d), (c - a, c - b))
-        s2 = gamma_ratio_log((c, -d), (a, b))
-        out = (s1 * _series_vec(np.array([[a, b, 1.0 - d]]), None, w)
-               + s2 * _map(math.exp, d * logw)
-               * _series_vec(np.array([[c - a, c - b, 1.0 + d]]), None, w))
-        return out if prefactor is None else prefactor * out
     # logarithmic case, c = a + b + m + eps with integer m >= 0, |eps| < _WIDE_GAP
     if m == 0 and not eps:
         front = gamma_ratio_log((c,), (a, b))
@@ -589,6 +632,16 @@ def _by_row(rows: np.ndarray | None, mask: np.ndarray):
     return [(int(r[lo]), part) for lo, part in zip([0, *cuts.tolist()], np.split(idx, cuts))]
 
 
+def _present_sets(table: np.ndarray, rows: np.ndarray | None,
+                  idx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rows of ``table`` that the entries ``idx`` use, in row order, and
+    each entry's row in that smaller table (None when there is one)."""
+    if rows is None:
+        return table, None
+    used, local = np.unique(rows[idx], return_inverse=True)
+    return table[used], None if used.size == 1 else local
+
+
 def hyp2f1_grid(a, b, c, z: np.ndarray) -> np.ndarray:
     """2F1(a,b;c;z) over an array of arguments in [0,1).
 
@@ -605,15 +658,20 @@ def hyp2f1_grid(a, b, c, z: np.ndarray) -> np.ndarray:
     cancels like 1/eps as c-a-b nears an integer, see the module
     docstring), and the Euler transform when c-a-b < 0.  The raw and the
     transformed series of every set run together in one packed pass per
-    band (z <= 0.7, then the rest), and each set's near-one entries go
-    through the connection formulas in slices of _NEAR_ONE_BLOCK entries,
-    so that their work arrays stay small however large the grid.  Each
-    entry's value depends on its own (a, b, c, z) alone, never on the
+    band (z <= 0.7, then the rest).  The near-one entries of every set that
+    takes the generic connection formula go through ``_near_one_generic``
+    together: per-set coefficients, then one multi-row ``_series_vec`` call
+    per connection series and one ``math.log``/``math.exp`` map over all of
+    them (a one-set call keeps the scalar-ratio series path).  The
+    logarithmic form runs set by set.  Both take slices of _NEAR_ONE_BLOCK
+    entries, so that their work arrays stay small however large the grid.
+    Each entry's value depends on its own (a, b, c, z) alone, never on the
     other entries or sets, and has the bits of a one-set call on that
-    entry; so a caller may
-    evaluate any subset of a grid (``intop`` builds its symmetric Nystrom
-    grid from the upper triangle), or many parameter sets at once, and
-    place the values back unchanged.
+    entry; so a caller may evaluate any subset of a grid (``intop`` builds
+    its symmetric Nystrom grid from the upper triangle), or many parameter
+    sets at once, and place the values back unchanged.  A ConvergenceError
+    from the near-one route names the worst unconverged w of the slice that
+    raised it, with its set's connection-series parameters.
     """
     z = np.asarray(z, dtype=float)
     table, rows = _parameter_sets(a, b, c, z.shape)
@@ -622,22 +680,25 @@ def hyp2f1_grid(a, b, c, z: np.ndarray) -> np.ndarray:
     zf = z.ravel()
     # per set: the mid band's series parameters, the Euler exponent c-a-b
     # where the transform applies, the near-one window (0 where there is
-    # none), and whether the raw series terminates and takes every entry
+    # none) and whether it takes the generic connection formula, and
+    # whether the raw series terminates and takes every entry
     mid_table = table.copy()
     exponent: dict[int, float] = {}
     window = np.zeros(len(table))
+    generic = np.zeros(len(table), dtype=bool)
     terminating = np.zeros(len(table), dtype=bool)
     for s, (pa, pb, pc) in enumerate(table.tolist()):
         if _is_nonpos_int(pa) or _is_nonpos_int(pb):
             terminating[s] = True
             continue
-        d = pc - pa - pb
-        if d < 0.0:
-            mid_table[s] = (pc - pa, pc - pb, pc)
-            exponent[s] = d
-            if _is_nonpos_int(pc - pa) or _is_nonpos_int(pc - pb):
+        na, nb, d, flip = _euler_normalized(pa, pb, pc)
+        if flip is not None:
+            mid_table[s] = (na, nb, pc)
+            exponent[s] = flip
+            if _is_nonpos_int(na) or _is_nonpos_int(nb):
                 continue  # the transformed series is exact arbitrarily close to 1
         window[s] = _near_one_window(d)
+        generic[s] = _is_generic(na, nb, pc, d)
     at = 0 if rows is None else rows  # each entry's set
     out = np.empty(zf.size)
     low = (zf <= _RAW_SERIES_Z) | terminating[at]
@@ -655,7 +716,13 @@ def hyp2f1_grid(a, b, c, z: np.ndarray) -> np.ndarray:
         for s, idx in _by_row(rows, mid):
             if s in exponent:
                 out[idx] = (1.0 - zf[idx]) ** exponent[s] * out[idx]
-    for s, idx in _by_row(rows, near):
+    # the generic connection formula for every set at once, then the
+    # logarithmic form set by set
+    idx = np.flatnonzero(near & generic[at])
+    for lo in range(0, idx.size, _NEAR_ONE_BLOCK):
+        part = idx[lo:lo + _NEAR_ONE_BLOCK]
+        out[part] = _near_one_generic(*_present_sets(table, rows, part), zf[part])
+    for s, idx in _by_row(rows, near & ~generic[at]):
         for lo in range(0, idx.size, _NEAR_ONE_BLOCK):
             part = idx[lo:lo + _NEAR_ONE_BLOCK]
             out[part] = _near_one_vec(*table[s].tolist(), zf[part])

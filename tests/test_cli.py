@@ -56,6 +56,17 @@ def test_beta_average_check_tight():
     assert cli.beta_average_check(rng, 30, 128) < 1e-11
 
 
+def test_identity_rule_order_reaches_the_rounding_floor():
+    # at the suite's fixed order the Euler-integral and beta-average gaps
+    # are the series' rounding (~3e-15, as at order 128) on seeds 0-9;
+    # order 32 would leave the Euler integral at 1.4e-12
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        assert cli.euler_integral_check(rng, 120, cli._IDENTITY_ORDER) < 5e-15, seed
+        cli.euler_transform_check(rng, 120)
+        assert cli.beta_average_check(rng, 120, cli._IDENTITY_ORDER) < 5e-15, seed
+
+
 def test_value_at_one_check_meets_tolerance():
     # the shared two-sided rule resolves the (1-t)^(c-a-b) kink at t = 1
     # down to 1 - t = 2^-52; the tail beyond it puts the floor near 1e-12
@@ -115,7 +126,7 @@ def test_identity_checks_keep_their_draws(monkeypatch):
         c = a + b + rng.uniform(1.1, 2.2)
         d = rng.uniform(0.8, 1.2)
         value_at_one.append((a, b, c, d))
-    assert seen == [(128, euler), (128, beta_avg)]
+    assert seen == [(cli._IDENTITY_ORDER, euler), (cli._IDENTITY_ORDER, beta_avg)]
     # value-at-one builds no Gauss-Jacobi rule: its (a, b, c) reach the last
     # grid call as (120, 1) columns, and c + d reaches the gamma quotient
     assert [column.shape for column in grids[-1]] == [(120, 1)] * 3
@@ -200,9 +211,9 @@ def _reference_value_at_one(rng, draws):
 def test_batched_identity_checks_keep_the_per_draw_bits(seed):
     _, records = run_suite("identities", SuiteConfig(seed=seed))
     rng = np.random.default_rng(seed)
-    expected = [_reference_euler_integral(rng, 120, 128),
+    expected = [_reference_euler_integral(rng, 120, cli._IDENTITY_ORDER),
                 _reference_euler_transform(rng, 120),
-                _reference_beta_average(rng, 120, 128),
+                _reference_beta_average(rng, 120, cli._IDENTITY_ORDER),
                 _reference_value_at_one(rng, 120)]
     got = [r.numeric_routes["max_rel_error"] for r in records]
     assert [type(v) for v in got] == [float] * 4
@@ -277,6 +288,13 @@ def test_identities_suite_all_pass():
     for r in records:
         assert r.status == "pass"
         assert r.rel_errors["max_rel_error"] < 1e-7
+
+
+def test_identities_suite_ignores_the_order_setting():
+    # --order reaches the norm records only: every identity check runs on
+    # rules of its own, so the suite's JSON is the same at order 512
+    default = emit_table(run_suite("identities", SuiteConfig())[1], "json")
+    assert emit_table(run_suite("identities", SuiteConfig(order=512))[1], "json") == default
 
 
 @pytest.mark.parametrize("sigma, p, closed", [

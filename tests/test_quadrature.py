@@ -17,6 +17,7 @@ import bergnorm
 from bergnorm import quadrature
 from bergnorm.quadrature import (
     _recurrence,
+    make_graded_rule,
     make_jacobi_rule,
     make_jacobi_rules,
     make_two_sided_rule,
@@ -149,6 +150,46 @@ def test_batched_rule_is_a_gauss_rule(alpha, beta, order):
             assert got == pytest.approx(beta_fn(a + k + 1.0, b + 1.0), rel=1e-11)
 
 
+def _scalar_recurrence(order, A, B):
+    """The Jacobi matrix of weight (1-x)^A (1+x)^B entry by entry, in Python
+    floats: the reference ``_recurrence``'s array passes must reproduce."""
+    diag = [(B - A) / (A + B + 2.0)]
+    diag += [(B * B - A * A) / ((2.0 * k + A + B) * (2.0 * k + A + B + 2.0))
+             for k in range(1, order)]
+    off = [math.sqrt(4.0 * (1.0 + A) * (1.0 + B) / ((2.0 + A + B) ** 2 * (3.0 + A + B)))]
+    for k in range(2, order):
+        s = 2.0 * k + A + B
+        off.append(math.sqrt(4.0 * k * (k + A) * (k + B) * (k + A + B)
+                             / (s * s * (s + 1.0) * (s - 1.0))))
+    return diag, off[:order - 1]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 64])
+def test_batched_recurrence_has_each_rules_bits(order):
+    # one array pass over 2000 rules gives each row the bits of the scalar
+    # formulas, also where libm's pow(x, 2) and x*x round apart (a few
+    # rows in a thousand, with glibc)
+    rng = np.random.default_rng(order)
+    a_exp, b_exp = rng.uniform(-0.95, 60.0, (2, 2000))
+    diag, off = _recurrence(order, a_exp, b_exp)
+    assert diag.shape == (2000, order) and off.shape == (2000, order - 1)
+    for r, (a, b) in enumerate(zip(a_exp.tolist(), b_exp.tolist())):
+        want_diag, want_off = _scalar_recurrence(order, a, b)
+        assert diag[r].tolist() == want_diag and off[r].tolist() == want_off
+
+
+def test_batch_gives_each_rule_its_own_bits():
+    # a rule's nodes and weights do not depend on the rest of its batch
+    pairs = [(-0.6, 1.5), (0.0, 20.0), (2.4, 0.1), (-0.9, -0.9), (0.0, 0.0)]
+    for order in (1, 7, 64):
+        batch = make_jacobi_rules(order, pairs)
+        for rule, pair in zip(batch, pairs):
+            alone = make_jacobi_rules(order, [pair])[0]
+            assert rule.nodes.tobytes() == alone.nodes.tobytes()
+            assert rule.weights.tobytes() == alone.weights.tobytes()
+            assert not (rule.nodes.flags.writeable or rule.weights.flags.writeable)
+
+
 def _golub_welsch_rule(order, alpha, beta):
     """Nodes and weights B(alpha+1, beta+1) v_1^2 of the Golub-Welsch rule
     for t^alpha (1-t)^beta, from the public scipy route (LAPACK dstevd)."""
@@ -242,6 +283,23 @@ def test_batched_rules_validation():
     with pytest.raises(ValueError):
         make_jacobi_rules(0, [])
     assert make_jacobi_rules(8, []) == []
+
+
+# ----------------------------------------------------------------------
+# the graded rule (discretize_graded's)
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, -0.9), (-0.6, -0.6), (2.0, -0.5)])
+def test_graded_rule_mass_against_mpmath(alpha, beta):
+    # 41 panels down to 1 - 2^-40: a middle panel samples (1-t)^beta from
+    # its own u = 1 - t, not from a rounded t, which put the mass of
+    # (0, -0.9) 1.7e-8 off and that of (-0.6, -0.6) 5.5e-12 off
+    rule = make_graded_rule(512, alpha, beta)
+    with mp.workdps(30):
+        exact = float(mp.beta(alpha + 1, beta + 1))
+    assert rule.total_mass == pytest.approx(exact, rel=1e-15)
+    assert rule.total_mass == pytest.approx(beta_fn(alpha + 1.0, beta + 1.0), rel=1e-15)
+    assert np.all(np.diff(rule.nodes) > 0.0) and rule.nodes[-1] < 1.0
 
 
 # ----------------------------------------------------------------------

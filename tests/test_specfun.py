@@ -8,7 +8,7 @@ import math
 import warnings
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bergnorm import specfun
@@ -703,6 +703,74 @@ def test_log_series_cap_raises(monkeypatch, a, b, c):
     assert f"worst w = {1.0 - z[1]} at (a={a}, b={b}, c={c})" in msg
 
 
+@st.composite
+def _near_one_set(draw):
+    """A parameter set of one of the near-one route's kinds, with 1-12
+    arguments inside its window, from 1-z = 1e-15 up."""
+    kind = draw(st.sampled_from(["generic", "euler", "near-integer", "pole", "large"]))
+    a, b = draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0))
+    m = draw(st.integers(0, 2))
+    frac = draw(st.floats(specfun._WIDE_GAP, 1.0 - specfun._WIDE_GAP))
+    eps = draw(st.sampled_from([0.0, 1e-12, -3e-7]) | st.floats(-0.099, 0.099))
+    if kind == "generic":            # c-a-b at least _WIDE_GAP from an integer
+        c = a + b + m + frac
+    elif kind == "euler":            # c-a-b < 0: the Euler transform first
+        a, b = a + 2.0, b + 2.0
+        c = a + b - m - frac
+    elif kind == "near-integer":     # within _WIDE_GAP of m, on either side of 0
+        a, b = a + 2.0, b + 2.0
+        c = a + b + draw(st.sampled_from([1.0, -1.0])) * (m + eps)
+    elif kind == "pole":             # c-a = -m, c-a-b = m + |eps|: a 1/Gamma
+        c = a - m                    # pole, so generic however small |eps|
+        b = -m - m - (abs(eps) or 1e-3)
+    else:                            # the connection series need 81+ terms
+        a, b = 2e4 + 100.0 * a, 20.0 * b / 3.0
+        c = a + b + frac
+    assume(not specfun._is_nonpos_int(c) and not specfun._is_nonpos_int(b))
+    top = math.log10(specfun._near_one_window(c - a - b))
+    w = draw(st.lists(st.floats(-15.0, top - 1e-9), min_size=1, max_size=12))
+    return (a, b, c), [1.0 - 10.0 ** x for x in w]
+
+
+def _outcome_message(f):
+    """f()'s array, or the type and message of the exception it raises."""
+    try:
+        return np.asarray(f(), dtype=float)
+    except (ArithmeticError, ValueError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+@given(draws=st.lists(_near_one_set(), min_size=2, max_size=6),
+       cap=st.sampled_from([None, 6, 64]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_hyp2f1_grid_near_one_sets_match_one_set_calls(draws, cap, data):
+    # one multi-set call near z = 1, its entries interleaved, against one
+    # one-set call per set: each value has that call's bits, and a starved
+    # term budget (cap 6: the log series; cap 64: the large sets' generic
+    # series) raises a ConvergenceError that names the w and parameters
+    # one of the one-set calls names
+    rows = np.concatenate([[s] * len(z) for s, (_, z) in enumerate(draws)])
+    order = np.array(data.draw(st.permutations(range(rows.size))))
+    rows = rows[order]
+    z = np.concatenate([z for _, z in draws])[order]
+    a, b, c = np.array([abc for abc, _ in draws])[rows].T
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is not None:
+            patch.setattr(specfun, "_SERIES_CAP", cap)
+        together = _outcome_message(lambda: hyp2f1_grid(a, b, c, z))
+        alone = [_outcome_message(lambda: hyp2f1_grid(*abc, z[rows == s]))
+                 for s, (abc, _) in enumerate(draws)]
+    failures = [out for out in alone if isinstance(out, tuple)]
+    if not failures:
+        assert isinstance(together, np.ndarray), together
+        for s, out in enumerate(alone):
+            assert together[rows == s].tobytes() == out.tobytes(), draws[s][0]
+    elif together[0] is ConvergenceError:
+        assert together in failures
+    else:
+        assert isinstance(together, tuple) and together[0] in {t for t, _ in failures}
+
+
 @pytest.mark.parametrize("a, b, c", [(0.75, 0.75, 1.75), (1.0, 1.0, 2.0), (1.5, 1.5, 1.0)])
 def test_hyp2f1_near_one_window_uses_the_connection_route(a, b, c):
     # the grid sends 1-z < 5e-3 to it
@@ -802,15 +870,21 @@ def test_hyp2f1_near_integer_exponent_matches_mpmath(m):
 ])
 def test_hyp2f1_wide_window_routes(monkeypatch, a, b, c, wide):
     # the grid sends the band to the connection route for generic c-a-b
-    # and keeps the series near an integer c-a-b
+    # (the batched generic formula, or the one-set route) and keeps the
+    # series near an integer c-a-b
     seen = []
-    real = specfun._near_one_vec
+    real, real_generic = specfun._near_one_vec, specfun._near_one_generic
 
     def spy(a, b, c, z):
         seen.extend(z.tolist())
         return real(a, b, c, z)
 
+    def spy_generic(table, rows, z):
+        seen.extend(z.tolist())
+        return real_generic(table, rows, z)
+
     monkeypatch.setattr(specfun, "_near_one_vec", spy)
+    monkeypatch.setattr(specfun, "_near_one_generic", spy_generic)
     z = 1.0 - WIDE_BAND_W
     hyp2f1_grid(a, b, c, z)
     assert seen == (z.tolist() if wide else [])

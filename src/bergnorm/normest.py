@@ -131,11 +131,14 @@ def column_closed(params: OperatorParams, beta: float, x) -> np.ndarray:
 
 
 def column_quadrature(params: OperatorParams, beta: float, x,
-                      order: int = QUADRATURE_TWIN_ORDER) -> np.ndarray:
+                      order: int = QUADRATURE_TWIN_ORDER, rule=None) -> np.ndarray:
     """C_beta(x) by direct quadrature in y, independent of any reduction;
-    (1-y)^beta is folded into the rule's weight, never sampled."""
+    (1-y)^beta is folded into the rule's weight, never sampled.  ``rule``
+    is the order-point (mu-1, beta) Gauss-Jacobi rule when the caller has
+    built it, else it comes from ``make_jacobi_rule``'s cache."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    rule = make_jacobi_rule(order, params.mu - 1.0, beta)
+    if rule is None:
+        rule = make_jacobi_rule(order, params.mu - 1.0, beta)
     return (1.0 - x) ** (params.sigma - beta) * kernel_moments(params, x, rule)
 
 
@@ -175,25 +178,35 @@ class ColumnProfile:
                             / np.abs(closed_sub)))
 
 
-def _column_profile(params: OperatorParams, mass: float, gap=None) -> ColumnProfile:
-    """C_beta at beta = mass - 1, taking beta + 1 (mass) and, where it is the margin,
-    sigma - beta (gap) as the caller forms them; a missing gap is Gauss summation's."""
+def _column_endpoint(params: OperatorParams, mass: float, gap=None) -> float:
+    """C_beta's x -> 1 limit at beta = mass - 1, taking beta + 1 (mass) and, where it
+    is the margin, sigma - beta (gap) as the caller forms them; a missing gap is
+    Gauss summation's."""
+    front, a, c = _column_terms(params, mass)
+    return front * (hyp2f1_at_one(a, a, c) if gap is None else math.exp(
+        log_gamma(c) + log_gamma(gap) - 2.0 * log_gamma(params.lam)))
+
+
+def _column_profile(params: OperatorParams, mass: float, endpoint: float,
+                    rule=None) -> ColumnProfile:
+    """C_beta at beta = mass - 1 with its ``_column_endpoint``; ``rule`` is
+    ``column_quadrature``'s."""
     grid = supremum_grid()
     quad_grid = grid[grid <= QUAD_ROUTE_CUTOFF]
     front, a, c = _column_terms(params, mass)
-    endpoint = front * (hyp2f1_at_one(a, a, c) if gap is None else math.exp(
-        log_gamma(c) + log_gamma(gap) - 2.0 * log_gamma(params.lam)))
     return ColumnProfile(beta=mass - 1.0, grid=grid,
                          closed=front * hyp2f1_grid(a, a, c, grid),
                          quadrature_grid=quad_grid,
-                         quadrature=column_quadrature(params, mass - 1.0, quad_grid),
+                         quadrature=column_quadrature(params, mass - 1.0, quad_grid,
+                                                      rule=rule),
                          endpoint=endpoint)
 
 
 def l1_profile(params: OperatorParams) -> ColumnProfile:
     """The column masses C_0, whose supremum, the t -> 1 limit, is the L^1
     norm; raises UnboundedOperatorError when that limit is infinite."""
-    return _column_profile(params, 1.0, require_bounded(params, 1.0))
+    return _column_profile(params, 1.0,
+                           _column_endpoint(params, 1.0, require_bounded(params, 1.0)))
 
 
 def schur_profile(params: OperatorParams, p) -> tuple[ColumnProfile, ColumnProfile]:
@@ -202,15 +215,22 @@ def schur_profile(params: OperatorParams, p) -> tuple[ColumnProfile, ColumnProfi
     integral K(s,t) phi(t)^q dmu(t) / phi(s)^q is C_beta(s) at
     beta = sigma - 1/p, and integral K(s,t) phi(s)^p dmu(s) / phi(t)^p is
     C_beta(t) at beta = -1/q.  Both increase to the closed-form norm, their
-    common x -> 1 limit.
+    common x -> 1 limit.  The two quadrature rules are built in one
+    ``make_jacobi_rules`` batch, each with the bits of its one-rule build.
     """
     exp = _as_exponent(p)
     if exp.is_one or exp.is_infinite:
         raise ValueError("the Schur route needs 1 < p < infinity")
     margin = require_bounded(params, exp)
     # the margin is beta + 1 on the right, sigma - beta on the left
-    return (_column_profile(params, margin),
-            _column_profile(params, exp.inv, margin))
+    masses = (margin, exp.inv)
+    # the endpoints first: where 1/p rounds away, the right one's Gauss
+    # summation raises DivergenceError before the left rule's exponent
+    # -1/q = 1/p - 1 rounds to -1, which the rule builder refuses
+    endpoints = (_column_endpoint(params, margin), _column_endpoint(params, exp.inv, margin))
+    rules = make_jacobi_rules(QUADRATURE_TWIN_ORDER,
+                              [(params.mu - 1.0, mass - 1.0) for mass in masses])
+    return tuple(_column_profile(params, *args) for args in zip(masses, endpoints, rules))
 
 
 # ----------------------------------------------------------------------

@@ -15,30 +15,29 @@ each distinct (a, b, c) of a call as it would for that set alone:
   * the raw power series (z <= 0.7, or whenever it terminates),
   * the Euler transform (1-z)^(c-a-b) * 2F1(c-a,c-b;c;z) when z > 0.7 and
     the transform improves the convergence exponent c-a-b,
-  * a connection-formula evaluation in powers of w = 1-z when z is close
-    to 1, where both series above need ~36/(1-z) terms.  The connection
-    route takes the generic two-series formula when c-a-b is at least
-    _WIDE_GAP from an integer and the logarithmic form nearer.  The
-    generic formula runs once for the window's entries of every parameter
-    set of a call, the logarithmic form once per set.
+  * a connection-formula evaluation in powers of w = 1-z in the near-one
+    window 1-z < _NEAR_ONE_W = 2e-2, where both series above need
+    ~36/(1-z) terms.  The connection route takes the generic two-series
+    formula when c-a-b is at least _WIDE_GAP = 0.1 from an integer and the
+    logarithmic form nearer.  The generic formula runs once for the
+    window's entries of every parameter set of a call, the logarithmic
+    form once per set.
 
-The near-one window has two widths, chosen by ``_near_one_window``.  It is
-1-z < _NEAR_ONE_W = 5e-3 when c-a-b lies within _WIDE_GAP = 0.1 of an
-integer, and 1-z < _NEAR_ONE_W_WIDE = 2e-2 otherwise.  The two-term
-connection formula loses digits like 1/eps as eps = |(c-a-b) - round(c-a-b)|
-shrinks (its two Gamma-ratio coefficients grow and cancel), so within the
-gap the route sums the logarithmic form instead, whose eps terms are
-carried without cancellation (~1e-14 against mpmath for every eps, exact
-integers included); past the gap, and for 1-z up to 2e-2, the two-term
-formula is as accurate as the raw series (against mpmath, for a and b in
+The two-term connection formula loses digits like 1/eps as
+eps = |(c-a-b) - round(c-a-b)| shrinks (its two Gamma-ratio coefficients
+grow and cancel), so within the gap the route sums the logarithmic form,
+whose eps terms are carried without cancellation (~1e-14 against mpmath
+for every eps, exact integers included).  Across the whole window both
+forms are as accurate as the raw series (against mpmath, for a and b in
 (0, 4)) at a small fraction of its cost.
 
 Series termination: one raw-series loop sums the raw and Euler series
-and both series of the generic connection formula, and stops once the
-last term of a 64-term chunk is below 1e-16 of the partial sum; past a
-hard cap of 100000 terms it raises ConvergenceError.  The logarithmic
-connection series stop at the first term below 1e-16 of the sum after
-the third, and raise ConvergenceError past the same cap.
+and both series of the generic connection formula, in chunks of 16, 16,
+32 and then 64 terms, and stops at the end of the first chunk whose last
+term is below 1e-16 of the partial sum; past a hard cap of 100000 terms
+it raises ConvergenceError.  The logarithmic connection series stop at
+the first term below 1e-16 of the sum after the third, and raise
+ConvergenceError past the same cap.
 """
 
 from __future__ import annotations
@@ -63,9 +62,11 @@ __all__ = [
 _SERIES_RTOL = 1e-16
 _SERIES_CAP = 100_000
 _RAW_SERIES_Z = 0.7
-_NEAR_ONE_W = 5e-3      # switch to connection formulas when 1-z is below this
-_NEAR_ONE_W_WIDE = 2e-2  # ... or below this, when c-a-b is far from an integer:
-_WIDE_GAP = 0.1          # at least this far (nearer, the connection formula cancels)
+_NEAR_ONE_W = 2e-2      # switch to connection formulas when 1-z is below this
+_WIDE_GAP = 0.1         # generic formula when c-a-b is at least this far from an
+                        # integer (nearer, it cancels), the logarithmic form nearer
+_CHUNK_MIN = 16         # terms in the raw-series loop's first two chunks; then a
+_CHUNK_MAX = 64         # chunk is as long as the terms so far, up to this
 _W_BLOCK = 12           # terms per block of the near-one log series
 _BLOCK_LIVE = 256       # live entries at or below which a raw-series chunk is one block
 _CACHE_BLOCK = 16384    # raw-series entries per slice: four work arrays in 512 KB
@@ -507,11 +508,6 @@ def _near_int_bracket(p: float, q: float, m: int, eps: float):
     return bracket, scale
 
 
-def _near_one_window(d: float) -> float:
-    """Width in 1-z of the near-one window when c-a-b = ``d``."""
-    return _NEAR_ONE_W_WIDE if abs(d - round(d)) >= _WIDE_GAP else _NEAR_ONE_W
-
-
 def _series_vec(table: np.ndarray, rows: np.ndarray | None, z: np.ndarray) -> np.ndarray:
     """The raw series, chunked, over an array of z, each entry with its own
     row of a parameter table.
@@ -522,17 +518,21 @@ def _series_vec(table: np.ndarray, rows: np.ndarray | None, z: np.ndarray) -> np
     entries, so that a slice's work arrays stay in cache however large the
     grid; each slice is written back in place and the result reshaped.
     Within a slice, the entries still summing are kept packed in contiguous
-    arrays of z, term and partial sum, advanced 64 terms a chunk; finished
-    entries are written back and the arrays shrink only between chunks.
-    Each chunk starts from the (64, S) table of term ratios
+    arrays of z, term and partial sum, advanced a chunk at a time: 16, 16,
+    32, then 64 terms (min(_CHUNK_MAX, max(_CHUNK_MIN, k)) after k terms),
+    so that an entry that converges fast, such as a near-one connection
+    series in w < 2e-2, stops after 16 terms, while from term 64 on the
+    chunks are those of a fixed 64-term loop.  Finished entries are written
+    back and the arrays shrink only between chunks.  Each chunk starts from
+    the (chunk, S) table of term ratios
     ``(a + k) * (b + k) / ((c + k) * (k + 1))``, rounded as that scalar
     expression is.  While more than _BLOCK_LIVE entries are live a chunk is
-    64 in-place ``term *= z*ratio; total += term`` steps, multiplying by
-    the ratio as a scalar when there is one row and gathering each entry's
-    ratio otherwise; at or below it, a chunk is one ``_w_block`` call on
-    the 64 step rows, which rounds each entry the same way with far fewer
-    ufunc calls.  A chunk ends with the stopping test: the last term below
-    _SERIES_RTOL of the sum.  Each entry sees the same arithmetic and
+    that many in-place ``term *= z*ratio; total += term`` steps, multiplying
+    by the ratio as a scalar when there is one row and gathering each
+    entry's ratio otherwise; at or below it, a chunk is one ``_w_block``
+    call on its step rows, which rounds each entry the same way with far
+    fewer ufunc calls.  A chunk ends with the stopping test: the last term
+    below _SERIES_RTOL of the sum.  Each entry sees the same arithmetic and
     stopping rule whatever else shares the array, the slice or the table,
     so a value depends on its own z and parameters alone.  c must not be a
     non-positive integer.  Past the term cap, the error names the worst
@@ -560,8 +560,8 @@ def _series_slice(table: np.ndarray, rows: np.ndarray | None, zp: np.ndarray,
     step = np.empty(zp.size)
     k = 0
     while idx.size:
-        ks = np.arange(k, k + 64, dtype=float)[:, None]
-        ratio = (a + ks) * (b + ks) / ((c + ks) * (ks + 1.0))  # (64, S)
+        ks = np.arange(k, k + min(_CHUNK_MAX, max(_CHUNK_MIN, k)), dtype=float)[:, None]
+        ratio = (a + ks) * (b + ks) / ((c + ks) * (ks + 1.0))  # (chunk, S)
         if idx.size > _BLOCK_LIVE:
             for r in (ratio.ravel().tolist() if rows is None else ratio):
                 if rows is None:
@@ -575,7 +575,7 @@ def _series_slice(table: np.ndarray, rows: np.ndarray | None, zp: np.ndarray,
             steps = (ratio if rows is None else ratio[:, rows]) * zp
             p, s = _w_block(term, total, steps)
             term, total = p[-1], s[-1]
-        k += 64
+        k += len(ks)
         done = np.abs(term) < _SERIES_RTOL * np.abs(total)
         if done.any():
             out[idx[done]] = total[done]
@@ -653,12 +653,13 @@ def hyp2f1_grid(a, b, c, z: np.ndarray) -> np.ndarray:
 
     The entries are grouped by their distinct (a, b, c), and each set takes
     the routes of the module docstring as a one-set call would: the
-    terminating case, the near-one window 1-z < 2e-2 when c-a-b is at least
-    0.1 from an integer and 1-z < 5e-3 otherwise (the connection formula
-    cancels like 1/eps as c-a-b nears an integer, see the module
-    docstring), and the Euler transform when c-a-b < 0.  The raw and the
-    transformed series of every set run together in one packed pass per
-    band (z <= 0.7, then the rest).  The near-one entries of every set that
+    terminating case, the near-one window 1-z < 2e-2 (the generic
+    connection formula when c-a-b is at least 0.1 from an integer, the
+    logarithmic form nearer), and the Euler transform when c-a-b < 0.  The
+    raw and the transformed series of every set run together in one packed
+    pass per band (z <= 0.7, then the rest), each entry stopping at the
+    first chunk of 16, 16, 32, then 64 terms that converges.  The near-one
+    entries of every set that
     takes the generic connection formula go through ``_near_one_generic``
     together: per-set coefficients, then one multi-row ``_series_vec`` call
     per connection series and one ``math.log``/``math.exp`` map over all of
@@ -679,12 +680,12 @@ def hyp2f1_grid(a, b, c, z: np.ndarray) -> np.ndarray:
         raise ValueError("hyp2f1_grid needs 0 <= z < 1")
     zf = z.ravel()
     # per set: the mid band's series parameters, the Euler exponent c-a-b
-    # where the transform applies, the near-one window (0 where there is
-    # none) and whether it takes the generic connection formula, and
-    # whether the raw series terminates and takes every entry
+    # where the transform applies, whether it has a near-one window and
+    # whether that takes the generic connection formula, and whether the
+    # raw series terminates and takes every entry
     mid_table = table.copy()
     exponent: dict[int, float] = {}
-    window = np.zeros(len(table))
+    window = np.zeros(len(table), dtype=bool)
     generic = np.zeros(len(table), dtype=bool)
     terminating = np.zeros(len(table), dtype=bool)
     for s, (pa, pb, pc) in enumerate(table.tolist()):
@@ -697,7 +698,7 @@ def hyp2f1_grid(a, b, c, z: np.ndarray) -> np.ndarray:
             exponent[s] = flip
             if _is_nonpos_int(na) or _is_nonpos_int(nb):
                 continue  # the transformed series is exact arbitrarily close to 1
-        window[s] = _near_one_window(d)
+        window[s] = True
         generic[s] = _is_generic(na, nb, pc, d)
     at = 0 if rows is None else rows  # each entry's set
     out = np.empty(zf.size)
@@ -706,7 +707,7 @@ def hyp2f1_grid(a, b, c, z: np.ndarray) -> np.ndarray:
         out[low] = _series_vec(table, None if rows is None else rows[low], zf[low])
     # the other bands' masks only now, so that they are not live in the low pass
     high = ~low
-    near = high & (1.0 - zf < window[at])
+    near = high & window[at] & (1.0 - zf < _NEAR_ONE_W)
     mid = high & ~near
     if mid.any():
         out[mid] = _series_vec(mid_table, None if rows is None else rows[mid], zf[mid])

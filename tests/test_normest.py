@@ -263,6 +263,25 @@ def test_routes_share_the_boundedness_decision(sigma, p):
     assert growths == {"power" if sigma + 1.0 - 1.0 / p < 0.0 else "logarithmic"}
 
 
+def test_schur_profile_builds_both_rules_in_one_batch(monkeypatch):
+    # one make_jacobi_rules call for the right and left rules, and each
+    # profile's quadrature has the bits of the cached one-rule route
+    params, p = OperatorParams(1.5, 0.7), 3.0
+    calls = []
+    real = normest.make_jacobi_rules
+
+    def spy(order, exponents):
+        calls.append((order, list(exponents)))
+        return real(order, exponents)
+
+    monkeypatch.setattr(normest, "make_jacobi_rules", spy)
+    right, left = schur_profile(params, p)
+    assert [(order, len(exponents)) for order, exponents in calls] == [(128, 2)]
+    for prof in (right, left):
+        alone = column_quadrature(params, prof.beta, prof.quadrature_grid)
+        assert prof.quadrature.tobytes() == alone.tobytes()
+
+
 def test_schur_domain_validation():
     params = OperatorParams(1.0, 1.0)
     with pytest.raises(ValueError):

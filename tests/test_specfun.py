@@ -208,12 +208,12 @@ def test_hyp2f1_contiguous_relation(a, b, c, z):
 
 
 def test_hyp2f1_near_one_continuity():
-    # the route switch at 1-z = 5e-3 must be seamless
+    # the route switch at 1-z = 2e-2 must be seamless
     for a, b, c in [(1.5, 1.5, 1.0), (0.75, 0.75, 1.75), (1.0, 1.0, 2.0)]:
-        just_below = hyp2f1(HypArgs(a, b, c, 1.0 - 5.1e-3))
-        just_above = hyp2f1(HypArgs(a, b, c, 1.0 - 4.9e-3))
+        just_below = hyp2f1(HypArgs(a, b, c, 1.0 - 2.04e-2))
+        just_above = hyp2f1(HypArgs(a, b, c, 1.0 - 1.96e-2))
         # values straddle the switch; compare each against a mid-step slope
-        mid = hyp2f1(HypArgs(a, b, c, 1.0 - 5.0e-3))
+        mid = hyp2f1(HypArgs(a, b, c, 1.0 - 2.0e-2))
         assert just_below <= mid <= just_above  # monotone in z here
         assert abs(just_above / just_below - 1.0) < 0.2
 
@@ -221,7 +221,7 @@ def test_hyp2f1_near_one_continuity():
 HYP2F1_BANDS = [
     # (a, b, c, z): one parameter set per route of hyp2f1_grid
     (1.3, 0.4, 2.1, np.linspace(0.0, 0.7, 41)),           # raw series
-    (1.5, 1.5, 1.0, 1.0 - np.geomspace(5e-3, 0.3, 41)),   # Euler transform
+    (1.5, 1.5, 1.0, 1.0 - np.geomspace(2e-2, 0.3, 41)),   # Euler transform
     (0.75, 0.75, 1.75, 1.0 - np.geomspace(1e-15, 0.019, 41)),  # connection
     (-3.0, 1.5, 2.2, np.linspace(0.0, 0.999, 41)),        # terminating
 ]
@@ -308,8 +308,8 @@ def _parameter_set(draw):
 
 def _band_grid(rows, n, seed):
     """An (rows, n) grid whose entry (r, j) comes from band (r + j) % 5:
-    z = 0, the raw band, the mid band, the wide near-one window and the
-    narrow one down to 1 - 1e-13."""
+    z = 0, the raw band, the mid band, and the near-one window on
+    5e-3 <= 1-z < 2e-2 and below it down to 1 - 1e-13."""
     rng = np.random.default_rng(seed)
     bands = (lambda: 0.0, lambda: rng.uniform(0.0, 0.7), lambda: rng.uniform(0.7, 0.98),
              lambda: 1.0 - rng.uniform(5e-3, 2e-2), lambda: 1.0 - 10.0 ** -rng.uniform(2.3, 13.0))
@@ -342,6 +342,11 @@ def test_hyp2f1_grid_multi_set_matches_one_set_calls(sets, n, seed):
         assert [v.hex() for v in row] == [v.hex() for v in ref], (pa, pb, pc)
 
 
+def _chunk(k):
+    """Terms in the raw-series chunk that starts after k terms: 16, 16, 32, then 64."""
+    return min(specfun._CHUNK_MAX, max(specfun._CHUNK_MIN, k))
+
+
 def _masked_series(a, b, c, z):
     """The masked series loop ``specfun._series_vec`` replaced, kept as the
     reference its packed loop must reproduce byte for byte."""
@@ -355,7 +360,7 @@ def _masked_series(a, b, c, z):
     smallf = small.ravel()
     k = 0
     while active.size:
-        for _ in range(64):
+        for _ in range(_chunk(k)):
             ratio = (a + k) * (b + k) / ((c + k) * (k + 1))
             termf[active] *= ratio * zf[active]
             outf[active] += termf[active]
@@ -513,10 +518,71 @@ def test_hyp2f1_grid_cap_names_worst_unconverged_z(monkeypatch):
 
 def test_series_cap_raises(monkeypatch):
     # a starved term budget must surface as ConvergenceError, never a
-    # silently truncated sum
+    # silently truncated sum; 1-z = 0.03 lies past the near-one window,
+    # so the mid band's series sums it
     monkeypatch.setattr(specfun, "_SERIES_CAP", 50)
     with pytest.raises(ConvergenceError):
-        hyp2f1(HypArgs(1.0, 1.0, 2.0, 0.99))
+        hyp2f1(HypArgs(1.0, 1.0, 2.0, 0.97))
+
+
+def _chunk_rows(monkeypatch):
+    """Spy on ``_w_block``: the list it fills holds the step rows of each
+    raw-series chunk summed by blocks (at most _BLOCK_LIVE live entries)."""
+    rows = []
+    real = specfun._w_block
+
+    def spy(term, total, steps, bracket=None):
+        rows.append(steps.shape[0])
+        return real(term, total, steps, bracket)
+
+    monkeypatch.setattr(specfun, "_w_block", spy)
+    return rows
+
+
+def test_series_chunks_grow_from_16_terms(monkeypatch):
+    # the stopping test first falls after 16 terms, then after 32 and 64,
+    # and from there every 64 terms; z = 0.05 is summed in 16 terms
+    rows = _chunk_rows(monkeypatch)
+    specfun._series_vec(_one_set(1.0, 1.0, 2.0), None, np.array([0.05]))
+    assert rows == [16]
+    rows.clear()
+    specfun._series_vec(_one_set(1.0, 1.0, 2.0), None, np.array([0.05, 0.2, 0.6, 0.9]))
+    assert rows[:6] == [16, 16, 32, 64, 64, 64]
+    assert set(rows[3:]) == {64}
+    # a near-one connection series, w = 1e-2, stops after 16 terms too
+    rows.clear()
+    hyp2f1_grid(0.75, 0.75, 1.75, np.array([1.0 - 1e-2]))
+    assert rows == [16, 16]     # one chunk per connection series
+
+
+def test_series_cap_counts_the_short_chunks(monkeypatch):
+    # the cap test follows each chunk: with a 16-term budget z = 0.05
+    # converges in its first chunk, and z = 0.6 raises after it
+    monkeypatch.setattr(specfun, "_SERIES_CAP", 16)
+    assert hyp2f1_grid(1.0, 1.0, 2.0, np.array([0.05]))[0] == pytest.approx(
+        -math.log1p(-0.05) / 0.05, rel=1e-15)
+    with pytest.raises(ConvergenceError, match="exceeded 16 terms"):
+        hyp2f1_grid(1.0, 1.0, 2.0, np.array([0.05, 0.6]))
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (1.0, 1.0, 2.0), (0.5, 1.5, 2.5), (-0.6, -0.6, 1.3), (1.75, 1.75, 2.0),
+    (0.3, 0.7, 1.9), (2.5, 0.4, 1.1), (-1.3, 2.2, 0.6),
+])
+def test_series_stopped_at_16_and_32_terms_matches_mpmath(monkeypatch, a, b, c):
+    # entries whose stopping test falls after 16 or after 32 terms lose
+    # nothing to the terms a 64-term first chunk would have added
+    mpmath = pytest.importorskip("mpmath")
+    rows = _chunk_rows(monkeypatch)
+    stopped = set()
+    for z in (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3):
+        rows.clear()
+        got = specfun._series_vec(_one_set(a, b, c), None, np.array([z]))[0]
+        stopped.add(sum(rows))
+        with mpmath.workdps(30):
+            ref = mpmath.hyp2f1(a, b, c, z)
+        assert abs((got - ref) / ref) < 1e-15, (z, sum(rows))
+    assert stopped == {16, 32}
 
 
 # ----------------------------------------------------------------------
@@ -525,13 +591,14 @@ def test_series_cap_raises(monkeypatch):
 
 def _series(a, b, c, z):
     """The raw series summed by ``specfun._series_vec``'s chunk rule, the
-    scalar twin of ``_masked_series``: 64 terms, then the last term against
-    the sum.  ``_scalar_near_one`` sums its connection series with it."""
+    scalar twin of ``_masked_series``: a chunk of 16, 16, 32, then 64 terms,
+    then the last term against the sum.  ``_scalar_near_one`` sums its
+    connection series with it."""
     term = 1.0
     total = 1.0
     k = 0
     while True:
-        for _ in range(64):
+        for _ in range(_chunk(k)):
             term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
             total += term
             k += 1
@@ -663,7 +730,7 @@ NEAR_ONE_CASES = [
 @pytest.mark.parametrize("a, b, c", NEAR_ONE_CASES)
 def test_near_one_vec_matches_scalar_reference(monkeypatch, a, b, c, cap):
     # with the term cap cut to 6 the generic series still finish their
-    # first 64-term chunk, and the logarithmic ones raise ConvergenceError
+    # first 16-term chunk, and the logarithmic ones raise ConvergenceError
     # when an entry has not converged by the cap, on both routes alike
     if cap is not None:
         monkeypatch.setattr(specfun, "_SERIES_CAP", cap)
@@ -677,7 +744,7 @@ def test_near_one_vec_matches_scalar_reference(monkeypatch, a, b, c, cap):
 @pytest.mark.parametrize("a, b, c, cap, exc", [
     (-1.2, -0.3, -0.5, None, ValueError),       # m = 1 needs log_gamma(c) with c < 0
     # generic, but a = 20000 makes the connection series need 81 terms at
-    # 1-z = 1e-3, past the one 64-term chunk the cap allows
+    # 1-z = 1e-3, past the 64 terms the cap allows
     (20000.0, 20.0, 20020.25, 64, ConvergenceError),
 ])
 def test_near_one_vec_raises_like_scalar(monkeypatch, a, b, c, cap, exc):
@@ -727,7 +794,7 @@ def _near_one_set(draw):
         a, b = 2e4 + 100.0 * a, 20.0 * b / 3.0
         c = a + b + frac
     assume(not specfun._is_nonpos_int(c) and not specfun._is_nonpos_int(b))
-    top = math.log10(specfun._near_one_window(c - a - b))
+    top = math.log10(specfun._NEAR_ONE_W)
     w = draw(st.lists(st.floats(-15.0, top - 1e-9), min_size=1, max_size=12))
     return (a, b, c), [1.0 - 10.0 ** x for x in w]
 
@@ -773,8 +840,9 @@ def test_hyp2f1_grid_near_one_sets_match_one_set_calls(draws, cap, data):
 
 @pytest.mark.parametrize("a, b, c", [(0.75, 0.75, 1.75), (1.0, 1.0, 2.0), (1.5, 1.5, 1.0)])
 def test_hyp2f1_near_one_window_uses_the_connection_route(a, b, c):
-    # the grid sends 1-z < 5e-3 to it
-    z = 1.0 - np.array([4.9e-3, 1e-6, 2.0 ** -40])
+    # the grid sends 1-z < 2e-2 to it, whether c-a-b is generic (0.25),
+    # an integer (0) or one after the Euler swap (-1 -> 1)
+    z = 1.0 - np.array([1.9e-2, 4.9e-3, 1e-6, 2.0 ** -40])
     ref = np.array([_scalar_near_one(a, b, c, x) for x in z.tolist()])
     assert hyp2f1_grid(a, b, c, z).tobytes() == ref.tobytes()
 
@@ -793,14 +861,14 @@ def test_hyp2f1_near_one_window_uses_the_connection_route(a, b, c):
 def test_hyp2f1_near_one_generic_bits_are_frozen(a, b, c, w, bits):
     # every entry lies in the near-one window, so these are the generic
     # connection formula's bits, through the shared raw-series loop
-    assert max(w) < specfun._near_one_window(c - a - b)
+    assert max(w) < specfun._NEAR_ONE_W
     values = hyp2f1_grid(a, b, c, 1.0 - np.array(w)).tolist()
     assert [v.hex() for v in values] == bits
 
 
-# the band that only the wide window sends to the connection route
-WIDE_BAND_W = np.array([specfun._NEAR_ONE_W, 7e-3, 1e-2, 1.5e-2,
-                        specfun._NEAR_ONE_W_WIDE * (1.0 - 1e-12)])
+# the band 5e-3 <= 1-z < 2e-2 of the near-one window, where the series
+# would need 1,800-7,200 terms
+WIDE_BAND_W = np.array([5e-3, 7e-3, 1e-2, 1.5e-2, specfun._NEAR_ONE_W * (1.0 - 1e-12)])
 WIDE_CASES = [
     (0.75, 0.75, 1.75),     # d = 0.25
     (0.3, 2.2, 4.1),        # d = 1.6
@@ -812,13 +880,12 @@ WIDE_CASES = [
 
 @pytest.mark.parametrize("side, seed", [("euler", 21), ("fractional", 22), ("above-one", 23)])
 def test_hyp2f1_wide_window_matches_mpmath(side, seed):
-    # the connection route on 5e-3 <= 1-z < _NEAR_ONE_W_WIDE, for c-a-b at
-    # least _WIDE_GAP from an integer, against 30-digit mpmath
+    # the generic connection formula on 5e-3 <= 1-z < _NEAR_ONE_W, for
+    # c-a-b at least _WIDE_GAP from an integer, against 30-digit mpmath
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(seed)
     gap = specfun._WIDE_GAP
-    w = 10.0 ** rng.uniform(np.log10(specfun._NEAR_ONE_W),
-                            np.log10(specfun._NEAR_ONE_W_WIDE), 6)
+    w = 10.0 ** rng.uniform(np.log10(WIDE_BAND_W[0]), np.log10(specfun._NEAR_ONE_W), 6)
     checked = 0
     while checked < 12:
         a, b = rng.uniform(0.1, 4.0, 2)
@@ -828,7 +895,7 @@ def test_hyp2f1_wide_window_matches_mpmath(side, seed):
         c = a + b + d
         if c <= 0.1:
             continue
-        assert specfun._near_one_window(c - a - b) == specfun._NEAR_ONE_W_WIDE
+        assert specfun._is_generic(a, b, c, abs(c - a - b))
         got = hyp2f1_grid(a, b, c, 1.0 - w)
         with mpmath.workdps(30):
             for x, g in zip((1.0 - w).tolist(), got.tolist()):
@@ -840,7 +907,7 @@ def test_hyp2f1_wide_window_matches_mpmath(side, seed):
 @pytest.mark.parametrize("m", range(4))
 def test_hyp2f1_near_integer_exponent_matches_mpmath(m):
     # c-a-b = m + eps within _WIDE_GAP of the integer, on both sides of the
-    # Euler transform, from the window's edge down to 1-z = 2^-52: the log
+    # Euler transform, from 1-z = 4.9e-3 down to 2^-52: the log
     # form's eps terms cancel nothing, so it keeps its digits however
     # close c-a-b comes to m (the two-term formula loses ~1/eps of them)
     mpmath = pytest.importorskip("mpmath")
@@ -861,18 +928,65 @@ def test_hyp2f1_near_integer_exponent_matches_mpmath(m):
                         assert abs((g - ref) / ref) < 1e-13, (a, b, c, 1.0 - x)
 
 
-@pytest.mark.parametrize("a, b, c, wide", [
+def _near_integer_sets():
+    """Sets whose c-a-b lies within _WIDE_GAP of an integer: the kernels
+    (lam, lam; mu) at sigma = 1 and 2 (c-a-b = -2, -3), and at sigma off
+    those by eps up to 0.099; the same shapes after the Euler swap,
+    (mu-lam, mu-lam; mu); and value-at-one shapes, c-a-b = 2 + eps.  Sets
+    whose series terminate, before or after the swap, have no window and
+    are left out."""
+    sets = []
+    for sigma in (1.0, 2.0):
+        for eps in (0.0, 1e-9, -3e-5, 0.05, -0.099, 0.099):
+            for mu in (0.5, 1.0, 1.5, 2.5, 4.0):
+                lam = 0.5 * (mu + sigma + eps + 1.0)
+                sets += [(lam, lam, mu), (mu - lam, mu - lam, mu)]
+    for a, b, eps in ((0.2, 0.3, 0.0), (0.6, 1.1, -0.099), (1.0, 0.45, 0.099),
+                      (0.35, 0.9, 1e-7), (0.8, 1.2, -0.04)):
+        sets.append((a, b, a + b + 2.0 + eps))
+    return [(a, b, c) for a, b, c in sets
+            if not any(map(specfun._is_nonpos_int, (a, b, c - a, c - b)))]
+
+
+def test_hyp2f1_near_integer_sets_take_the_log_form_in_the_outer_window(monkeypatch):
+    # on 5e-3 <= 1-z < 2e-2, where the series would need 1,800-7,200
+    # terms, sets with c-a-b near an integer sum the logarithmic
+    # connection form, to 1e-14 of 30-digit mpmath
+    mpmath = pytest.importorskip("mpmath")
+    seen = []
+    real = specfun._near_one_vec
+
+    def spy(a, b, c, z):
+        seen.extend(z.tolist())
+        return real(a, b, c, z)
+
+    monkeypatch.setattr(specfun, "_near_one_vec", spy)
+    z = 1.0 - np.geomspace(5e-3, specfun._NEAR_ONE_W * (1.0 - 1e-12), 9)
+    for a, b, c in _near_integer_sets():
+        d = abs(c - a - b)
+        assert abs(d - round(d)) < specfun._WIDE_GAP
+        seen.clear()
+        got = hyp2f1_grid(a, b, c, z)
+        assert seen == z.tolist(), (a, b, c)
+        with mpmath.workdps(30):
+            for x, g in zip(z.tolist(), got.tolist()):
+                ref = mpmath.hyp2f1(a, b, c, x)
+                assert abs((g - ref) / ref) < 1e-14, (a, b, c, 1.0 - x)
+
+
+@pytest.mark.parametrize("a, b, c, generic", [
     *[(a, b, c, True) for a, b, c in WIDE_CASES],
     (0.5, 0.5, 2.0 + 1e-3, False),     # d = 1 + 1e-3
     (0.5, 0.5, 2.0 - 1e-3, False),     # d = 1 - 1e-3
     (1.5, 1.5, 1.0, False),            # d = -2
     (3.0, 1.2, 2.0, False),            # d = -2.2 but c-a = -1: the Euler transform terminates
 ])
-def test_hyp2f1_wide_window_routes(monkeypatch, a, b, c, wide):
-    # the grid sends the band to the connection route for generic c-a-b
-    # (the batched generic formula, or the one-set route) and keeps the
-    # series near an integer c-a-b
-    seen = []
+def test_hyp2f1_wide_window_routes(monkeypatch, a, b, c, generic):
+    # the grid sends the band to the connection route whether or not c-a-b
+    # is near an integer: to the batched generic formula, or to the one-set
+    # route's logarithmic form; a set whose transformed series terminates
+    # has no window and sums that series
+    seen, seen_generic = [], []
     real, real_generic = specfun._near_one_vec, specfun._near_one_generic
 
     def spy(a, b, c, z):
@@ -880,14 +994,16 @@ def test_hyp2f1_wide_window_routes(monkeypatch, a, b, c, wide):
         return real(a, b, c, z)
 
     def spy_generic(table, rows, z):
-        seen.extend(z.tolist())
+        seen_generic.extend(z.tolist())
         return real_generic(table, rows, z)
 
     monkeypatch.setattr(specfun, "_near_one_vec", spy)
     monkeypatch.setattr(specfun, "_near_one_generic", spy_generic)
     z = 1.0 - WIDE_BAND_W
     hyp2f1_grid(a, b, c, z)
-    assert seen == (z.tolist() if wide else [])
+    terminates = any(map(specfun._is_nonpos_int, (a, b, c - a, c - b)))
+    assert seen_generic == (z.tolist() if generic else [])
+    assert seen == ([] if generic or terminates else z.tolist())
 
 
 @pytest.mark.parametrize("a, b, c", WIDE_CASES)
@@ -903,9 +1019,9 @@ def test_hyp2f1_wide_window_scalar_matches_grid_bytes(a, b, c):
 
 @pytest.mark.parametrize("a, b, c", WIDE_CASES)
 def test_hyp2f1_wide_window_edge_continuity(a, b, c):
-    # adjacent doubles on either side of 1-z = _NEAR_ONE_W_WIDE take the
+    # adjacent doubles on either side of 1-z = _NEAR_ONE_W take the
     # connection route and the series; their values must agree
-    edge = specfun._NEAR_ONE_W_WIDE
+    edge = specfun._NEAR_ONE_W
     outside = 1.0 - edge
     while 1.0 - outside < edge:
         outside = np.nextafter(outside, 0.0)

@@ -18,8 +18,9 @@ None of the routes trusts the closed form it is checking.
 
 * the discrete route: the measure-weighted p-norm of a Nystrom matrix,
   exact at p = 1 and p = infinity, otherwise bracketed from both sides by
-  the power method from one positive start, and checked at p = 2 by the
-  top singular value (Lanczos).  It certifies the *matrix*, whose norm
+  the Collatz-Wielandt ratios of the power method from one positive start,
+  its log iterates Anderson-mixed, and checked at p = 2 by the top singular
+  value (Lanczos).  It certifies the *matrix*, whose norm
   approaches the operator's from below as the order grows: like
   1/log(order) on one Gauss-Jacobi rule (``discretize``, 0.863*pi at order
   256 for the flagship (1, 0, 2)), faster on panels graded toward t = 1
@@ -439,6 +440,7 @@ def lower_bound_sweep(params: OperatorParams, p, eta_sequence) -> list[tuple[flo
 # ----------------------------------------------------------------------
 
 _POWER_MAXITER = 10_000
+_ANDERSON_DEPTH = 5     # past iterates mixed into each power step; 0 is the plain method
 _BRACKET_RTOL = 1e-12   # relative width at which the p-norm bracket stops
 _LANCZOS_RTOL = 1e-15   # Ritz residual bound, relative to the top singular value
 
@@ -509,17 +511,51 @@ class _Bracket(NamedTuple):
     steps: int
 
 
+def _anderson_step(history: list[tuple[np.ndarray, np.ndarray]],
+                   log_x: np.ndarray, log_s: np.ndarray) -> np.ndarray:
+    """The next log iterate of ``_pnorm_bracket`` from log x and log S(x).
+
+    Type-II Anderson mixing (Anderson 1965; Walker & Ni 2011) of the map
+    u -> log S(exp u) over ``history``, which keeps the last
+    _ANDERSON_DEPTH + 1 pairs (u, log S(exp u)), each centred by its mean:
+    S is homogeneous of degree 1, so a shift of u only shifts its image,
+    and centring leaves the map on the mean-zero vectors.  The coefficients
+    gamma minimise |f_k - dF gamma| over the residuals f = image - u, and
+    the mixed iterate is image_k - dG gamma.  With fewer than two pairs, or
+    coefficients that are not finite (the history then resets), it is the
+    plain power step log S(x).  Either way the result is shifted by its
+    maximum, so exp of it cannot overflow.
+    """
+    history.append((log_x - log_x.mean(), log_s - log_s.mean()))
+    del history[:-_ANDERSON_DEPTH - 1]
+    if len(history) > 1:
+        us, images = (np.array(h) for h in zip(*history))
+        residuals = images - us
+        gamma = np.linalg.lstsq(np.diff(residuals, axis=0).T, residuals[-1],
+                                rcond=None)[0]
+        if np.isfinite(gamma).all():
+            mixed = images[-1] - gamma @ np.diff(images, axis=0)
+            return mixed - mixed.max()
+        history.clear()
+    return log_s - log_s.max()
+
+
 def _pnorm_bracket(disc: DiscretizedOperator) -> _Bracket:
     """Two-sided bracket on ||B||_p, B the weight-conjugated Nystrom matrix,
-    by the duality-map power method from ones(n).  As B > 0 (checked),
-    S(x) = J_q(B^T J_p(B x)), J_r(v) = v^(r-1), is order-preserving and of
-    degree (p-1)(q-1) = 1 on the positive cone, with eigenvalue ||B||_p^q,
-    which the Collatz-Wielandt ratios S(x)/x of any positive x enclose (Boyd,
-    Linear Algebra Appl. 9 (1974) 95-101; Lemmens & Nussbaum 2012).  Runs in
-    logs, each vector shifted by its maximum, so no power overflows; stops
-    when the bracket is _BRACKET_RTOL wide (relative), and raises
-    ConvergenceError after _POWER_MAXITER steps or when B is not positive.
-    Needs 1 < p < infinity.
+    by the duality-map power method from ones(n), Anderson-accelerated.  As
+    B > 0 (checked), S(x) = J_q(B^T J_p(B x)), J_r(v) = v^(r-1), is
+    order-preserving and of degree (p-1)(q-1) = 1 on the positive cone, with
+    eigenvalue ||B||_p^q, which the Collatz-Wielandt ratios S(x)/x of any
+    positive x enclose (Boyd, Linear Algebra Appl. 9 (1974) 95-101; Lemmens
+    & Nussbaum 2012).  Runs in logs, each vector shifted by its maximum, so
+    no power overflows and every iterate is positive: its ratios bracket the
+    eigenvalue whatever step produced it.  So the next iterate may mix the
+    last ones (``_anderson_step``; D. G. Anderson, J. ACM 12 (1965)
+    547-560; Walker & Ni, SIAM J. Numer. Anal. 49 (2011) 1715-1735).  A
+    plain step never widens the bracket; when a step does not narrow it,
+    the history resets and the plain step runs.  Stops when the bracket is
+    _BRACKET_RTOL wide (relative), and raises ConvergenceError after
+    _POWER_MAXITER steps or when B is not positive.  Needs 1 < p < infinity.
     """
     p, q = disc.p.p, disc.p.q
     b = _weight_conjugated(disc, p)
@@ -527,6 +563,8 @@ def _pnorm_bracket(disc: DiscretizedOperator) -> _Bracket:
         raise ConvergenceError("p-norm power method needs an entrywise positive "
                                f"matrix; its smallest entry is {b.min()!r}")
     log_x = np.zeros(b.shape[1])
+    history: list[tuple[np.ndarray, np.ndarray]] = []
+    width = math.inf
     for step in range(1, _POWER_MAXITER + 1):
         y = b @ np.exp(log_x)
         y_max = y.max()
@@ -535,7 +573,10 @@ def _pnorm_bracket(disc: DiscretizedOperator) -> _Bracket:
         lo, hi = log_ratio.min(), log_ratio.max()
         if math.expm1((hi - lo) / q) <= _BRACKET_RTOL:
             return _Bracket(math.exp(lo / q), math.exp(hi / q), step)
-        log_x = log_s - log_s.max()
+        if hi - lo >= width:
+            history.clear()
+        width = hi - lo
+        log_x = _anderson_step(history, log_x, log_s)
     raise ConvergenceError(f"p-norm power method: bracket open after {step} steps")
 
 
@@ -544,7 +585,10 @@ def lp_opnorm_numeric(disc: DiscretizedOperator, *, seed: int | None = None) -> 
     p = infinity (the largest row sum of A, the sup norm of the image of
     the constant one) and at p = 1 (the largest column mass m^T A relative
     to its own measure weight m_j); otherwise the certified lower end of
-    ``_pnorm_bracket``.  It certifies the matrix, not the operator.  ``seed``
+    ``_pnorm_bracket``, the Collatz-Wielandt bracket of the duality-map power
+    method with Anderson mixing (D. G. Anderson, J. ACM 12 (1965) 547-560;
+    Walker & Ni, SIAM J. Numer. Anal. 49 (2011) 1715-1735), at most 1e-12
+    wide.  It certifies the matrix, not the operator.  ``seed``
     is ignored; ``bench/worker.py`` passes ``seed=0`` and compares the float
     as JSON."""
     if disc.p.is_infinite:

@@ -635,6 +635,50 @@ def test_pnorm_bracket_raises_when_it_does_not_close(monkeypatch):
         lp_opnorm_numeric(discretize(OperatorParams(1.0, 0.0), 2.0, 64))
 
 
+@pytest.mark.parametrize("build, mu, sigma, p, order", [
+    (discretize, 1.0, 0.0, 2.0, 1024),
+    (discretize, 3.0, 2.0, 2.0, 1024),
+    (discretize, 0.6, 1.5, 2.0, 1024),
+    (discretize_graded, 1.0, 0.0, 1.5, 256),
+    (discretize_graded, 1.0, 0.0, 3.0, 256),
+])
+def test_pnorm_bracket_closes_in_few_mixed_steps(build, mu, sigma, p, order):
+    # the plain power method takes 40-51 steps on these order-1024 matrices
+    disc = build(OperatorParams(mu, sigma), p, order)
+    with np.errstate(all="raise", under="ignore"):
+        bracket = normest._pnorm_bracket(disc)
+    assert bracket.steps <= 15
+    assert bracket.upper - bracket.lower <= 1e-12 * bracket.lower
+
+
+@pytest.mark.parametrize("p, want, steps", [
+    (2.0, "0x1.5278f823b7856p+1", 31),
+    (3.0, "0x1.75955b74f31aap+1", 25),
+])
+def test_pnorm_bracket_at_depth_zero_is_the_plain_power_method(monkeypatch, p, want, steps):
+    # the values of the unmixed loop, log x <- log S(x) - max, bit for bit
+    monkeypatch.setattr(normest, "_ANDERSON_DEPTH", 0)
+    disc = discretize(OperatorParams(1.0, 0.0), p, 128)
+    assert lp_opnorm_numeric(disc).hex() == want
+    assert normest._pnorm_bracket(disc).steps == steps
+
+
+def test_pnorm_bracket_falls_back_to_plain_steps_on_non_finite_mixing(monkeypatch):
+    # every mixing solve fails, so every step resets the history and is plain
+    disc = discretize(OperatorParams(1.0, 0.0), 2.0, 128)
+    calls = []
+
+    def no_solution(a, b, rcond=None):
+        calls.append(a.shape)
+        return np.full(a.shape[1], np.nan), None, 0, None
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_solution)
+    bracket = normest._pnorm_bracket(disc)
+    assert calls and all(shape == (128, 1) for shape in calls)
+    assert bracket.steps == 31
+    assert bracket.lower.hex() == "0x1.5278f823b7856p+1"
+
+
 def test_pnorm_bracket_rejects_a_matrix_that_is_not_positive():
     disc = discretize(OperatorParams(1.0, 0.0), 2.0, 16)
     matrix = disc.matrix.copy()

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quadrature import DEFAULT_ORDER, JacobiRule, make_graded_rule, make_jacobi_rule
-from .specfun import hyp2f1_grid, log_gamma
+from .specfun import hyp2f1_grid, hyp2f1_outer, log_gamma
 
 __all__ = [
     "DiscretizedOperator",
@@ -40,9 +40,6 @@ __all__ = [
     "kernel_moments",
     "norm_formula",
 ]
-
-_ROW_BLOCK = 65536   # upper-triangle entries per Nystrom block: four 2F1 series slices
-
 
 class UnboundedOperatorError(ValueError):
     """The requested operator norm is infinite.
@@ -189,10 +186,11 @@ class DiscretizedOperator:
     ``matrix[i, j] = mu * w_j * 2F1(lam, lam; mu; s_i t_j)`` where the rule
     has parameters (mu-1, sigma), so the kernel's (1-t)^sigma factor is
     carried by the rule's weight rather than sampled pointwise.  Row and
-    column grids coincide (the rule's nodes), so the 2F1 grid is exactly
-    symmetric: ``matrix`` is assembled in place, its upper triangle
-    evaluated in cache-sized blocks of rows and mirrored, then scaled by mu
-    and the weights, with no second array of its size.  ``p`` records the exponent
+    column grids coincide (the rule's nodes), so the 2F1 grid is the
+    exactly symmetric ``hyp2f1_outer`` grid: blocks of power tables summed
+    by BLAS dgemm below the near-one cut, ``hyp2f1_grid`` entries at and
+    above it, each block written once and mirrored.  It is scaled by mu and
+    the weights in place, with no second array of its size.  ``p`` records the exponent
     the discretization is meant to be measured in; ``measure_weights`` are
     the weights of the plain measure mu t^(mu-1) dt re-expressed on the
     same nodes, which the discrete L^p norms use.
@@ -223,33 +221,14 @@ class DiscretizedOperator:
 def _nystrom(params: OperatorParams, p, rule: JacobiRule) -> DiscretizedOperator:
     """Assemble the Nystrom matrix of F on a rule with parameters (mu-1, sigma).
 
-    The 2F1 grid is symmetric in (s, t), so only its upper triangle is
-    evaluated, in blocks of whole rows: row i is t_i * t[i:], and a block
-    holds at most _ROW_BLOCK entries (always at least one row).  Each row
-    is stored by slice into ``matrix[i, i:]``, and the block's columns are
-    mirrored into the strict lower triangle.  Then mu and the weights scale
-    the matrix in place, in the order (mu * f) * w_j.  No other array of
-    the matrix's size is made.  The floating-point product commutes and
-    each 2F1 value depends on its own z alone, so the matrix has the bits
-    of one evaluated on the full outer product.
+    The 2F1 grid 2F1(lam, lam; mu; t_i t_j) on the rule's ascending nodes
+    is ``hyp2f1_outer``'s exactly symmetric product grid: blocked power
+    tables summed by BLAS below the near-one cut, ``hyp2f1_grid`` at and
+    above it.  Then mu and the weights scale it in place, in the order
+    (mu * f) * w_j, so no other array of the matrix's size is made.
     """
     t = rule.nodes
-    n = t.size
-    matrix = np.empty((n, n))
-    start = 0
-    while start < n:
-        stop, size = start + 1, n - start
-        while stop < n and size + n - stop <= _ROW_BLOCK:
-            size, stop = size + n - stop, stop + 1
-        values = hyp2f1_grid(params.lam, params.lam, params.mu,
-                             np.concatenate([t[i] * t[i:] for i in range(start, stop)]))
-        offset = 0
-        for i in range(start, stop):
-            matrix[i, start:i] = matrix[start:i, i]
-            matrix[i, i:] = values[offset:offset + n - i]
-            offset += n - i
-        matrix[stop:, start:stop] = matrix[start:stop, stop:].T
-        start = stop
+    matrix = hyp2f1_outer(params.lam, params.lam, params.mu, t)
     np.multiply(matrix, params.mu, out=matrix)
     np.multiply(matrix, rule.weights, out=matrix)
     measure = params.mu * rule.weights * (1.0 - t) ** (-params.sigma)

@@ -7,7 +7,9 @@ in [0,1].  ``hyp2f1_grid`` evaluates an array of z in [0,1), with (a, b, c)
 shared by every entry or given per entry as arrays that broadcast to the
 shape of z; the result has the shape of z, and each entry has the bits of
 a call with its own parameters alone.  ``hyp2f1`` is its one-entry call,
-plus Gauss summation at z = 1.
+plus Gauss summation at z = 1.  ``hyp2f1_outer`` gives the product grid
+2F1(a,b;c;t_i t_j) of ascending nodes t for a series with non-negative
+terms, the Nystrom kernel's, exactly symmetric.
 
 The 2F1 evaluator picks between three routes for each entry, deciding for
 each distinct (a, b, c) of a call as it would for that set alone:
@@ -38,6 +40,17 @@ term is below 1e-16 of the partial sum; past a hard cap of 100000 terms
 it raises ConvergenceError.  The logarithmic connection series stop at
 the first term below 1e-16 of the sum after the third, and raise
 ConvergenceError past the same cap.
+
+Product grid: the Gauss series is sum_n c_n t_i^n t_j^n, a sum of
+rank-one terms, so below the near-one cut ``hyp2f1_outer`` sums each block
+of two node groups as one BLAS matrix product of power tables [t^n],
+n < N.  N is set per block at its largest z by the tail bound of a series
+with non-negative terms: every ratio c_(m+1)/c_m, m >= N, is at most R_N
+(a bound read off the ratio's form), so the tail from N on is at most
+c_N z^N / (1 - z R_N), and N is the first count where that falls below
+1e-16 of the partial sum.  The entries at and above the cut, and any
+block whose N passes the cap or whose coefficients or sum would
+overflow, go through ``hyp2f1_grid``.
 """
 
 from __future__ import annotations
@@ -56,6 +69,7 @@ __all__ = [
     "hyp2f1",
     "hyp2f1_at_one",
     "hyp2f1_grid",
+    "hyp2f1_outer",
     "log_gamma",
 ]
 
@@ -72,6 +86,12 @@ _BLOCK_LIVE = 256       # live entries at or below which a raw-series chunk is o
 _CACHE_BLOCK = 16384    # raw-series entries per slice: four work arrays in 512 KB
 _NEAR_ONE_BLOCK = _CACHE_BLOCK // 4  # near-one entries per slice: the log series'
                                      # work arrays are _W_BLOCK + 1 rows of them
+_OUTER_SLICE = _CACHE_BLOCK  # hyp2f1_outer's entries per hyp2f1_grid call
+_TILE = 4 * _CACHE_BLOCK  # power-table entries of one scaled column tile: 512 KB
+_POWER_STEP = 64        # a power table's columns per np.power stride
+_GROUP_MIN = 16         # nodes per product-grid group that neighbouring scales merge into
+_TINY = 2.0 ** -1022      # smallest normal double; power-table entries below are 0
+_LOG_HUGE = 700.0       # log of a sum a product-grid block may reach (double max ~ e^709.8)
 
 # 14-term Lanczos coefficients (g = 671/128); relative error < 2e-15 on the
 # positive real axis, which is what the reflection step below leans on.
@@ -668,9 +688,9 @@ def hyp2f1_grid(a, b, c, z: np.ndarray) -> np.ndarray:
     entries, so that their work arrays stay small however large the grid.
     Each entry's value depends on its own (a, b, c, z) alone, never on the
     other entries or sets, and has the bits of a one-set call on that
-    entry; so a caller may evaluate any subset of a grid (``intop`` builds
-    its symmetric Nystrom grid from the upper triangle), or many parameter
-    sets at once, and place the values back unchanged.  A ConvergenceError
+    entry; so a caller may evaluate any subset of a grid (``hyp2f1_outer``
+    sends it the upper-triangle entries its blocks do not sum), or many
+    parameter sets at once, and place the values back unchanged.  A ConvergenceError
     from the near-one route names the worst unconverged w of the slice that
     raised it, with its set's connection-series parameters.
     """
@@ -728,6 +748,246 @@ def hyp2f1_grid(a, b, c, z: np.ndarray) -> np.ndarray:
             part = idx[lo:lo + _NEAR_ONE_BLOCK]
             out[part] = _near_one_vec(*table[s].tolist(), zf[part])
     return out.reshape(z.shape)
+
+
+def _dyadic_groups(t: np.ndarray) -> np.ndarray:
+    """Start indices of contiguous groups of ascending ``t`` in [0,1), and
+    t.size, cut where log(1/t) crosses a power of 2 (where 1 - t does, near
+    1).  Across two groups at one scale each, log(1/(t_i t_j)) =
+    log(1/t_i) + log(1/t_j) changes by at most a factor 2, and with it the
+    terms a 2F1 series needs, ~37/log(1/z).  Three kinds of scales share a
+    group: those with log(1/t) below the largest power of 2 up to
+    _NEAR_ONE_W / 2, the corner, any two of which multiply to a z in the
+    near-one window (1 - z <= log(1/z)); those with log(1/t) >= 1
+    (t <= 1/e), where a series needs at most ~37 terms; and, below the
+    corner, neighbours that hold fewer than _GROUP_MIN nodes together,
+    where a block would cost more in calls than it saves in terms."""
+    corner = math.floor(math.log2(_NEAR_ONE_W / 2.0)) - 1
+    with np.errstate(divide="ignore"):
+        key = np.clip(np.floor(np.log2(-np.log(t))), corner, 0.0)
+    starts = [0]
+    for cut in (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist():
+        if cut - starts[-1] >= _GROUP_MIN or key[cut] == corner:
+            starts.append(cut)
+    return np.array(starts + [t.size])
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing sum fails its block
+def _series_lengths(a: float, b: float, c: float,
+                    z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each z of a 1-D array in [0,1), the number of terms N of the
+    non-negative series sum_n c_n z^n that meets the tail bound, and its
+    partial sum S_N; N = 0 where no N up to _SERIES_CAP does or a sum
+    overflows.
+
+    With c_(n+1) = c_n r_n, r_n = (a+n)(b+n)/((c+n)(n+1)) and
+    r_n - 1 = ((a+b-c-1) n + ab - c)/((c+n)(n+1)), every r_m with m >= N is
+    at most R_N = 1 + max(a+b-c-1, 0)/(N+1) + max(ab-c, 0)/((c+N)(N+1)), so
+    the tail from N on is at most c_N z^N / (1 - z R_N) once z R_N < 1.  N
+    is the first count at which that bound is below _SERIES_RTOL of S_N.
+    The tail's share of the sum grows with z, so the N of a block's
+    largest z serves every entry of the block.
+    """
+    alpha, beta = max(a + b - c - 1.0, 0.0), max(a * b - c, 0.0)
+    count = np.zeros(z.size, dtype=np.intp)
+    partial = np.zeros(z.size)
+    idx = np.arange(z.size)
+    term, total = np.ones(z.size), np.ones(z.size)  # c_k z^k and S_(k+1)
+    ratio = edge = np.empty(0)  # per k: r_k, and _SERIES_RTOL R_N at N = k + 1
+    k = 0
+    while idx.size and k < _SERIES_CAP:
+        # a chunk as long as the terms so far (at least _CHUNK_MAX), but at
+        # most _CACHE_BLOCK entries (at least _CHUNK_MIN terms)
+        stop = min(k + min(max(_CHUNK_MAX, k), max(_CHUNK_MIN, _CACHE_BLOCK // idx.size)),
+                   _SERIES_CAP)
+        if stop > ratio.size:
+            ks = np.arange(min(max(stop, 4 * ratio.size), _SERIES_CAP), dtype=float)
+            n = ks + 1.0
+            ratio = (a + ks) * (b + ks) / ((c + ks) * n)
+            edge = _SERIES_RTOL * (1.0 + alpha / (n + 1.0) + beta / ((c + n) * (n + 1.0)))
+        p = np.multiply.outer(ratio[k:stop], z)
+        p[0] *= term
+        np.cumprod(p, axis=0, out=p)  # row j: c_N z^N, N = k + 1 + j
+        s = np.empty((stop - k + 1, idx.size))  # row j: S_N
+        s[0] = total
+        np.cumsum(p, axis=0, out=s[1:])
+        s[1:] += total
+        # _SERIES_RTOL (1 - z R_N) S_N, negative where z R_N >= 1
+        bound = np.multiply.outer(edge[k:stop], z)
+        np.subtract(_SERIES_RTOL, bound, out=bound)
+        bound *= s[:-1]
+        met = p < bound
+        first = met.argmax(axis=0)
+        done = met[first, np.arange(idx.size)]
+        keep = ~done & np.isfinite(s[-1])
+        if not keep.all():
+            count[idx[done]] = k + 1 + first[done]
+            partial[idx[done]] = s[first[done], done.nonzero()[0]]
+            idx, z = idx[keep], z[keep]
+        term, total = p[-1, keep], s[-1, keep]
+        k = stop
+    return count, partial
+
+
+def _power_table(t: np.ndarray, count: int, scale: np.ndarray | None = None) -> np.ndarray:
+    """[t_i^n] for n < ``count``, one row per node, times ``scale[n]`` when
+    given, with subnormal entries flushed to 0.  t^(q m + r) is the product
+    of np.power's t^(q m) and t^r, m = _POWER_STEP, r < m, so that np.power
+    runs on a fraction of the entries."""
+    step = min(count, _POWER_STEP)
+    reps = -(-count // step)
+    table = np.empty((t.size, reps, step))
+    np.multiply(np.power(t[:, None], step * np.arange(reps, dtype=float))[:, :, None],
+                np.power(t[:, None], np.arange(step, dtype=float))[:, None, :], out=table)
+    table = table.reshape(t.size, reps * step)[:, :count]
+    if scale is not None:
+        table *= scale[:count]
+    if table.min() < _TINY:
+        table[table < _TINY] = 0.0
+    return table
+
+
+def _near_starts(t: np.ndarray) -> np.ndarray:
+    """For each node t_i of ascending ``t``, the first j with t_i t_j in the
+    near-one window (1 - t_i t_j < _NEAR_ONE_W, as ``hyp2f1_grid`` decides
+    it), or t.size: the window is a suffix of every row."""
+    n = t.size
+    with np.errstate(divide="ignore"):
+        k = np.searchsorted(t, (1.0 - _NEAR_ONE_W) / t)
+    while True:  # the rounded products are monotone, so k moves one way
+        back = (k > 0) & (1.0 - t * t[np.maximum(k - 1, 0)] < _NEAR_ONE_W)
+        ahead = (k < n) & ~(1.0 - t * t[np.minimum(k, n - 1)] < _NEAR_ONE_W)
+        if not (back.any() or ahead.any()):
+            return k
+        k = k - back + ahead
+
+
+def _block_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """One block of a product grid: sum_n left[i, n] right[j, n] (BLAS dgemm)."""
+    return left @ right.T
+
+
+def hyp2f1_outer(a: float, b: float, c: float, t) -> np.ndarray:
+    """The exactly symmetric grid 2F1(a, b; c; t_i t_j) for ascending t in
+    [0,1) and a series with non-negative terms (a, b >= 0, c > 0).
+
+    The Gauss series sum_n c_n (t_i t_j)^n is a sum of rank-one terms
+    (t_i^n)(t_j^n), a degenerate kernel (Atkinson, The Numerical Solution
+    of Integral Equations of the Second Kind, 1997, ch. 2).  The nodes are
+    split into contiguous groups at dyadic scales of log(1/t), which near
+    1 are those of 1 - t (``_dyadic_groups``).  A block of two groups in
+    the upper triangle whose largest product z is below the near-one cut
+    1 - _NEAR_ONE_W is one dgemm T_I (T_J diag(c_0 ... c_(N-1)))^T, with
+    T = [t^n] (``_power_table``) and N from the tail bound of
+    ``_series_lengths`` at that z; a block that straddles the cut takes N
+    at its largest z below the cut.  A row group's power table has the
+    columns of its own largest N, is made at its first block and freed
+    after its last; a column group is scaled by the c_n in tiles of at
+    most _TILE entries.  No dgemm operand holds a subnormal.  Each block
+    is written into the upper triangle and mirrored, and a diagonal tile
+    takes its lower triangle from its upper one, so the grid is exactly
+    symmetric.
+
+    ``hyp2f1_grid`` takes the rest at the rounded products, whole rows at a
+    time in slices of at most _OUTER_SLICE entries: in each row, the
+    entries at or above the cut (``_near_starts``), and every entry from
+    the first block of its row group whose N passes _SERIES_CAP, whose
+    coefficients overflow or whose sum at its largest z could overflow.
+    A dgemm entry is the series at the exact product t_i t_j, summed in
+    BLAS's order; it differs from ``hyp2f1_grid`` at the rounded product by
+    about z F'(z)/F(z) units of rounding of z, plus a few of the sum.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1 or (t.size and not 0.0 <= t[0] <= t[-1] < 1.0) or np.any(np.diff(t) < 0.0):
+        raise ValueError("hyp2f1_outer needs a 1-D ascending t in [0,1)")
+    if not (a >= 0.0 and b >= 0.0 and c > 0.0):
+        raise ValueError(f"hyp2f1_outer needs a, b >= 0 and c > 0, got ({a}, {b}, {c})")
+    n = t.size
+    out = np.empty((n, n))
+    if not n:
+        return out
+    starts = _dyadic_groups(t)
+    groups = [slice(lo, hi) for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist())]
+    # the blocks g <= h of the upper triangle, column by column: which lie
+    # wholly in the near-one window, and the z each other one's N is sized at
+    col, row = np.tril_indices(len(groups))
+    top = t[starts[1:] - 1]
+    tops = top[row] * top[col]
+    above = 1.0 - t[starts[row]] * t[starts[col]] < _NEAR_ONE_W
+    zs = tops.copy()
+    for k in np.flatnonzero(~above & (1.0 - tops < _NEAR_ONE_W)).tolist():
+        prod = np.multiply.outer(t[groups[row[k]]], t[groups[col[k]]])
+        zs[k] = prod[1.0 - prod >= _NEAR_ONE_W].max()
+    count, partial = np.zeros(zs.size, dtype=np.intp), np.zeros(zs.size)
+    count[~above], partial[~above] = _series_lengths(a, b, c, zs[~above])
+    ks = np.arange(count.max(initial=1) - 1, dtype=float)
+    with np.errstate(over="ignore"):
+        coef = np.cumprod(np.concatenate(([1.0], (a + ks) * (b + ks) / ((c + ks) * (ks + 1.0)))))
+    overflow = ~np.isfinite(coef)
+    finite = int(overflow.argmax()) if overflow.any() else coef.size  # finite c_n, n < this
+    # a straddling block sums its entries above the cut too: there S_N is at
+    # most S_N(z) (top/z)^(N-1), which must stay inside double range
+    with np.errstate(divide="ignore"):
+        growth = np.log(np.divide(tops, zs, out=np.ones_like(zs), where=tops > zs))
+        headroom = np.log(partial) + np.maximum(count - 1, 0) * growth
+    failed = ~above & ~((count > 0) & (count <= finite) & (headroom < _LOG_HUGE))
+    # the first column of each row group that hyp2f1_grid takes whole
+    give_up = np.full(len(groups), n)
+    np.minimum.at(give_up, row[failed], starts[col[failed]])
+    summed = ~above & (starts[col] < give_up[row])
+    # each group's largest N as a row group and as a column group, and the
+    # last column group a row group is summed with
+    row_width, col_width = np.zeros((2, len(groups)), dtype=np.intp)
+    np.maximum.at(row_width, row[summed], count[summed])
+    np.maximum.at(col_width, col[summed], count[summed])
+    last = np.full(len(groups), -1)
+    np.maximum.at(last, row[summed], col[summed])
+    tables: dict[int, np.ndarray] = {}
+    for h, cols in enumerate(groups):
+        mine = np.flatnonzero(summed & (col == h))
+        if not mine.size:
+            continue
+        for done in [g for g in tables if last[g] < h]:
+            del tables[done]
+        blocks = list(zip(row[mine].tolist(), count[mine].tolist()))
+        for g, _ in blocks:
+            if g not in tables:
+                tables[g] = _power_table(t[groups[g]], row_width[g])
+        width = col_width[h]
+        size = max(1, _TILE // width)
+        for lo in range(cols.start, cols.stop, size):
+            tile = slice(lo, min(lo + size, cols.stop))
+            # from the group's own row table, when it has one wide enough
+            if h in tables and row_width[h] >= width:
+                scaled = tables[h][lo - cols.start:tile.stop - cols.start, :width] * coef[:width]
+                if scaled.min() < _TINY:
+                    scaled[scaled < _TINY] = 0.0
+            else:
+                scaled = _power_table(t[tile], width, coef)
+            for g, m in blocks:
+                rows = groups[g] if g < h else slice(cols.start, tile.stop)
+                block = _block_sum(tables[g][:rows.stop - rows.start, :m], scaled[:, :m])
+                out[rows, tile] = block
+                out[tile, rows] = block.T
+                if g == h:  # the tile's own square, from its upper triangle
+                    square = block[lo - cols.start:]
+                    np.copyto(out[tile, tile], square, where=~np.tri(len(square), dtype=bool))
+    del tables
+    # the rest of each row, by hyp2f1_grid, whole rows at a time
+    group = np.repeat(np.arange(len(groups)), np.diff(starts))
+    begin = np.maximum(np.arange(n), np.minimum(_near_starts(t), give_up[group]))
+    rest = np.flatnonzero(begin < n)
+    length = n - begin[rest]
+    ends = np.cumsum(length)
+    lo = 0
+    while lo < rest.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - length[lo] + _OUTER_SLICE, "right")))
+        size = length[lo:hi]
+        i = np.repeat(rest[lo:hi], size)
+        j = np.arange(i.size) + np.repeat(begin[rest[lo:hi]] - (np.cumsum(size) - size), size)
+        out[i, j] = out[j, i] = hyp2f1_grid(a, b, c, t[i] * t[j])
+        lo = hi
+    return out
 
 
 def hyp2f1(args: HypArgs) -> float:

@@ -23,7 +23,7 @@ from bergnorm.intop import (
     norm_formula,
     require_bounded,
 )
-from bergnorm.specfun import beta_fn, hyp2f1_grid
+from bergnorm.specfun import beta_fn, hyp2f1_grid, hyp2f1_outer
 
 
 def naive_2f1(a, b, c, z, terms=400):
@@ -221,20 +221,54 @@ def test_discretize_graded_matrix_is_kernel_times_weights():
                            rtol=1e-12, atol=0.0)
 
 
+def _entry_kinds(t: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The upper-triangle entries (i, j) of hyp2f1_outer's grid on ``t`` by
+    the path that sums them: a dgemm block off or on the diagonal, the
+    below-cut part of a block that straddles the near-one cut, and the
+    corner at or above the cut that goes through hyp2f1_grid."""
+    starts = specfun._dyadic_groups(t)
+    group = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+    top = t[starts[1:] - 1]
+    i, j = np.triu_indices(t.size)
+    near = 1.0 - t[i] * t[j] < specfun._NEAR_ONE_W
+    straddles = 1.0 - top[group[i]] * top[group[j]] < specfun._NEAR_ONE_W
+    kinds = {"off-diagonal block": ~straddles & (group[i] != group[j]),
+             "diagonal block": ~straddles & (group[i] == group[j]),
+             "straddling block": straddles & ~near,
+             "corner": near}
+    return {kind: (i[mask], j[mask]) for kind, mask in kinds.items()}
+
+
 @pytest.mark.parametrize("mu, sigma", [(1.0, 0.0), (2.0, 0.5), (0.7, 1.6)])
 @pytest.mark.parametrize("build, order", [
     (discretize, 96), (discretize_graded, 64), (discretize, 512),
 ])
 def test_nystrom_matrix_equals_full_grid_assembly(build, order, mu, sigma):
-    # order 512's upper triangle (131,328 entries) spans several row blocks
+    # the matrix is hyp2f1_outer's symmetric grid scaled by mu and the weights
+    import mpmath
+
     params = OperatorParams(mu, sigma)
     dop = build(params, 2.0, order)
     t, w = dop.nodes, dop.rule.weights
     z = np.outer(t, t)
     assert np.any(1.0 - z < 5e-3)  # the near-one connection route is exercised
-    fgrid = hyp2f1_grid(params.lam, params.lam, mu, z)
+    fgrid = hyp2f1_outer(params.lam, params.lam, mu, t)
     assert np.array_equal(fgrid, fgrid.T)
     assert np.array_equal(dop.matrix, mu * fgrid * w[None, :])
+    # against hyp2f1_grid at the rounded products: worst 1.38e-14 measured,
+    # at (0.7, 1.6), order 512
+    reference = hyp2f1_grid(params.lam, params.lam, mu, z)
+    np.testing.assert_allclose(fgrid, reference, rtol=2e-14, atol=0.0)
+    # against 30 digits at the exact products, two entries of every kind
+    rng = np.random.default_rng(order)
+    with mpmath.workdps(30):
+        lam = (mpmath.mpf(mu) + mpmath.mpf(sigma) + 1) / 2
+        for kind, (rows, cols) in _entry_kinds(t).items():
+            assert rows.size, kind
+            for k in rng.choice(rows.size, size=min(2, rows.size), replace=False):
+                i, j = rows[k], cols[k]
+                exact = mpmath.hyp2f1(lam, lam, mu, mpmath.mpf(t[i]) * mpmath.mpf(t[j]))
+                assert abs(fgrid[i, j] - exact) <= 1e-13 * exact, (kind, i, j)
     # dividing the weights back out rounds, so this symmetry holds to an ulp or two
     grid = dop.matrix / w[None, :]
     np.testing.assert_allclose(grid, grid.T, rtol=4 * np.finfo(float).eps, atol=0.0)
@@ -246,12 +280,15 @@ def test_nystrom_matrix_equals_full_grid_assembly(build, order, mu, sigma):
     (discretize_graded, 1.0, 1.0),
 ])
 def test_nystrom_assembly_makes_no_second_matrix(build, mu, sigma):
-    # the matrix is the only full-size array: its upper triangle is evaluated
-    # in row blocks, mirrored and scaled in place.  About 65% of the graded
-    # grid lies in the near-one window, whose connection formulas run in
-    # slices of specfun._NEAR_ONE_BLOCK entries; at (1, 1), where c - a - b
+    # the matrix is the only full-size array: hyp2f1_outer writes each block
+    # once and mirrors it, and the matrix is scaled in place.  A group's power
+    # table lives from its first block to its last, and the entries for
+    # hyp2f1_grid go in slices of specfun._OUTER_SLICE.  About 65% of the
+    # graded grid lies in the near-one window, whose connection formulas run
+    # in slices of specfun._NEAR_ONE_BLOCK entries; at (1, 1), where c - a - b
     # is an integer, the logarithmic series' blocks of a slice add to the
-    # peak (3.5x measured, 23.8x when the window was one call)
+    # peak.  Measured: 1.95-2.03x on the Jacobi rules, 1.97x, 2.02x and 2.83x
+    # on the graded ones (3.5x at (1, 1) under the row-block assembly)
     bound = 4.0 if (build, mu, sigma) == (discretize_graded, 1.0, 1.0) else 3.0
     params = OperatorParams(mu, sigma)
     build(params, 2.0, 512)   # the Gauss-Jacobi rules are cached from here on

@@ -651,21 +651,40 @@ def test_pnorm_bracket_closes_in_few_mixed_steps(build, mu, sigma, p, order):
     assert bracket.upper - bracket.lower <= 1e-12 * bracket.lower
 
 
-@pytest.mark.parametrize("p, want, steps", [
-    (2.0, "0x1.5278f823b7856p+1", 31),
-    (3.0, "0x1.75955b74f31aap+1", 25),
-])
-def test_pnorm_bracket_at_depth_zero_is_the_plain_power_method(monkeypatch, p, want, steps):
-    # the values of the unmixed loop, log x <- log S(x) - max, bit for bit
+def _plain_power_bracket(disc):
+    """The unmixed duality-map loop, log x <- log S(x) - max, from ones(n),
+    with _pnorm_bracket's stopping rule: (lower end, steps)."""
+    p, q = disc.p.p, disc.p.q
+    d = disc.measure_weights ** (1.0 / p)
+    b = d[:, None] * disc.matrix
+    b /= d[None, :]
+    log_x = np.zeros(b.shape[1])
+    for step in range(1, normest._POWER_MAXITER + 1):
+        y = b @ np.exp(log_x)
+        y_max = y.max()
+        log_s = math.log(y_max) + (q - 1.0) * np.log((y / y_max) ** (p - 1.0) @ b)
+        log_ratio = log_s - log_x
+        lo, hi = log_ratio.min(), log_ratio.max()
+        if math.expm1((hi - lo) / q) <= normest._BRACKET_RTOL:
+            return math.exp(lo / q), step
+        log_x = log_s - log_s.max()
+    raise AssertionError("the plain loop did not close")
+
+
+@pytest.mark.parametrize("p, steps", [(2.0, 31), (3.0, 25)])
+def test_pnorm_bracket_at_depth_zero_is_the_plain_power_method(monkeypatch, p, steps):
+    # the values of the unmixed loop on the same matrix, bit for bit
     monkeypatch.setattr(normest, "_ANDERSON_DEPTH", 0)
     disc = discretize(OperatorParams(1.0, 0.0), p, 128)
-    assert lp_opnorm_numeric(disc).hex() == want
-    assert normest._pnorm_bracket(disc).steps == steps
+    lower, plain_steps = _plain_power_bracket(disc)
+    assert lp_opnorm_numeric(disc).hex() == lower.hex()
+    assert normest._pnorm_bracket(disc).steps == plain_steps == steps
 
 
 def test_pnorm_bracket_falls_back_to_plain_steps_on_non_finite_mixing(monkeypatch):
     # every mixing solve fails, so every step resets the history and is plain
     disc = discretize(OperatorParams(1.0, 0.0), 2.0, 128)
+    lower, plain_steps = _plain_power_bracket(disc)
     calls = []
 
     def no_solution(a, b, rcond=None):
@@ -675,8 +694,8 @@ def test_pnorm_bracket_falls_back_to_plain_steps_on_non_finite_mixing(monkeypatc
     monkeypatch.setattr(np.linalg, "lstsq", no_solution)
     bracket = normest._pnorm_bracket(disc)
     assert calls and all(shape == (128, 1) for shape in calls)
-    assert bracket.steps == 31
-    assert bracket.lower.hex() == "0x1.5278f823b7856p+1"
+    assert bracket.steps == plain_steps == 31
+    assert bracket.lower.hex() == lower.hex()
 
 
 def test_pnorm_bracket_rejects_a_matrix_that_is_not_positive():

@@ -8,7 +8,7 @@ import math
 import warnings
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from bergnorm import specfun
@@ -1061,3 +1061,100 @@ def test_hyp2f1_stays_below_its_value_at_one(x, gap):
     top = hyp2f1_at_one(x, x, y)
     for z in (0.3, 0.9, 1.0 - 1e-8):
         assert hyp2f1(HypArgs(x, x, y, z)) <= top * (1.0 + 1e-12)
+
+
+# ----------------------------------------------------------------------
+# hyp2f1_outer: the product grid 2F1(a, b; c; t_i t_j)
+# ----------------------------------------------------------------------
+
+def _outer_spies(monkeypatch):
+    """Record every dgemm's operands and every z hyp2f1_outer sends to
+    hyp2f1_grid."""
+    operands, fallback = [], []
+    block_sum, grid = specfun._block_sum, specfun.hyp2f1_grid
+
+    def spy_block_sum(left, right):
+        operands.extend((left, right))
+        return block_sum(left, right)
+
+    def spy_grid(a, b, c, z):
+        fallback.append(np.array(z))
+        return grid(a, b, c, z)
+
+    monkeypatch.setattr(specfun, "_block_sum", spy_block_sum)
+    monkeypatch.setattr(specfun, "hyp2f1_grid", spy_grid)
+    return operands, fallback
+
+
+@pytest.mark.parametrize("order", [2, 3, 17, 64, 300])
+@pytest.mark.parametrize("kind", ["jacobi", "graded"])
+@seed(37)
+@settings(max_examples=6, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.floats(min_value=0.3, max_value=5.0),
+       st.floats(min_value=-0.95, max_value=30.0, exclude_min=True))
+def test_hyp2f1_outer_matches_hyp2f1_grid(monkeypatch, kind, order, mu, sigma):
+    # the kernel's 2F1(lam, lam; mu; t_i t_j) on the nodes of a Nystrom rule
+    from bergnorm.quadrature import make_graded_rule, make_jacobi_rule
+
+    build = make_jacobi_rule if kind == "jacobi" else make_graded_rule
+    t = build(order, mu - 1.0, sigma).nodes
+    lam = 0.5 * (mu + sigma + 1.0)
+    z = np.outer(t, t)
+    # the grid grows like (1 - z)^(-sigma-1): keep its corner inside double range
+    assume((sigma + 1.0) * math.log2(1.0 / (1.0 - z.max())) < 1000.0)
+    with monkeypatch.context() as m:
+        operands, _ = _outer_spies(m)
+        with np.errstate(all="raise", under="ignore"):
+            grid = specfun.hyp2f1_outer(lam, lam, mu, t)
+    assert np.array_equal(grid, grid.T)
+    upper = z[np.triu_indices(t.size)]
+    with np.errstate(all="raise", under="ignore"):
+        reference = hyp2f1_grid(lam, lam, mu, upper)
+        # z F'(z)/F(z): the relative change of F per relative change of z, so
+        # that rounding t_i t_j moves the reference by at most kappa 2^-53
+        kappa = upper * (lam * lam / mu) * hyp2f1_grid(lam + 1.0, lam + 1.0, mu + 1.0,
+                                                       upper) / reference
+    # the dgemm sums at the exact products: measured 4.1e-14 past kappa 2^-53
+    error = np.abs(grid[np.triu_indices(t.size)] - reference)
+    assert np.all(error <= (kappa * 2.0 ** -53 + 1e-13) * reference)
+    tiny = np.finfo(float).tiny
+    for table in operands:
+        assert not np.any((table > 0.0) & (table < tiny))  # no subnormal operand
+
+
+@pytest.mark.parametrize("sigma, cap", [(100.0, 8192), (170.0, None)])
+def test_hyp2f1_outer_falls_back_past_the_cap_or_on_overflow(monkeypatch, sigma, cap):
+    # order 64, graded to 1 - 2^-7: at sigma = 100 the blocks below the cut
+    # need up to 10,225 terms, past a cap of 8,192; at sigma = 170 the
+    # coefficients overflow from c_2068 on.  Either way such a block goes to
+    # hyp2f1_grid whole, below-cut entries included, with its bits
+    from bergnorm.quadrature import make_graded_rule
+
+    if cap is not None:
+        monkeypatch.setattr(specfun, "_SERIES_CAP", cap)
+    mu = 1.0
+    lam = 0.5 * (mu + sigma + 1.0)
+    t = make_graded_rule(64, mu - 1.0, sigma).nodes
+    operands, fallback = _outer_spies(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = specfun.hyp2f1_outer(lam, lam, mu, t)
+        monkeypatch.undo()
+        reference = hyp2f1_grid(lam, lam, mu, np.outer(t, t))
+    z = np.concatenate(fallback)
+    assert np.any(1.0 - z >= specfun._NEAR_ONE_W)
+    routed = np.isin(np.outer(t, t), z)
+    assert np.array_equal(grid[routed], reference[routed], equal_nan=True)
+    summed = ~routed
+    assert operands and np.all(np.isfinite(grid[summed]))
+    np.testing.assert_allclose(grid[summed], reference[summed], rtol=1e-12, atol=0.0)
+
+
+def test_hyp2f1_outer_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        specfun.hyp2f1_outer(1.0, 1.0, 2.0, np.array([0.5, 0.25]))   # not ascending
+    with pytest.raises(ValueError):
+        specfun.hyp2f1_outer(1.0, 1.0, 2.0, np.array([0.5, 1.0]))    # not below 1
+    with pytest.raises(ValueError):
+        specfun.hyp2f1_outer(-0.5, 1.0, 2.0, np.array([0.25, 0.5]))  # a negative term
+    assert specfun.hyp2f1_outer(1.0, 1.0, 2.0, np.empty(0)).shape == (0, 0)

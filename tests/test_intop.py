@@ -288,7 +288,7 @@ def test_nystrom_assembly_makes_no_second_matrix(build, mu, sigma):
     # in slices of specfun._NEAR_ONE_BLOCK entries; at (1, 1), where c - a - b
     # is an integer, the logarithmic series' blocks of a slice add to the
     # peak.  Measured: 1.95-2.03x on the Jacobi rules, 1.97x, 2.02x and 2.83x
-    # on the graded ones (3.5x at (1, 1) under the row-block assembly)
+    # on the graded ones
     bound = 4.0 if (build, mu, sigma) == (discretize_graded, 1.0, 1.0) else 3.0
     params = OperatorParams(mu, sigma)
     build(params, 2.0, 512)   # the Gauss-Jacobi rules are cached from here on

@@ -1089,7 +1089,7 @@ def _outer_spies(monkeypatch):
 @pytest.mark.parametrize("order", [2, 3, 17, 64, 300])
 @pytest.mark.parametrize("kind", ["jacobi", "graded"])
 @seed(37)
-@settings(max_examples=6, deadline=None,
+@settings(max_examples=4, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.floats(min_value=0.3, max_value=5.0),
        st.floats(min_value=-0.95, max_value=30.0, exclude_min=True))

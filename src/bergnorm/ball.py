@@ -105,7 +105,7 @@ class RadialFunction:
 
     def norm(self, n: int, p: float, order: int = DEFAULT_ORDER) -> float:
         exp = _as_exponent(p)
-        rule = make_jacobi_rule(order, float(n) - 1.0, 0.0)
+        rule = make_jacobi_rule(order, float(n), 1.0)
         values = np.abs(np.asarray(self.profile(rule.nodes), dtype=float))
         if exp.is_infinite:
             return float(np.max(values))
@@ -269,7 +269,7 @@ def _polar_grid(radial_order: int, angular_order: int, beta: float = 0.0):
     for trigonometric polynomials."""
     if radial_order < 2 or angular_order < 4:
         raise ValueError("polar grid needs radial_order >= 2, angular_order >= 4")
-    rule = make_jacobi_rule(radial_order, 0.0, beta)
+    rule = make_jacobi_rule(radial_order, 1.0, beta + 1.0)
     theta = 2.0 * math.pi * np.arange(angular_order) / angular_order
     w = np.sqrt(rule.nodes)[:, None] * np.exp(1j * theta)[None, :]
     return rule, w
@@ -343,7 +343,7 @@ def berezin_radial_apply(n: int, H, r2, order: int = DEFAULT_ORDER):
     r2_arr = np.atleast_1d(np.asarray(r2, dtype=float))
     if r2_arr.min() < 0.0 or r2_arr.max() >= 1.0:
         raise ValueError("r2 must lie in [0, 1)")
-    rule = make_jacobi_rule(order, float(n) - 1.0, 0.0)
+    rule = make_jacobi_rule(order, float(n), 1.0)
     moments = kernel_moments(OperatorParams(float(n), float(n + 1)), r2_arr,
                              rule, H(rule.nodes))
     out = (1.0 - r2_arr) ** (n + 1) * moments

@@ -185,7 +185,7 @@ def euler_integral_check(rng: np.random.Generator, draws: int,
         c = b + rng.uniform(0.4, 2.5)
         z = rng.uniform(0.0, 0.95)
         params.append((a, b, c, z))
-    rules = make_jacobi_rules(order, [(b - 1.0, c - b - 1.0) for _, b, c, _ in params])
+    rules = make_jacobi_rules(order, [(b, c - b) for _, b, c, _ in params])
     series = hyp2f1_grid(*np.array(params).T).tolist()
     errors = []
     for (a, b, c, z), rule, value in zip(params, rules, series):
@@ -230,7 +230,7 @@ def beta_average_check(rng: np.random.Generator, draws: int,
         d = rng.uniform(0.4, 2.5)
         x = rng.uniform(0.05, 0.95)
         params.append((a, b, c, d, x))
-    rules = make_jacobi_rules(order, [(c - 1.0, d - 1.0) for _, _, c, d, _ in params])
+    rules = make_jacobi_rules(order, [(c, d) for _, _, c, d, _ in params])
     a, b, c, d, x = np.array(params).T[:, :, None]
     nodes = np.array([rule.nodes for rule in rules])
     sides = zip(hyp2f1_grid(a, b, c, x * nodes), hyp2f1_grid(a, b, c + d, x)[:, 0].tolist())

@@ -152,8 +152,7 @@ def apply(params: OperatorParams, phi, s, order: int = DEFAULT_ORDER,
     supplies the remaining smooth factor.  ``s`` may be a scalar or a
     one-dimensional array with entries in [0,1].
     """
-    rule = make_jacobi_rule(order, params.mu - 1.0 + phi_alpha,
-                            params.sigma + phi_beta)
+    rule = make_jacobi_rule(order, params.mu + phi_alpha, params.sigma + 1.0 + phi_beta)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if s_arr.min() < 0.0 or s_arr.max() > 1.0:
         raise ValueError("evaluation points must lie in [0,1]")
@@ -184,7 +183,7 @@ class DiscretizedOperator:
     rule (``discretize``) or a graded composite (``discretize_graded``).
 
     ``matrix[i, j] = mu * w_j * 2F1(lam, lam; mu; s_i t_j)`` where the rule
-    has parameters (mu-1, sigma), so the kernel's (1-t)^sigma factor is
+    has masses (mu, sigma + 1), so the kernel's (1-t)^sigma factor is
     carried by the rule's weight rather than sampled pointwise.  Row and
     column grids coincide (the rule's nodes), so the 2F1 grid is the
     exactly symmetric ``hyp2f1_outer`` grid: blocks of power tables summed
@@ -219,7 +218,7 @@ class DiscretizedOperator:
 
 
 def _nystrom(params: OperatorParams, p, rule: JacobiRule) -> DiscretizedOperator:
-    """Assemble the Nystrom matrix of F on a rule with parameters (mu-1, sigma).
+    """Assemble the Nystrom matrix of F on a rule with masses (mu, sigma + 1).
 
     The 2F1 grid 2F1(lam, lam; mu; t_i t_j) on the rule's ascending nodes
     is ``hyp2f1_outer``'s exactly symmetric product grid: blocked power
@@ -250,7 +249,7 @@ def discretize(params: OperatorParams, p=2.0,
     """
     if order < 2:
         raise ValueError(f"discretization needs order >= 2, got {order!r}")
-    return _nystrom(params, p, make_jacobi_rule(order, params.mu - 1.0, params.sigma))
+    return _nystrom(params, p, make_jacobi_rule(order, params.mu, params.sigma + 1.0))
 
 
 def discretize_graded(params: OperatorParams, p=2.0,
@@ -262,7 +261,7 @@ def discretize_graded(params: OperatorParams, p=2.0,
     ``discretize`` cannot (graded meshes for Mellin-type kernels: Chandler
     and Graham, Math. Comp. 50 (1988) 125-138).
     """
-    return _nystrom(params, p, make_graded_rule(order, params.mu - 1.0, params.sigma))
+    return _nystrom(params, p, make_graded_rule(order, params.mu, params.sigma + 1.0))
 
 
 def boundedness_margin(params: OperatorParams, p) -> float:

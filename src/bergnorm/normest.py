@@ -2,15 +2,16 @@
 
 None of the routes trusts the closed form it is checking.
 
-* L^1 and Schur are one column integral at three exponents: the
-  weighted column integral C_beta(x) of ``column_closed``, scanned over
-  an endpoint-refined grid by its hypergeometric reduction and by direct
-  quadrature, and closed at its supremum, the x -> 1 limit, by Gauss
-  summation.  At beta = 0 it is the column mass integral K(s,x) dmu(s),
-  whose supremum is the L^1 norm.  At beta = sigma - 1/p and beta = -1/q
-  it is the right and left Schur quotient of the test function
-  phi(t) = (1-t)^(-1/(pq)), whose suprema bound the norm from above and
-  here equal it.  A grid value above the limit shows a broken route;
+* L^1 and Schur are one column integral at three weights: the weighted
+  column integral C_beta(x) of ``column_closed``, named by the mass
+  beta + 1 of its weight (1-y)^beta, scanned over an endpoint-refined
+  grid by its hypergeometric reduction and by direct quadrature, and
+  closed at its supremum, the x -> 1 limit, by Gauss summation.  At mass
+  1 it is the column mass integral K(s,x) dmu(s), whose supremum is the
+  L^1 norm.  At masses sigma + 1 - 1/p and 1/p it is the right and left
+  Schur quotient of the test function phi(t) = (1-t)^(-1/(pq)), whose
+  suprema bound the norm from above and here equal it.  A grid value
+  above the limit shows a broken route;
 
 * the extremal-family route: a two-parameter family of unit-norm function
   pairs whose bilinear forms against the operator are computable in closed
@@ -53,13 +54,7 @@ from .intop import (
 )
 from .quadrature import (QUADRATURE_TWIN_ORDER, QuadratureError, make_jacobi_rule,
                          make_jacobi_rules)
-from .specfun import (
-    ConvergenceError,
-    beta_fn,
-    hyp2f1_at_one,
-    hyp2f1_grid,
-    log_gamma,
-)
+from .specfun import ConvergenceError, beta_fn, hyp2f1_grid, log_gamma
 
 __all__ = [
     "ColumnProfile",
@@ -110,37 +105,39 @@ def supremum_grid(grid_size: int = 64, k_max: int = 40) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _column_terms(params: OperatorParams, mass: float) -> tuple[float, float, float]:
-    """(mu B(mu, mass), c - lam, c) with mass = beta + 1 and c = mu + mass:
-    the front factor and the 2F1 parameters of C_beta's closed form."""
+    """(mu B(mu, mass), c - lam, c) with c = mu + mass: the front factor and
+    the 2F1 parameters of C_beta's closed form at beta = mass - 1."""
     c = params.mu + mass
     return params.mu * beta_fn(params.mu, mass), c - params.lam, c
 
 
-def column_closed(params: OperatorParams, beta: float, x) -> np.ndarray:
-    """The weighted column integral in closed form:
+def column_closed(params: OperatorParams, mass: float, x) -> np.ndarray:
+    """The weighted column integral in closed form, for the weight
+    (1-y)^beta of mass beta + 1:
 
         C_beta(x) = (1-x)^(sigma-beta) mu integral_0^1 y^(mu-1) (1-y)^beta
                                        2F1(lam, lam; mu; x y) dy
-                  = mu B(mu, beta+1) 2F1(c-lam, c-lam; c; x),  c = mu+beta+1.
+                  = mu B(mu, mass) 2F1(c-lam, c-lam; c; x),  c = mu + mass.
 
     Term-by-term integration against the beta density raises the 2F1's
-    c-parameter to mu+beta+1, and its Euler transform absorbs the prefactor.
+    c-parameter to mu + mass, and its Euler transform absorbs the prefactor.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    front, a, c = _column_terms(params, beta + 1.0)
+    front, a, c = _column_terms(params, mass)
     return front * hyp2f1_grid(a, a, c, x)
 
 
-def column_quadrature(params: OperatorParams, beta: float, x,
+def column_quadrature(params: OperatorParams, mass: float, x,
                       order: int = QUADRATURE_TWIN_ORDER, rule=None) -> np.ndarray:
-    """C_beta(x) by direct quadrature in y, independent of any reduction;
-    (1-y)^beta is folded into the rule's weight, never sampled.  ``rule``
-    is the order-point (mu-1, beta) Gauss-Jacobi rule when the caller has
-    built it, else it comes from ``make_jacobi_rule``'s cache."""
+    """C_beta(x) at beta = mass - 1 by direct quadrature in y, independent of
+    any reduction; (1-y)^beta is folded into the rule's weight, never
+    sampled.  ``rule`` is the order-point Gauss-Jacobi rule of masses
+    (mu, mass) when the caller has built it, else it comes from
+    ``make_jacobi_rule``'s cache."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if rule is None:
-        rule = make_jacobi_rule(order, params.mu - 1.0, beta)
-    return (1.0 - x) ** (params.sigma - beta) * kernel_moments(params, x, rule)
+        rule = make_jacobi_rule(order, params.mu, mass)
+    return (1.0 - x) ** (params.sigma + 1.0 - mass) * kernel_moments(params, x, rule)
 
 
 @dataclass(frozen=True)
@@ -149,13 +146,13 @@ class ColumnProfile:
 
     ``closed`` is ``column_closed`` on the full grid; ``quadrature`` is
     ``column_quadrature`` on the sub-grid where a fixed-order rule still
-    resolves the integrand.  ``endpoint`` is the x -> 1 limit by Gauss
-    summation, mu B(mu, beta+1) 2F1(c-lam, c-lam; c; 1): finite on the
-    bounded side, because c - 2(c-lam) = sigma - beta is sigma, 1/p or the
-    boundedness margin at the three exponents.
+    resolves the integrand, both at beta = ``mass`` - 1.  ``endpoint`` is
+    the x -> 1 limit by Gauss summation, mu B(mu, mass) 2F1(c-lam, c-lam;
+    c; 1): finite on the bounded side, because c - 2(c-lam) = sigma - beta
+    is sigma, 1/p or the boundedness margin at the three masses.
     """
 
-    beta: float
+    mass: float
     grid: np.ndarray
     closed: np.ndarray
     quadrature_grid: np.ndarray
@@ -179,35 +176,30 @@ class ColumnProfile:
                             / np.abs(closed_sub)))
 
 
-def _column_endpoint(params: OperatorParams, mass: float, gap=None) -> float:
-    """C_beta's x -> 1 limit at beta = mass - 1, taking beta + 1 (mass) and, where it
-    is the margin, sigma - beta (gap) as the caller forms them; a missing gap is
-    Gauss summation's."""
-    front, a, c = _column_terms(params, mass)
-    return front * (hyp2f1_at_one(a, a, c) if gap is None else math.exp(
-        log_gamma(c) + log_gamma(gap) - 2.0 * log_gamma(params.lam)))
+def _column_endpoint(params: OperatorParams, mass: float, gap: float) -> float:
+    """C_beta's x -> 1 limit at beta = mass - 1 by Gauss summation,
+    mu B(mu, mass) Gamma(c) Gamma(gap) / Gamma(lam)^2, c = mu + mass, taking
+    the mass and the gap sigma - beta as the caller forms them."""
+    front, _, c = _column_terms(params, mass)
+    return front * math.exp(log_gamma(c) + log_gamma(gap) - 2.0 * log_gamma(params.lam))
 
 
-def _column_profile(params: OperatorParams, mass: float, endpoint: float,
+def _column_profile(params: OperatorParams, mass: float, gap: float,
                     rule=None) -> ColumnProfile:
-    """C_beta at beta = mass - 1 with its ``_column_endpoint``; ``rule`` is
-    ``column_quadrature``'s."""
+    """C_beta at beta = mass - 1 with its ``_column_endpoint`` at ``gap``;
+    ``rule`` is ``column_quadrature``'s."""
     grid = supremum_grid()
     quad_grid = grid[grid <= QUAD_ROUTE_CUTOFF]
-    front, a, c = _column_terms(params, mass)
-    return ColumnProfile(beta=mass - 1.0, grid=grid,
-                         closed=front * hyp2f1_grid(a, a, c, grid),
+    return ColumnProfile(mass=mass, grid=grid, closed=column_closed(params, mass, grid),
                          quadrature_grid=quad_grid,
-                         quadrature=column_quadrature(params, mass - 1.0, quad_grid,
-                                                      rule=rule),
-                         endpoint=endpoint)
+                         quadrature=column_quadrature(params, mass, quad_grid, rule=rule),
+                         endpoint=_column_endpoint(params, mass, gap))
 
 
 def l1_profile(params: OperatorParams) -> ColumnProfile:
     """The column masses C_0, whose supremum, the t -> 1 limit, is the L^1
     norm; raises UnboundedOperatorError when that limit is infinite."""
-    return _column_profile(params, 1.0,
-                           _column_endpoint(params, 1.0, require_bounded(params, 1.0)))
+    return _column_profile(params, 1.0, require_bounded(params, 1.0))
 
 
 def schur_profile(params: OperatorParams, p) -> tuple[ColumnProfile, ColumnProfile]:
@@ -216,22 +208,20 @@ def schur_profile(params: OperatorParams, p) -> tuple[ColumnProfile, ColumnProfi
     integral K(s,t) phi(t)^q dmu(t) / phi(s)^q is C_beta(s) at
     beta = sigma - 1/p, and integral K(s,t) phi(s)^p dmu(s) / phi(t)^p is
     C_beta(t) at beta = -1/q.  Both increase to the closed-form norm, their
-    common x -> 1 limit.  The two quadrature rules are built in one
-    ``make_jacobi_rules`` batch, each with the bits of its one-rule build.
+    common x -> 1 limit.  The weights' masses beta + 1 and gaps sigma - beta
+    are the margin sigma + 1/q and 1/p, each formed once: on the right the
+    mass is the margin and the gap 1/p, on the left the other way round.
+    The two quadrature rules are built in one ``make_jacobi_rules`` batch,
+    each with the bits of its one-rule build.
     """
     exp = _as_exponent(p)
     if exp.is_one or exp.is_infinite:
         raise ValueError("the Schur route needs 1 < p < infinity")
     margin = require_bounded(params, exp)
-    # the margin is beta + 1 on the right, sigma - beta on the left
-    masses = (margin, exp.inv)
-    # the endpoints first: where 1/p rounds away, the right one's Gauss
-    # summation raises DivergenceError before the left rule's exponent
-    # -1/q = 1/p - 1 rounds to -1, which the rule builder refuses
-    endpoints = (_column_endpoint(params, margin), _column_endpoint(params, exp.inv, margin))
-    rules = make_jacobi_rules(QUADRATURE_TWIN_ORDER,
-                              [(params.mu - 1.0, mass - 1.0) for mass in masses])
-    return tuple(_column_profile(params, *args) for args in zip(masses, endpoints, rules))
+    sides = ((margin, exp.inv), (exp.inv, margin))
+    rules = make_jacobi_rules(QUADRATURE_TWIN_ORDER, [(params.mu, mass) for mass, _ in sides])
+    return tuple(_column_profile(params, mass, gap, rule)
+                 for (mass, gap), rule in zip(sides, rules))
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +242,8 @@ class ExtremalFamily:
     ``tilde_gap`` = theta_tilde + 1, which the degeneration path sends to 0
     together.  Every quantity that vanishes with them is formed from the
     gaps, never as a difference of O(1) numbers: theta_tilde + 1,
-    vartheta_tilde + 1 = theta_gap/(p-1) and g = (theta_gap + tilde_gap)/p.
+    ``vartheta_gap`` = vartheta_tilde + 1 = theta_gap/(p-1) and
+    g = (theta_gap + tilde_gap)/p.
     Build it with ``make_extremal_family`` or ``family_on_path``.
     """
 
@@ -271,8 +262,12 @@ class ExtremalFamily:
         return self.tilde_gap - 1.0
 
     @property
+    def vartheta_gap(self) -> float:
+        return self.theta_gap / (self.p.p - 1.0)
+
+    @property
     def vartheta_tilde(self) -> float:
-        return self.theta_gap / (self.p.p - 1.0) - 1.0
+        return self.vartheta_gap - 1.0
 
     def phi_values(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -365,9 +360,10 @@ def bilinear_form_numeric(params: OperatorParams, fam: ExtremalFamily,
     kernel (Euler transform, leaving a factor bounded up to the corner),
     substitute u = 1 - t, v = 1 - s, and split the square along v = u.  On
     each triangle the scaling v = u w turns every endpoint power -- the
-    pair weights *and* the ridge -- into exact Jacobi exponents, and only
-    smooth factors are sampled.  Each triangle is summed in row blocks of
-    the u rule, at most _TWIN_GRID_CAP sampled entries at a time, so the
+    pair weights *and* the ridge -- into exact Jacobi weights, whose masses
+    are formed from the family's gaps as in ``bilinear_form_closed``, and
+    only smooth factors are sampled.  Each triangle is summed in row blocks
+    of the u rule, at most _TWIN_GRID_CAP sampled entries at a time, so the
     work arrays stay small whatever the order.
 
     An order-halving self-check guards the result.  When the order/2 and
@@ -381,10 +377,11 @@ def bilinear_form_numeric(params: OperatorParams, fam: ExtremalFamily,
     exp = fam.p
     mu, lam, sigma = params.mu, params.lam, params.sigma
     a_t = mu - 1.0 + fam.theta / exp.p          # t exponent of the pair weight
-    b_t = sigma + fam.theta_tilde / exp.p       # (1-t) exponent
     a_s = mu - 1.0
-    b_s = fam.vartheta_tilde / exp.q
-    a_u = b_t + b_s - sigma                     # ridge-corrected corner exponent
+    # masses of the (1-t) and (1-s) factors and of the ridge-corrected corner
+    t_side = require_bounded(params, exp) + fam.tilde_gap / exp.p
+    s_side = exp.inv + fam.vartheta_gap / exp.q
+    corner = fam.tilde_gap / exp.p + fam.vartheta_gap / exp.q
 
     def triangle(n: int, rule_u, rule_w, sampled_exp: float) -> float:
         # outer variable u (distance to the corner), inner scaling w = v/u
@@ -403,7 +400,7 @@ def bilinear_form_numeric(params: OperatorParams, fam: ExtremalFamily,
 
     def value_at(n: int) -> float:
         u_lower, w_lower, u_upper, w_upper = make_jacobi_rules(
-            n, [(a_u, a_t), (b_s, 0.0), (a_u, a_s), (b_t, 0.0)])
+            n, [(corner, mu + fam.theta / exp.p), (s_side, 1.0), (corner, mu), (t_side, 1.0)])
         lower = triangle(n, u_lower, w_lower, a_s)      # v <= u, i.e. 1-s <= 1-t
         upper = triangle(n, u_upper, w_upper, a_t)      # u <= v
         return mu ** 2 * fam.C * fam.C_tilde * (lower + upper)

@@ -1,13 +1,15 @@
 """Gauss-Jacobi quadrature on (0,1) for the weighted measures of this package.
 
-A rule with parameters (alpha, beta) integrates
+A rule with masses (a, b) integrates
 
-    integral_0^1 t^alpha (1-t)^beta f(t) dt  ~=  sum_i w_i f(t_i)
+    integral_0^1 t^(a-1) (1-t)^(b-1) f(t) dt  ~=  sum_i w_i f(t_i)
 
-exactly for polynomials f up to degree 2*order - 1.  Both endpoint
-exponents live in the weight, so integrands with t^(mu-1) or (1-t)^sigma
-singularities are handled by folding those exponents into the rule
-analytically instead of sampling them.
+exactly for polynomials f up to degree 2*order - 1; its total mass is
+B(a, b).  Both endpoint powers live in the weight, so integrands with
+t^(mu-1) or (1-t)^sigma singularities are handled by folding those powers
+into the rule analytically instead of sampling them.  A mass as small as
+1/p = 1e-12 reaches the total mass and the Jacobi matrix as the caller
+formed it, with no digit lost to (1/p - 1) + 1.
 
 Every rule starts from the symmetric tridiagonal Jacobi matrix of the
 weight's orthogonal polynomials, assembled from the known three-term
@@ -118,23 +120,22 @@ def _tridiagonal_eigen(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class JacobiRule:
-    """An immutable rule on (0,1) for the weight t^alpha (1-t)^beta: one
-    Gauss-Jacobi rule, or a graded composite of them (``make_graded_rule``).
+    """An immutable rule on (0,1) for the weight t^(a-1) (1-t)^(b-1) of masses
+    (a, b): one Gauss-Jacobi rule, or a graded composite (``make_graded_rule``).
 
-    ``alpha`` is the exponent on t, ``beta`` the exponent on (1-t); the
-    weights already include the full weight function, so plain dot products
-    against sampled integrand values perform the weighted integral.
+    The weights already include the full weight function, so plain dot
+    products against sampled integrand values perform the weighted integral.
     """
 
-    alpha: float
-    beta: float
+    a: float
+    b: float
     order: int
     nodes: np.ndarray
     weights: np.ndarray
 
     @property
     def total_mass(self) -> float:
-        """sum of weights = B(alpha+1, beta+1), the weight's total measure."""
+        """sum of weights = B(a, b), the weight's total measure."""
         return float(self.weights.sum())
 
     def integrate(self, values) -> float:
@@ -146,29 +147,28 @@ class JacobiRule:
         return float(self.weights @ values)
 
 
-def _recurrence(order: int, a_exp, b_exp):
+def _recurrence(order: int, a, b):
     """Three-term recurrence coefficients for the monic Jacobi polynomials
-    with weight (1-x)^a_exp (1+x)^b_exp on [-1,1].
+    with weight (1-x)^(a-1) (1+x)^(b-1) on [-1,1], of masses a and b.
 
-    Returns (diag, offdiag) of the symmetric Jacobi matrix.  ``a_exp`` and
-    ``b_exp`` are floats, or 1-D arrays with one exponent per rule; then
-    row r of each result is rule r's matrix, with the bits a call on that
-    rule's floats gives.
+    Returns (diag, offdiag) of the symmetric Jacobi matrix.  The k = 0
+    diagonal and the k = 1 off-diagonal are formed from the masses, the
+    later entries from the exponents a - 1 and b - 1.  ``a`` and ``b`` are
+    floats, or 1-D arrays with one mass per rule; then row r of each result
+    is rule r's matrix, with the bits a call on that rule's floats gives.
     """
-    A = np.asarray(a_exp, dtype=float)[..., None]
-    B = np.asarray(b_exp, dtype=float)[..., None]
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
+    A, B = a - 1.0, b - 1.0
     k = np.arange(order, dtype=float)
     s = 2.0 * k + A + B
     diag = np.empty(s.shape)
-    diag[..., :1] = (B - A) / (A + B + 2.0)
+    diag[..., :1] = (b - a) / (a + b)
     diag[..., 1:] = (B * B - A * A) / (s[..., 1:] * (s[..., 1:] + 2.0))
     off = np.empty(s.shape[:-1] + (max(order - 1, 0),))
     if order > 1:
-        # k = 1 separately: the generic expression has a removable 0/0 when
-        # A + B + 1 = 0.  Its square is Python's float power, which calls
-        # libm's pow and can differ from numpy's x*x in the last bit
-        square = np.array([x ** 2 for x in (2.0 + A + B).ravel().tolist()]).reshape(A.shape)
-        off[..., :1] = np.sqrt(4.0 * (1.0 + A) * (1.0 + B) / (square * (3.0 + A + B)))
+        # k = 1 separately: the generic expression is 0/0 at a + b = 1
+        off[..., :1] = np.sqrt(4.0 * a * b / ((a + b) * (a + b) * (a + b + 1.0)))
     if order > 2:
         kk = k[2:]
         sk = s[..., 2:]
@@ -178,9 +178,9 @@ def _recurrence(order: int, a_exp, b_exp):
     return diag, off
 
 
-def _checked_rules(order: int, exponents, nodes: np.ndarray,
+def _checked_rules(order: int, masses, nodes: np.ndarray,
                    weights: np.ndarray) -> list[JacobiRule]:
-    """Freeze computed rules, one per (alpha, beta) pair and row of ``nodes``
+    """Freeze computed rules, one per (a, b) pair of masses and row of ``nodes``
     and ``weights``, after checking in one pass over the batch that every
     rule is usable."""
     if np.any(np.diff(nodes, axis=1) <= 0.0):
@@ -191,24 +191,25 @@ def _checked_rules(order: int, exponents, nodes: np.ndarray,
         raise QuadratureError("quadrature nodes left the open interval (0,1)")
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return [JacobiRule(alpha=alpha, beta=beta, order=order, nodes=t, weights=w)
-            for (alpha, beta), t, w in zip(exponents, nodes, weights)]
+    return [JacobiRule(a=a, b=b, order=order, nodes=t, weights=w)
+            for (a, b), t, w in zip(masses, nodes, weights)]
 
 
 @lru_cache(maxsize=256)
-def make_jacobi_rule(order: int, alpha: float, beta: float) -> JacobiRule:
-    """Build (and cache) the order-point rule for weight t^alpha (1-t)^beta:
-    ``make_jacobi_rules`` for the one pair."""
-    return make_jacobi_rules(order, [(alpha, beta)])[0]
+def make_jacobi_rule(order: int, a: float, b: float) -> JacobiRule:
+    """Build (and cache) the order-point rule for weight t^(a-1) (1-t)^(b-1):
+    ``make_jacobi_rules`` for the one pair of masses."""
+    return make_jacobi_rules(order, [(a, b)])[0]
 
 
-def make_jacobi_rules(order: int, exponents) -> list[JacobiRule]:
-    """One order-point rule per (alpha, beta) pair, for weight t^alpha (1-t)^beta.
+def make_jacobi_rules(order: int, masses) -> list[JacobiRule]:
+    """One order-point rule per (a, b) pair of masses, for weight
+    t^(a-1) (1-t)^(b-1).
 
     Nodes are each Jacobi matrix's eigenvalues (no eigenvectors), polished
     by one Newton step delta on the three-term recurrence; weights are the
     Christoffel numbers 1 / S, S = sum_k p_k(x_i)^2 over the orthonormal p_k
-    with p_0 = 1, rescaled to each rule's mass B(alpha+1, beta+1).  The
+    with p_0 = 1, rescaled to each rule's mass B(a, b).  The
     batch's Jacobi matrices come from one ``_recurrence`` call and its
     rules are checked in one ``_checked_rules`` pass; only LAPACK's
     ``dsterf`` and the mass are taken rule by rule.  One recurrence pass
@@ -218,25 +219,24 @@ def make_jacobi_rules(order: int, exponents) -> list[JacobiRule]:
     """
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
-    exponents = [(float(alpha), float(beta)) for alpha, beta in exponents]
-    for alpha, beta in exponents:
-        if not (alpha > -1.0 and beta > -1.0):
-            raise ValueError(
-                f"integrability requires alpha, beta > -1, got ({alpha!r}, {beta!r})")
-    count = len(exponents)
-    alphas, betas = np.array(exponents).reshape(count, 2).T
+    masses = [(float(a), float(b)) for a, b in masses]
+    for a, b in masses:
+        if not (a > 0.0 and b > 0.0):
+            raise ValueError(f"integrability requires masses a, b > 0, got ({a!r}, {b!r})")
+    count = len(masses)
+    a_masses, b_masses = np.array(masses).reshape(count, 2).T
     # diag[r, k] = a_k; off[r, k] = b_k couples p_(k-1) and p_k, with b_0 = 0
     # and b_order = 1 (the last step then gives b_order p_order, whose zeros
-    # are the nodes).  On [-1,1] the (1-x) exponent pairs with the (1-t)
-    # factor and the (1+x) exponent with the t factor.
+    # are the nodes).  On [-1,1] the (1-x) power pairs with the (1-t)
+    # factor and the (1+x) power with the t factor.
     off = np.zeros((count, order + 1))
     off[:, order] = 1.0
-    diag, off[:, 1:order] = _recurrence(order, betas, alphas)
+    diag, off[:, 1:order] = _recurrence(order, b_masses, a_masses)
     x = np.empty((count, order))
     mass = np.empty((count, 1))
-    for r, (alpha, beta) in enumerate(exponents):
+    for r, (a, b) in enumerate(masses):
         x[r] = _tridiagonal_eigen(diag[r], off[r, 1:order])
-        mass[r] = beta_fn(alpha + 1.0, beta + 1.0)
+        mass[r] = beta_fn(a, b)
     p_prev, p = np.zeros_like(x), np.ones_like(x)
     dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
     christoffel, slope = np.zeros_like(x), np.zeros_like(x)
@@ -252,18 +252,18 @@ def make_jacobi_rules(order: int, exponents) -> list[JacobiRule]:
     christoffel += 2.0 * delta * slope
     weights = 1.0 / christoffel
     weights *= mass / weights.sum(axis=1, keepdims=True)
-    return _checked_rules(order, exponents, 0.5 * (x + 1.0), weights)
+    return _checked_rules(order, masses, 0.5 * (x + 1.0), weights)
 
 
-def make_graded_rule(order: int, alpha: float, beta: float) -> JacobiRule:
-    """Composite rule for weight t^alpha (1-t)^beta, graded toward t = 1.
+def make_graded_rule(order: int, a: float, b: float) -> JacobiRule:
+    """Composite rule for weight t^(a-1) (1-t)^(b-1), graded toward t = 1.
 
     The panels are [0, 1/2], [1/2, 3/4], ..., [1 - 2^-depth, 1]: each is
     half as wide as the one before, so every dyadic scale of 1 - t gets
-    its own panel.  The first panel is Gauss-Jacobi with t^alpha folded
-    into its weight, the last one Gauss-Jacobi with (1-t)^beta, and the
+    its own panel.  The first panel is Gauss-Jacobi with t^(a-1) folded
+    into its weight, the last one Gauss-Jacobi with (1-t)^(b-1), and the
     ones between Gauss-Legendre; the factor a panel's rule does not carry
-    is smooth there and is sampled at the nodes, (1-t)^beta on a middle
+    is smooth there and is sampled at the nodes, (1-t)^(b-1) on a middle
     panel from its unrounded u = 1 - t.  The ``order`` points are
     spread as evenly as possible over order // GRADED_PANEL_POINTS panels
     (at least two, at most GRADED_MAX_DEPTH + 1, earlier panels taking any
@@ -278,29 +278,29 @@ def make_graded_rule(order: int, alpha: float, beta: float) -> JacobiRule:
     base, extra = divmod(order, panels)
     nodes, weights = [], []
     for k in range(panels):
-        a, h, n = edges[k], edges[k + 1] - edges[k], base + (k < extra)
+        h, n = edges[k + 1] - edges[k], base + (k < extra)
         if k == 0:
-            panel = make_jacobi_rule(n, alpha, 0.0)
+            panel = make_jacobi_rule(n, a, 1.0)
             t = h * panel.nodes
-            w = h ** (alpha + 1.0) * panel.weights * (1.0 - t) ** beta
+            w = h ** a * panel.weights * (1.0 - t) ** (b - 1.0)
         elif k == panels - 1:
-            panel = make_jacobi_rule(n, 0.0, beta)
-            t = a + h * panel.nodes
-            w = h ** (beta + 1.0) * panel.weights * t ** alpha
+            panel = make_jacobi_rule(n, 1.0, b)
+            t = edges[k] + h * panel.nodes
+            w = h ** b * panel.weights * t ** (a - 1.0)
         else:
-            # (1-t)^beta from u = 1 - t as the panel gives it, not from a
+            # (1-t)^(b-1) from u = 1 - t as the panel gives it, not from a
             # rounded t; the node is the rounded 1 - u
-            panel = make_jacobi_rule(n, 0.0, 0.0)
+            panel = make_jacobi_rule(n, 1.0, 1.0)
             u = h * (2.0 - panel.nodes)
             t = 1.0 - u
-            w = h * panel.weights * t ** alpha * u ** beta
+            w = h * panel.weights * t ** (a - 1.0) * u ** (b - 1.0)
         nodes.append(t)
         weights.append(w)
     nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return JacobiRule(alpha=alpha, beta=beta, order=order, nodes=nodes, weights=weights)
+    return JacobiRule(a=a, b=b, order=order, nodes=nodes, weights=weights)
 
 
 @lru_cache(maxsize=None)
@@ -321,7 +321,7 @@ def make_two_sided_rule() -> JacobiRule:
     the doubles below 1 wide; nodes that round together merge and carry
     their summed weight.  Built on first use, not at import.
     """
-    panel = make_jacobi_rule(GRADED_PANEL_POINTS, 0.0, 0.0)
+    panel = make_jacobi_rule(GRADED_PANEL_POINTS, 1.0, 1.0)
     low, high = TWO_SIDED_DEPTHS
     to_zero = 2.0 ** -np.arange(2, low + 1)[:, None]
     to_one = 2.0 ** -np.arange(2, high + 1)[:, None]
@@ -331,4 +331,4 @@ def make_two_sided_rule() -> JacobiRule:
     widths = np.concatenate([[2.0 ** -low], to_zero[:, 0], to_one[:, 0]])
     nodes, point = np.unique(nodes, return_inverse=True)
     weights = np.bincount(point, weights=(widths[:, None] * panel.weights).ravel())
-    return _checked_rules(nodes.size, [(0.0, 0.0)], nodes[None], weights[None])[0]
+    return _checked_rules(nodes.size, [(1.0, 1.0)], nodes[None], weights[None])[0]

@@ -363,7 +363,7 @@ def _berezin_radial_inline(n, profile, r2, order=DEFAULT_ORDER):
     # the Berezin radial reduction written out with its own 2F1 grid: the
     # bit-for-bit reference for berezin_radial_apply's interval-kernel route
     r2_arr = np.atleast_1d(np.asarray(r2, dtype=float))
-    rule = make_jacobi_rule(order, float(n) - 1.0, 0.0)
+    rule = make_jacobi_rule(order, float(n), 1.0)
     values = np.asarray(profile(rule.nodes), dtype=float)
     grid = hyp2f1_grid(float(n + 1), float(n + 1), float(n),
                        np.outer(r2_arr, rule.nodes))

@@ -87,10 +87,10 @@ def test_identity_checks_keep_their_draws(monkeypatch):
     # same order, as a check that handles one draw at a time
     seen, grids, at_one = [], [], []
 
-    def spy(order, exponents):
-        exponents = list(exponents)
-        seen.append((order, exponents))
-        return make_jacobi_rules(order, exponents)
+    def spy(order, masses):
+        masses = list(masses)
+        seen.append((order, masses))
+        return make_jacobi_rules(order, masses)
 
     def grid_spy(a, b, c, z):
         grids.append((a, b, c))
@@ -112,7 +112,7 @@ def test_identity_checks_keep_their_draws(monkeypatch):
         a, b = rng.uniform(0.2, 2.0), rng.uniform(0.4, 2.5)
         c = b + rng.uniform(0.4, 2.5)
         rng.uniform(0.0, 0.95)
-        euler.append((b - 1.0, c - b - 1.0))
+        euler.append((b, c - b))
     for _ in range(120):
         for lo, hi in ((0.1, 2.5), (0.1, 2.5), (0.6, 4.0), (0.05, 0.70)):
             rng.uniform(lo, hi)
@@ -120,7 +120,7 @@ def test_identity_checks_keep_their_draws(monkeypatch):
         a, b = rng.uniform(0.2, 1.8), rng.uniform(0.2, 1.8)
         c, d = rng.uniform(0.7, 3.0), rng.uniform(0.4, 2.5)
         rng.uniform(0.05, 0.95)
-        beta_avg.append((c - 1.0, d - 1.0))
+        beta_avg.append((c, d))
     for _ in range(120):
         a, b = rng.uniform(0.2, 1.0), rng.uniform(0.3, 1.2)
         c = a + b + rng.uniform(1.1, 2.2)
@@ -151,7 +151,7 @@ def _reference_euler_integral(rng, draws, order):
         c = b + rng.uniform(0.4, 2.5)
         z = rng.uniform(0.0, 0.95)
         params.append((a, b, c, z))
-    rules = make_jacobi_rules(order, [(b - 1.0, c - b - 1.0) for _, b, c, _ in params])
+    rules = make_jacobi_rules(order, [(b, c - b) for _, b, c, _ in params])
     worst = 0.0
     for (a, b, c, z), rule in zip(params, rules):
         series = hyp2f1(HypArgs(a, b, c, z))
@@ -182,7 +182,7 @@ def _reference_beta_average(rng, draws, order):
         d = rng.uniform(0.4, 2.5)
         x = rng.uniform(0.05, 0.95)
         params.append((a, b, c, d, x))
-    rules = make_jacobi_rules(order, [(c - 1.0, d - 1.0) for _, _, c, d, _ in params])
+    rules = make_jacobi_rules(order, [(c, d) for _, _, c, d, _ in params])
     worst = 0.0
     for (a, b, c, d, x), rule in zip(params, rules):
         lhs = rule.integrate(hyp2f1_grid(a, b, c, x * rule.nodes))
@@ -328,9 +328,9 @@ def test_interval_suite_p_one_routes():
 
 
 def test_interval_suite_flags_exponents_whose_reciprocal_rounds_away(capsys):
-    # at p = 1e17, 1/p is below half an ulp of 1: the right Schur endpoint's
-    # c - a - b rounds to 0, and every bounded record is flagged with that
-    # cause instead of aborting the run
+    # at p = 1e17 the left Schur rule's mass 1/p puts a Gauss node within
+    # half an ulp of 1: the node rounds to 1, and every bounded record is
+    # flagged with that cause instead of aborting the run
     assert main(["--suite", "interval-norms", "--p", "1e17", "--format", "json"]) == 1
     out, err = capsys.readouterr()
     assert err == ""
@@ -339,15 +339,16 @@ def test_interval_suite_flags_exponents_whose_reciprocal_rounds_away(capsys):
     assert len(bounded) == 10
     for r in bounded:
         assert r["status"] == "flagged"
-        assert r["inputs"]["error"] == "2F1(a,b;c;1) requires c-a-b > 0, got 0.0"
+        assert r["inputs"]["error"] == "quadrature nodes left the open interval (0,1)"
     assert records[-1]["status"] == "pass"
 
 
-@pytest.mark.parametrize("p", [1e6, 1.0000001])
+@pytest.mark.parametrize("p", [1e6, 1.0000001, 1e8])
 def test_interval_suite_passes_at_near_integer_exponents(p):
-    # the Schur endpoints' 2F1 here have c - a - b within 1e-6 of an
-    # integer; the near-one route keeps its digits there, so no record
-    # is flagged for excess over the closed form
+    # the Schur profiles' 2F1 here have c - a - b within 1e-6 of an
+    # integer; the near-one route keeps its digits there, and each endpoint
+    # takes its gap as formed, so no record is flagged for excess over the
+    # closed form
     status, records = run_suite("interval-norms", SuiteConfig(p=p))
     assert [r.status for r in records] == ["pass"] * len(records)
     assert status == 0

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,43 +74,43 @@ COLUMN_MASS_CASES = [
 
 @pytest.mark.parametrize("mu, sigma, t, expected", COLUMN_MASS_CASES)
 def test_column_mass_frozen_values(mu, sigma, t, expected):
-    got = column_closed(OperatorParams(mu, sigma), 0.0, t)[0]
+    got = column_closed(OperatorParams(mu, sigma), 1.0, t)[0]
     assert got == pytest.approx(expected, rel=1e-13)
 
 
-def _routes_gap(params, beta):
+def _routes_gap(params, mass):
     x = supremum_grid(24)
     x = x[x <= 1.0 - 2.0 ** -6]
-    closed = column_closed(params, beta, x)
-    quad = column_quadrature(params, beta, x)
+    closed = column_closed(params, mass, x)
+    quad = column_quadrature(params, mass, x)
     return np.max(np.abs(quad - closed) / np.abs(closed))
 
 
 @pytest.mark.parametrize("mu, sigma", [(1.0, 1.0), (2.0, 0.5), (1.0, 2.0), (0.5, 3.0),
                                        (1.0, 0.0)])
 def test_column_mass_routes_agree(mu, sigma):
-    # the closed form against the quadrature twin at the three exponents
-    # of the L^1 and Schur routes: 0, sigma - 1/p and -1/q
+    # the closed form against the quadrature twin at the three masses of
+    # the L^1 and Schur routes: 1, sigma + 1 - 1/p and 1/p
     params = OperatorParams(mu, sigma)
-    betas = [0.0]
+    masses = [1.0]
     for p in (4.0 / 3.0, 2.0, 4.0):
-        betas += [sigma - 1.0 / p, 1.0 / p - 1.0]
-    for beta in betas:
-        assert _routes_gap(params, beta) < 1e-11
+        masses += [sigma + 1.0 - 1.0 / p, 1.0 / p]
+    for mass in masses:
+        assert _routes_gap(params, mass) < 1e-11
 
 
 @given(pair=mid_params, beta=st.floats(-0.99, 3.0))
 @settings(max_examples=40, deadline=None)
 def test_column_routes_agree_at_any_exponent(pair, beta):
     mu, sigma = pair
-    assert _routes_gap(OperatorParams(mu, sigma), beta) < 1e-11
+    assert _routes_gap(OperatorParams(mu, sigma), beta + 1.0) < 1e-11
 
 
 @given(pair=mid_params, t1=st.floats(0.01, 0.97), dt=st.floats(0.001, 0.02))
 @settings(max_examples=60, deadline=None)
 def test_column_mass_is_nondecreasing(pair, t1, dt):
     mu, sigma = pair
-    vals = column_closed(OperatorParams(mu, sigma), 0.0, [t1, t1 + dt])
+    vals = column_closed(OperatorParams(mu, sigma), 1.0, [t1, t1 + dt])
     assert vals[1] >= vals[0] * (1.0 - 1e-12)
 
 
@@ -195,20 +196,20 @@ SCHUR_LEFT_CASES = [
 
 @pytest.mark.parametrize("mu, sigma, p, s, expected", SCHUR_RIGHT_CASES)
 def test_schur_right_frozen_values(mu, sigma, p, s, expected):
-    got = column_closed(OperatorParams(mu, sigma), sigma - 1.0 / p, s)[0]
+    got = column_closed(OperatorParams(mu, sigma), sigma + 1.0 - 1.0 / p, s)[0]
     assert got == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("mu, sigma, p, t, expected", SCHUR_LEFT_CASES)
 def test_schur_left_frozen_values(mu, sigma, p, t, expected):
-    got = column_closed(OperatorParams(mu, sigma), 1.0 / p - 1.0, t)[0]
+    got = column_closed(OperatorParams(mu, sigma), 1.0 / p, t)[0]
     assert got == pytest.approx(expected, rel=1e-13)
 
 
 def test_schur_quotients_coincide_at_conjugate_symmetric_point():
     # sigma + 1 = 2/p makes the two quotients the same column integral
     right, left = schur_profile(OperatorParams(2.0, 0.5), 4.0 / 3.0)
-    assert right.beta == pytest.approx(left.beta, rel=1e-13)
+    assert right.mass == pytest.approx(left.mass, rel=1e-13)
     assert np.allclose(right.closed, left.closed, rtol=1e-13)
 
 
@@ -216,16 +217,17 @@ def test_schur_quotients_coincide_at_conjugate_symmetric_point():
                          [(1.0, 0.0, 2.0), (1.0, 1.0, 2.0),
                           (2.0, 0.5, 4.0 / 3.0), (1.0, 2.0, 4.0)])
 def test_schur_quadrature_routes_agree_with_closed(mu, sigma, p):
-    # right quotient at beta = sigma - 1/p, left at beta = -1/q
+    # right quotient at mass sigma + 1 - 1/p, left at mass 1/p
     params = OperatorParams(mu, sigma)
-    assert _routes_gap(params, sigma - 1.0 / p) < 1e-11
-    assert _routes_gap(params, 1.0 / p - 1.0) < 1e-11
+    assert _routes_gap(params, sigma + 1.0 - 1.0 / p) < 1e-11
+    assert _routes_gap(params, 1.0 / p) < 1e-11
 
 
 @pytest.mark.parametrize("mu, sigma, p",
                          [(1.0, 0.0, 2.0), (1.0, 1.0, 2.0),
                           (2.0, 0.5, 4.0 / 3.0), (3.0, 2.0, 2.0),
                           (1.0, 0.0, 100.0),      # the right quotient's slow rise
+                          (1.0, 0.0, 1e8),        # the gap 1/p as formed, not c - a - b
                           (1.0, -0.4, 2.0),       # near the edge: the left one's
                           (1.0, -0.49, 2.0)])
 def test_schur_maxima_sandwiched_by_norm(mu, sigma, p):
@@ -270,16 +272,38 @@ def test_schur_profile_builds_both_rules_in_one_batch(monkeypatch):
     calls = []
     real = normest.make_jacobi_rules
 
-    def spy(order, exponents):
-        calls.append((order, list(exponents)))
-        return real(order, exponents)
+    def spy(order, masses):
+        calls.append((order, list(masses)))
+        return real(order, masses)
 
     monkeypatch.setattr(normest, "make_jacobi_rules", spy)
     right, left = schur_profile(params, p)
-    assert [(order, len(exponents)) for order, exponents in calls] == [(128, 2)]
+    assert [(order, len(masses)) for order, masses in calls] == [(128, 2)]
     for prof in (right, left):
-        alone = column_quadrature(params, prof.beta, prof.quadrature_grid)
+        alone = column_quadrature(params, prof.mass, prof.quadrature_grid)
         assert prof.quadrature.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("p", [1e8, 1e10, 1e12])
+@pytest.mark.parametrize("mu, sigma", [(1.0, 0.0), (2.0, 0.5)])
+def test_left_schur_twin_keeps_its_digits_at_large_p(mu, sigma, p, monkeypatch):
+    # the left rule's weight (1-y)^(1/p - 1) is named by its mass 1/p, so
+    # its total mass is B(mu, 1/p) and the twin agrees with the closed
+    # profile; a mass formed as (1/p - 1) + 1 is 2.2e-5 off at p = 1e12
+    rules = []
+    real = normest.make_jacobi_rules
+
+    def spy(order, masses):
+        built = real(order, masses)
+        rules.extend(built)
+        return built
+
+    monkeypatch.setattr(normest, "make_jacobi_rules", spy)
+    _, left = schur_profile(OperatorParams(mu, sigma), p)
+    with mp.workdps(30):
+        exact = float(mp.beta(mu, mp.mpf(1.0 / p)))
+    assert rules[1].total_mass == pytest.approx(exact, rel=1e-14)
+    assert left.route_disagreement <= 1e-13
 
 
 def test_schur_domain_validation():
@@ -322,10 +346,10 @@ def test_extremal_family_members_have_unit_norm(mu, sigma, p, theta, tt):
     params = OperatorParams(mu, sigma)
     fam = make_extremal_family(params, p, theta, tt)
     q = fam.p.q
-    rule_t = make_jacobi_rule(128, mu - 1.0, tt)
+    rule_t = make_jacobi_rule(128, mu, tt + 1.0)
     phi_p = mu * fam.C ** p * float(rule_t.weights @ rule_t.nodes ** theta)
     assert phi_p == pytest.approx(1.0, rel=1e-11)
-    rule_s = make_jacobi_rule(128, mu - 1.0, fam.vartheta_tilde)
+    rule_s = make_jacobi_rule(128, mu, fam.vartheta_gap)
     psi_q = mu * fam.C_tilde ** q * float(np.sum(rule_s.weights))
     assert psi_q == pytest.approx(1.0, rel=1e-11)
 

@@ -1098,7 +1098,7 @@ def test_hyp2f1_outer_matches_hyp2f1_grid(monkeypatch, kind, order, mu, sigma):
     from bergnorm.quadrature import make_graded_rule, make_jacobi_rule
 
     build = make_jacobi_rule if kind == "jacobi" else make_graded_rule
-    t = build(order, mu - 1.0, sigma).nodes
+    t = build(order, mu, sigma + 1.0).nodes
     lam = 0.5 * (mu + sigma + 1.0)
     z = np.outer(t, t)
     # the grid grows like (1 - z)^(-sigma-1): keep its corner inside double range
@@ -1135,7 +1135,7 @@ def test_hyp2f1_outer_falls_back_past_the_cap_or_on_overflow(monkeypatch, sigma,
         monkeypatch.setattr(specfun, "_SERIES_CAP", cap)
     mu = 1.0
     lam = 0.5 * (mu + sigma + 1.0)
-    t = make_graded_rule(64, mu - 1.0, sigma).nodes
+    t = make_graded_rule(64, mu, sigma + 1.0).nodes
     operands, fallback = _outer_spies(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
         grid = specfun.hyp2f1_outer(lam, lam, mu, t)

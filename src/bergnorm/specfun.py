@@ -1,12 +1,12 @@
 """Special functions used throughout the package.
 
 Everything here is self-contained double-precision code: a fixed-coefficient
-Lanczos log-gamma, a shift-plus-asymptotic digamma, the Euler beta function,
-and a Gauss hypergeometric evaluator 2F1(a,b;c;z) for real parameters and z
-in [0,1].  ``hyp2f1_grid`` evaluates an array of z in [0,1), with (a, b, c)
-shared by every entry or given per entry as arrays that broadcast to the
-shape of z; the result has the shape of z, and each entry has the bits of
-a call with its own parameters alone.  ``hyp2f1`` is its one-entry call,
+Lanczos log-gamma, the Euler beta function, and a Gauss hypergeometric
+evaluator 2F1(a,b;c;z) for real parameters and z in [0,1].  ``hyp2f1_grid``
+evaluates an array of z in [0,1), with (a, b, c) shared by every entry or
+given per entry as arrays that broadcast to the shape of z; the result has
+the shape of z, and each entry has the bits of a call with its own
+parameters alone.  ``hyp2f1`` is its one-entry call,
 plus Gauss summation at z = 1.  ``hyp2f1_outer`` gives the product grid
 2F1(a,b;c;t_i t_j) of ascending nodes t for a series with non-negative
 terms, the Nystrom kernel's, exactly symmetric.
@@ -28,8 +28,9 @@ each distinct (a, b, c) of a call as it would for that set alone:
 The two-term connection formula loses digits like 1/eps as
 eps = |(c-a-b) - round(c-a-b)| shrinks (its two Gamma-ratio coefficients
 grow and cancel), so within the gap the route sums the logarithmic form,
-whose eps terms are carried without cancellation (~1e-14 against mpmath
-for every eps, exact integers included).  Across the whole window both
+whose eps terms are carried without cancellation and reach their limits
+at eps = 0: one series with one bracket for every eps, exact integers
+included (~1e-14 against mpmath).  Across the whole window both
 forms are as accurate as the raw series (against mpmath, for a and b in
 (0, 4)) at a small fraction of its cost.
 
@@ -37,9 +38,9 @@ Series termination: one raw-series loop sums the raw and Euler series
 and both series of the generic connection formula, in chunks of 16, 16,
 32 and then 64 terms, and stops at the end of the first chunk whose last
 term is below 1e-16 of the partial sum; past a hard cap of 100000 terms
-it raises ConvergenceError.  The logarithmic connection series stop at
-the first term below 1e-16 of the sum after the third, and raise
-ConvergenceError past the same cap.
+it raises ConvergenceError.  The logarithmic connection series stops
+after the first index past the third whose next term times log w is
+below 1e-16 of the sum, and raises ConvergenceError past the same cap.
 
 Product grid: the Gauss series is sum_n c_n t_i^n t_j^n, a sum of
 rank-one terms, so below the near-one cut ``hyp2f1_outer`` sums each block
@@ -56,16 +57,13 @@ overflow, go through ``hyp2f1_grid``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ConvergenceError",
     "DivergenceError",
-    "HypArgs",
     "beta_fn",
-    "digamma",
     "hyp2f1",
     "hyp2f1_at_one",
     "hyp2f1_grid",
@@ -188,40 +186,20 @@ def gamma_ratio_log(num: tuple[float, ...], den: tuple[float, ...]) -> float:
     return sign * math.exp(total)
 
 
-def digamma(x: float) -> float:
-    """psi(x) = d/dx log Gamma(x), for real non-pole x.
-
-    Recurrence pushes the argument above 8, then a Bernoulli-number
-    asymptotic series; negative arguments use the reflection
-    psi(x) = psi(1-x) - pi/tan(pi*x).
-    """
-    if x <= 0.0:
-        if x == math.floor(x):
-            raise ValueError(f"digamma pole at {x}")
-        return digamma(1.0 - x) - math.pi / math.tan(math.pi * x)
-    acc = 0.0
-    while x < 8.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    # Bernoulli tail: 1/12, -1/120, 1/252, -1/240, 1/132, -691/32760, 1/12
-    tail = inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (
-        1.0 / 240.0 - inv2 * (1.0 / 132.0 - inv2 * (691.0 / 32760.0 - inv2 / 12.0))))))
-    return acc + math.log(x) - 0.5 / x - tail
-
-
 def _mul_m1(x, y, e):
     """(XY - 1)/e from x = (X - 1)/e and y = (Y - 1)/e, without cancellation."""
     return x + y + e * x * y
 
 
 def _gamma_ratio_m1(x: float, e: float) -> float:
-    """(Gamma(x+e)/Gamma(x) - 1)/e for e != 0, accurate however small e is
-    (it tends to psi(x)); x and x+e must not be poles.
+    """(Gamma(x+e)/Gamma(x) - 1)/e, accurate however small e is, and its
+    limit psi(x) at e = 0; x and x+e must not be poles.
 
     Recurrence pushes the argument to 10 or above, one factor
     x/(x+e) = 1 - e/(x+e) at a time, then the Stirling series, whose
-    divided differences in e are taken in closed form.
+    divided differences in e are taken in closed form.  The two quotients
+    by e take their limits at e = 0: log1p(e/x)/e -> 1/x and
+    expm1(e lq)/e -> lq.
     """
     acc = 0.0
     while x < 10.0:
@@ -229,12 +207,12 @@ def _gamma_ratio_m1(x: float, e: float) -> float:
         x += 1.0
     xe = x + e
     # log(Gamma(xe)/Gamma(x))/e = (x - 1/2) log1p(e/x)/e + log(xe) - 1 + Stirling
-    lq = (x - 0.5) * (math.log1p(e / x) / e) + math.log(xe) - 1.0
+    lq = (x - 0.5) * (math.log1p(e / x) / e if e else 1.0 / x) + math.log(xe) - 1.0
     for k, ck in enumerate(_STIRLING):
         # (xe^-p - x^-p)/e = -(sum_i xe^i x^(p-1-i)) / (x xe)^p, p = 2k + 1
         p = 2 * k + 1
         lq -= ck * sum(xe ** i * x ** (p - 1 - i) for i in range(p)) / (x * xe) ** p
-    return _mul_m1(acc, math.expm1(e * lq) / e, e)
+    return _mul_m1(acc, math.expm1(e * lq) / e if e else lq, e)
 
 
 def beta_fn(a: float, b: float) -> float:
@@ -242,33 +220,6 @@ def beta_fn(a: float, b: float) -> float:
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"beta_fn requires positive arguments, got ({a!r}, {b!r})")
     return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
-
-
-@dataclass(frozen=True)
-class HypArgs:
-    """Argument bundle for 2F1(a,b;c;z) with the domain this package needs.
-
-    Real parameters, z in [0,1]; c must not be a non-positive integer, and
-    z = 1 is only admitted when c-a-b > 0 (otherwise the function has no
-    finite value there).
-    """
-
-    a: float
-    b: float
-    c: float
-    z: float
-
-    def __post_init__(self):
-        _check_c(self.c)
-        if not 0.0 <= self.z <= 1.0:
-            raise ValueError(f"2F1 argument z must lie in [0,1], got {self.z!r}")
-        if self.z == 1.0 and self.c - self.a - self.b <= 0.0:
-            d = self.c - self.a - self.b
-            raise DivergenceError(
-                f"2F1 diverges at z=1 when c-a-b = {d} <= 0",
-                growth="logarithmic" if d == 0.0 else "power",
-                exponent=d if d < 0.0 else None,
-            )
 
 
 def _is_nonpos_int(x: float) -> bool:
@@ -327,16 +278,17 @@ def _w_block(term: np.ndarray, total: np.ndarray, steps: np.ndarray,
 
 
 def _log_series_w(w: np.ndarray, logw: np.ndarray, term0: float, ratio, bracket,
-                  scaled: bool, abc: tuple[float, float, float]) -> np.ndarray:
+                  abc: tuple[float, float, float]) -> np.ndarray:
     """Sum over n of term_n * bracket_n for each entry of ``w``, same bits
-    as the scalar loops of the logarithmic connection formulas.
+    as the scalar loop of the logarithmic connection formula.
 
     term_0 = ``term0`` and term_(n+1) = term_n * (ratio(n) * w);
     ``bracket(logw, ns)`` gives the brackets of the indices ``ns``, one row
-    per index.  A loop stops after index n > 2 once the next term (times
-    logw when ``scaled``) is below _SERIES_RTOL of the sum; past
-    _SERIES_CAP terms it raises ConvergenceError, naming the worst w and
-    the parameters ``abc`` = (a, b, c) of the 2F1 being evaluated.
+    per index.  A loop stops after index n > 2 once the next term times
+    logw, the size of the bracket's growing part, is below _SERIES_RTOL of
+    the sum; past _SERIES_CAP terms it raises ConvergenceError, naming the
+    worst w and the parameters ``abc`` = (a, b, c) of the 2F1 being
+    evaluated.
     """
     out = np.empty(w.size)
     idx = np.arange(w.size)
@@ -347,8 +299,7 @@ def _log_series_w(w: np.ndarray, logw: np.ndarray, term0: float, ratio, bracket,
         ns = range(n, min(n + _W_BLOCK, _SERIES_CAP))
         steps = np.array([ratio(k) for k in ns])[:, None] * w
         p, s = _w_block(term, total, steps, bracket(logw, ns))
-        nxt = p[1:] * logw if scaled else p[1:]
-        stop = np.abs(nxt) < _SERIES_RTOL * np.abs(s[1:])
+        stop = np.abs(p[1:] * logw) < _SERIES_RTOL * np.abs(s[1:])
         stop[:max(0, 3 - n)] = False
         done = stop.any(axis=0)
         cols = np.flatnonzero(done)
@@ -419,81 +370,53 @@ def _near_one_generic(table: np.ndarray, rows: np.ndarray | None, z: np.ndarray)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # silent like the scalar float loops
-def _near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
-    """Evaluate 2F1 in powers of w = 1-z via connection formulas, for a
-    1-D array ``z`` of arguments close to 1 and one parameter set.
+def _near_one_log(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
+    """The logarithmic connection formula (DLMF 15.8.10) in powers of
+    w = 1-z, for a 1-D array ``z`` of arguments close to 1 and one
+    parameter set whose c-a-b lies within _WIDE_GAP of an integer.
 
-    Normalizes first so the effective exponent d = c-a-b is positive
-    (applying the Euler transform when it is negative), then uses the
-    generic two-series connection formula (``_near_one_generic``, one set),
-    or the logarithmic form when d lies within _WIDE_GAP of a non-negative
-    integer m: its limit at d = m, and otherwise the same series with
-    ``_near_int_bracket``'s brackets, which keep it accurate however close
-    d comes to m.  The logarithmic series are summed by ``_log_series_w``;
-    their Gamma-ratio coefficients and the per-index constants of the
-    brackets are computed once per call.  Each entry gets the bits of a
-    per-entry loop over the same formulas in the same order of operations,
-    through ``math.log``/``math.exp``/``math.expm1``, whatever else shares
-    the array.
+    The Euler transform first makes the exponent d = c-a-b non-negative
+    (``_euler_normalized``), and d = m + eps with integer m >= 0.  The
+    formula is a finite sum of m terms plus one series, summed by
+    ``_log_series_w``, whose brackets and scale ``_near_int_bracket``
+    builds for every eps, 0 included; its Gamma-ratio coefficients and the
+    per-index constants of the brackets are computed once per call.  Each
+    entry gets the bits of a per-entry loop over the same formula in the
+    same order of operations, through ``math.log``/``math.exp``/
+    ``math.expm1``, whatever else shares the array.  The normalized a and b
+    must not be non-positive integers (``hyp2f1_grid`` sums those sets'
+    terminating series instead).
     """
-    if not z.size:
-        return np.empty(0)
     abc = (a, b, c)
     a, b, d, flip = _euler_normalized(a, b, c)
-    if _is_generic(a, b, c, d):
-        return _near_one_generic(np.array([abc]), None, z)
     w = 1.0 - z
     logw = _map(math.log, w)
-    prefactor = None if flip is None else _map(math.exp, flip * logw)
     m = round(d)
     eps = d - m
-    # logarithmic case, c = a + b + m + eps with integer m >= 0, |eps| < _WIDE_GAP
-    if m == 0 and not eps:
-        front = gamma_ratio_log((c,), (a, b))
-        # terms are (a)_n (b)_n / (n!)^2 * w^n
-        total = _log_series_w(
-            w, logw, 1.0,
-            lambda n: (a + n) * (b + n) / ((n + 1.0) * (n + 1.0)),
-            lambda lw, ns: np.array([2.0 * digamma(n + 1.0) - digamma(a + n) - digamma(b + n)
-                                     for n in ns])[:, None] - lw,
-            scaled=False, abc=abc)
-        return (front if prefactor is None else prefactor * front) * total
     finite = np.zeros(w.size)
     term = np.ones(w.size)  # (a)_n (b)_n / (n! (1-m-eps)_n) * w^n
     for n in range(m):
         finite = finite + term
         if n + 1 < m:
             term = term * ((a + n) * (b + n) / ((n + 1.0) * (1.0 - m + n - eps)) * w)
-    first = gamma_ratio_log((m + eps, c), (a + m + eps, b + m + eps)) * finite
+    # at m = 0 the finite sum is empty, and Gamma(m + eps) may be Gamma(0)
+    first = gamma_ratio_log((m + eps, c), (a + m + eps, b + m + eps)) * finite if m else finite
     ga, sa = _log_gamma_signed(a)
     gb, sb = _log_gamma_signed(b)
-    if sa == 0.0 or sb == 0.0:
-        second = 0.0  # 1/Gamma pole kills the logarithmic branch
-    else:
-        front = sa * sb * _map(math.exp, (log_gamma(c) - ga - gb) + m * logw)
-        if eps:
-            bracket, scale = _near_int_bracket(a + m, b + m, m, eps)
-        else:
-            scale = 1.0
-
-            def bracket(lw, ns):
-                psi = np.array([(digamma(n + 1.0), digamma(n + m + 1.0),
-                                 digamma(a + n + m), digamma(b + n + m)) for n in ns]).T[..., None]
-                return lw - psi[0] - psi[1] + psi[2] + psi[3]
-
-        # terms are (a+m)_n (b+m)_n / (n! (n+m)!) * w^n
-        total = _log_series_w(
-            w, logw, scale / math.exp(log_gamma(m + 1.0)),
-            lambda n: (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)),
-            bracket, scaled=True, abc=abc)
-        second = -((-1.0) ** m) * front * total
-    out = first + second
-    return out if prefactor is None else prefactor * out
+    front = sa * sb * _map(math.exp, (log_gamma(c) - ga - gb) + m * logw)
+    bracket, scale = _near_int_bracket(a + m, b + m, m, eps)
+    # terms are (a+m)_n (b+m)_n / (n! (n+m)!) * w^n
+    total = _log_series_w(
+        w, logw, scale / math.exp(log_gamma(m + 1.0)),
+        lambda n: (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)),
+        bracket, abc)
+    out = first - ((-1.0) ** m) * front * total
+    return out if flip is None else _map(math.exp, flip * logw) * out
 
 
 def _near_int_bracket(p: float, q: float, m: int, eps: float):
     """Brackets and scale of the logarithmic connection series at
-    c-a-b = m + eps, eps != 0, with p = a+m and q = b+m.
+    c-a-b = m + eps, |eps| < _WIDE_GAP, with p = a+m and q = b+m.
 
     The generic formula's two series cancel like 1/eps near an integer m
     (Forrey 1997; Michel & Stoitsov 2008).  Pairing their n-th terms past
@@ -501,9 +424,12 @@ def _near_int_bracket(p: float, q: float, m: int, eps: float):
     (pi eps / sin(pi eps)) Gamma(p) Gamma(q) / (Gamma(p+eps) Gamma(q+eps))
     and bracket v_n - u_n, where u_n = (Gamma(n+1)/Gamma(n+1-eps) - 1)/eps
     and v_n = (q_n - 1)/eps with q_n = w^eps Gamma(p+n+eps) Gamma(q+n+eps)
-    Gamma(m+n+1) / (Gamma(p+n) Gamma(q+n) Gamma(m+n+1+eps)).  Both tend to the
-    digamma sums of the eps = 0 bracket, and both are carried from n to
-    n+1 by recurrences that never divide a difference by eps.
+    Gamma(m+n+1) / (Gamma(p+n) Gamma(q+n) Gamma(m+n+1+eps)).  Both are
+    carried from n to n+1 by recurrences that never divide a difference by
+    eps.  Each quotient by eps takes its limit at eps = 0
+    (``_gamma_ratio_m1``'s, expm1(eps log w)/eps -> log w and
+    pi eps / sin(pi eps) -> 1), where the scale is 1 and the bracket
+    log w + psi(p+n) + psi(q+n) - psi(m+n+1) - psi(n+1).
     """
     ra, rb = _gamma_ratio_m1(p, eps), _gamma_ratio_m1(q, eps)
     r1 = _gamma_ratio_m1(m + 1.0, eps)
@@ -519,13 +445,13 @@ def _near_int_bracket(p: float, q: float, m: int, eps: float):
             step = _mul_m1(_mul_m1(1.0 / (p + n), 1.0 / (q + n), eps),
                            -1.0 / (m + n + 1.0 + eps), eps)
             s.append(_mul_m1(s[n], step, eps))
-        v0 = _mul_m1(rq, _map(math.expm1, eps * lw) / eps, eps)
+        v0 = _mul_m1(rq, _map(math.expm1, eps * lw) / eps if eps else lw, eps)
         sn = np.array([s[n] for n in ns])[:, None]
         un = np.array([u[n] for n in ns])[:, None]
         return v0 * (1.0 + eps * sn) + (sn - un)
 
-    scale = math.pi * eps / math.sin(math.pi * eps) / ((1.0 + eps * ra) * (1.0 + eps * rb))
-    return bracket, scale
+    sinc = math.pi * eps / math.sin(math.pi * eps) if eps else 1.0
+    return bracket, sinc / ((1.0 + eps * ra) * (1.0 + eps * rb))
 
 
 def _series_vec(table: np.ndarray, rows: np.ndarray | None, z: np.ndarray) -> np.ndarray:
@@ -746,7 +672,7 @@ def hyp2f1_grid(a, b, c, z: np.ndarray) -> np.ndarray:
     for s, idx in _by_row(rows, near & ~generic[at]):
         for lo in range(0, idx.size, _NEAR_ONE_BLOCK):
             part = idx[lo:lo + _NEAR_ONE_BLOCK]
-            out[part] = _near_one_vec(*table[s].tolist(), zf[part])
+            out[part] = _near_one_log(*table[s].tolist(), zf[part])
     return out.reshape(z.shape)
 
 
@@ -990,9 +916,12 @@ def hyp2f1_outer(a: float, b: float, c: float, t) -> np.ndarray:
     return out
 
 
-def hyp2f1(args: HypArgs) -> float:
-    """Gauss hypergeometric 2F1 on the validated HypArgs domain: Gauss
-    summation at z = 1, else the one entry of ``hyp2f1_grid``."""
-    if args.z == 1.0:
-        return hyp2f1_at_one(args.a, args.b, args.c)
-    return float(hyp2f1_grid(args.a, args.b, args.c, np.array([args.z]))[0])
+def hyp2f1(a: float, b: float, c: float, z: float) -> float:
+    """Gauss hypergeometric 2F1(a,b;c;z) for z in [0,1]: Gauss summation at
+    z = 1, else the one entry of ``hyp2f1_grid``.  A c that is a
+    non-positive integer raises ValueError first, then a z outside [0,1]
+    ValueError, and z = 1 with c-a-b <= 0 DivergenceError."""
+    _check_c(c)
+    if z == 1.0:
+        return hyp2f1_at_one(a, b, c)
+    return float(hyp2f1_grid(a, b, c, np.array([z]))[0])

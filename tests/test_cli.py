@@ -28,7 +28,6 @@ from bergnorm.normest import norm_report
 from bergnorm.quadrature import make_jacobi_rules, make_two_sided_rule
 from bergnorm.specfun import (
     ConvergenceError,
-    HypArgs,
     beta_fn,
     hyp2f1,
     hyp2f1_at_one,
@@ -154,7 +153,7 @@ def _reference_euler_integral(rng, draws, order):
     rules = make_jacobi_rules(order, [(b, c - b) for _, b, c, _ in params])
     worst = 0.0
     for (a, b, c, z), rule in zip(params, rules):
-        series = hyp2f1(HypArgs(a, b, c, z))
+        series = hyp2f1(a, b, c, z)
         integral = rule.integrate((1.0 - z * rule.nodes) ** (-a))
         worst = max(worst, abs(series - integral / beta_fn(b, c - b)) / abs(series))
     return worst
@@ -167,8 +166,8 @@ def _reference_euler_transform(rng, draws):
         b = rng.uniform(0.1, 2.5)
         c = rng.uniform(0.6, 4.0)
         z = rng.uniform(0.05, 0.70)
-        lhs = hyp2f1(HypArgs(a, b, c, z))
-        rhs = (1.0 - z) ** (c - a - b) * hyp2f1(HypArgs(c - a, c - b, c, z))
+        lhs = hyp2f1(a, b, c, z)
+        rhs = (1.0 - z) ** (c - a - b) * hyp2f1(c - a, c - b, c, z)
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
     return worst
 
@@ -186,7 +185,7 @@ def _reference_beta_average(rng, draws, order):
     worst = 0.0
     for (a, b, c, d, x), rule in zip(params, rules):
         lhs = rule.integrate(hyp2f1_grid(a, b, c, x * rule.nodes))
-        rhs = beta_fn(c, d) * hyp2f1(HypArgs(a, b, c + d, x))
+        rhs = beta_fn(c, d) * hyp2f1(a, b, c + d, x)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     return worst
 

@@ -15,9 +15,7 @@ from bergnorm import specfun
 from bergnorm.specfun import (
     ConvergenceError,
     DivergenceError,
-    HypArgs,
     beta_fn,
-    digamma,
     hyp2f1,
     hyp2f1_at_one,
     hyp2f1_grid,
@@ -28,7 +26,7 @@ np = pytest.importorskip("numpy")
 
 
 # ----------------------------------------------------------------------
-# log_gamma / digamma / beta
+# log_gamma / digamma limit / beta
 # ----------------------------------------------------------------------
 
 LGAMMA_CASES = [
@@ -82,24 +80,29 @@ DIGAMMA_CASES = [
 ]
 
 
+def _psi(x):
+    """psi(x), the e = 0 limit of (Gamma(x+e)/Gamma(x) - 1)/e."""
+    return specfun._gamma_ratio_m1(x, 0.0)
+
+
 @pytest.mark.parametrize("x,expected", DIGAMMA_CASES)
 def test_digamma_frozen_values(x, expected):
-    assert digamma(x) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+    assert _psi(x) == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
 @given(st.floats(min_value=0.01, max_value=100.0))
 def test_digamma_recurrence(x):
     # psi(x+1) = psi(x) + 1/x
-    assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x, rel=1e-11, abs=1e-11)
+    assert _psi(x + 1.0) == pytest.approx(_psi(x) + 1.0 / x, rel=1e-11, abs=1e-11)
 
 
 def test_digamma_negative_argument():
-    # reflection through psi(1-x) - pi/tan(pi x); check against the
-    # recurrence run backwards from a positive argument
+    # the recurrence carries a negative non-pole argument up to the
+    # Stirling series; check it against psi(1-x) - pi/tan(pi x), the
+    # reflection formula, and the recurrence run backwards
     x = -0.7
-    assert digamma(x) == pytest.approx(digamma(x + 1.0) - 1.0 / x, rel=1e-12)
-    with pytest.raises(ValueError):
-        digamma(-3.0)
+    assert _psi(x) == pytest.approx(_psi(x + 1.0) - 1.0 / x, rel=1e-12)
+    assert _psi(x) == pytest.approx(_psi(1.0 - x) - math.pi / math.tan(math.pi * x), rel=1e-12)
 
 
 def test_beta_frozen_values():
@@ -142,27 +145,27 @@ HYP_CASES = [
 
 @pytest.mark.parametrize("a,b,c,z,expected", HYP_CASES)
 def test_hyp2f1_frozen_values(a, b, c, z, expected):
-    assert hyp2f1(HypArgs(a, b, c, z)) == pytest.approx(expected, rel=5e-13)
+    assert hyp2f1(a, b, c, z) == pytest.approx(expected, rel=5e-13)
 
 
 def test_hyp2f1_trivial_points():
-    assert hyp2f1(HypArgs(1.3, 0.2, 2.4, 0.0)) == 1.0
+    assert hyp2f1(1.3, 0.2, 2.4, 0.0) == 1.0
     # terminating series is a polynomial evaluated exactly
-    assert hyp2f1(HypArgs(-2.0, 1.0, 1.0, 0.5)) == pytest.approx(
+    assert hyp2f1(-2.0, 1.0, 1.0, 0.5) == pytest.approx(
         1.0 - 2.0 * 0.5 + 0.5 ** 2, rel=1e-15)
 
 
 def test_hyp2f1_domain_validation():
     with pytest.raises(ValueError):
-        HypArgs(1.0, 1.0, 0.0, 0.5)          # c a non-positive integer
+        hyp2f1(1.0, 1.0, 0.0, 0.5)          # c a non-positive integer
     with pytest.raises(ValueError):
-        HypArgs(1.0, 1.0, -2.0, 0.5)
+        hyp2f1(1.0, 1.0, -2.0, 0.5)
     with pytest.raises(ValueError):
-        HypArgs(1.0, 1.0, 1.5, -0.1)         # z out of range
+        hyp2f1(1.0, 1.0, 1.5, -0.1)         # z out of range
     with pytest.raises(ValueError):
-        HypArgs(1.0, 1.0, 1.5, 1.1)
+        hyp2f1(1.0, 1.0, 1.5, 1.1)
     with pytest.raises(DivergenceError):
-        HypArgs(1.0, 1.0, 2.0, 1.0)          # c-a-b = 0 at z = 1
+        hyp2f1(1.0, 1.0, 2.0, 1.0)          # c-a-b = 0 at z = 1
 
 
 def test_hyp2f1_at_one_gauss_values():
@@ -183,8 +186,8 @@ def test_hyp2f1_at_one_gauss_values():
 @settings(max_examples=60, deadline=None)
 def test_hyp2f1_euler_transform(a, b, c, z):
     # (1-z)^(c-a-b) 2F1(c-a, c-b; c; z) = 2F1(a, b; c; z)
-    lhs = (1.0 - z) ** (c - a - b) * hyp2f1(HypArgs(c - a, c - b, c, z))
-    rhs = hyp2f1(HypArgs(a, b, c, z))
+    lhs = (1.0 - z) ** (c - a - b) * hyp2f1(c - a, c - b, c, z)
+    rhs = hyp2f1(a, b, c, z)
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -197,9 +200,9 @@ def test_hyp2f1_contiguous_relation(a, b, c, z):
     # Gauss contiguous relation in the c parameter:
     #   c(c-1)(z-1) F(c-1) + c(c-1-(2c-a-b-1)z) F(c) + (c-a)(c-b) z F(c+1) = 0
     # (a structural check tying three separately computed values together)
-    f_cm = hyp2f1(HypArgs(a, b, c - 1.0, z))
-    f_c = hyp2f1(HypArgs(a, b, c, z))
-    f_cp = hyp2f1(HypArgs(a, b, c + 1.0, z))
+    f_cm = hyp2f1(a, b, c - 1.0, z)
+    f_c = hyp2f1(a, b, c, z)
+    f_cp = hyp2f1(a, b, c + 1.0, z)
     resid = (c * (c - 1.0) * (z - 1.0) * f_cm
              + c * (c - 1.0 - (2.0 * c - a - b - 1.0) * z) * f_c
              + (c - a) * (c - b) * z * f_cp)
@@ -210,10 +213,10 @@ def test_hyp2f1_contiguous_relation(a, b, c, z):
 def test_hyp2f1_near_one_continuity():
     # the route switch at 1-z = 2e-2 must be seamless
     for a, b, c in [(1.5, 1.5, 1.0), (0.75, 0.75, 1.75), (1.0, 1.0, 2.0)]:
-        just_below = hyp2f1(HypArgs(a, b, c, 1.0 - 2.04e-2))
-        just_above = hyp2f1(HypArgs(a, b, c, 1.0 - 1.96e-2))
+        just_below = hyp2f1(a, b, c, 1.0 - 2.04e-2)
+        just_above = hyp2f1(a, b, c, 1.0 - 1.96e-2)
         # values straddle the switch; compare each against a mid-step slope
-        mid = hyp2f1(HypArgs(a, b, c, 1.0 - 2.0e-2))
+        mid = hyp2f1(a, b, c, 1.0 - 2.0e-2)
         assert just_below <= mid <= just_above  # monotone in z here
         assert abs(just_above / just_below - 1.0) < 0.2
 
@@ -233,12 +236,12 @@ def test_hyp2f1_grid_matches_scalar():
     for a, b, c, z in HYP2F1_BANDS:
         grid = hyp2f1_grid(a, b, c, z)
         for x, g in zip(z.tolist(), grid.tolist()):
-            got = hyp2f1(HypArgs(a, b, c, x))
+            got = hyp2f1(a, b, c, x)
             assert type(got) is float
             assert got.hex() == g.hex(), (a, b, c, x)
-        assert hyp2f1(HypArgs(a, b, c, 0.0)) == 1.0
+        assert hyp2f1(a, b, c, 0.0) == 1.0
         if c - a - b > 0.0:
-            assert hyp2f1(HypArgs(a, b, c, 1.0)) == hyp2f1_at_one(a, b, c)
+            assert hyp2f1(a, b, c, 1.0) == hyp2f1_at_one(a, b, c)
 
 
 def test_hyp2f1_grid_rejects_bad_arguments():
@@ -248,10 +251,11 @@ def test_hyp2f1_grid_rejects_bad_arguments():
         hyp2f1_grid(1.0, 1.0, 2.0, np.array([-0.1]))
 
 
-def test_hyp2f1_grid_rejects_a_pole_c_like_hypargs():
-    # c = -1 used to divide by zero in the series and return inf/nan
+def test_hyp2f1_grid_rejects_a_pole_c_like_hyp2f1():
+    # c = -1 used to divide by zero in the series and return inf/nan;
+    # hyp2f1 checks c before anything else, Gauss summation at z = 1 too
     with pytest.raises(ValueError) as expected:
-        HypArgs(0.5, 0.5, -1.0, 0.5)
+        hyp2f1(0.5, 0.5, -1.0, 1.0)
     z = np.linspace(0.0, 0.99, 9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -522,7 +526,7 @@ def test_series_cap_raises(monkeypatch):
     # so the mid band's series sums it
     monkeypatch.setattr(specfun, "_SERIES_CAP", 50)
     with pytest.raises(ConvergenceError):
-        hyp2f1(HypArgs(1.0, 1.0, 2.0, 0.97))
+        hyp2f1(1.0, 1.0, 2.0, 0.97)
 
 
 def _chunk_rows(monkeypatch):
@@ -610,9 +614,11 @@ def _series(a, b, c, z):
 
 
 def _scalar_near_one(a, b, c, z):
-    """The per-entry connection-formula evaluator that ``specfun._near_one_vec``
-    replaced, kept as the reference its array route must reproduce bit for
-    bit (connection formulas of DLMF §15.8)."""
+    """The per-entry connection-formula evaluator, kept as the reference
+    that ``hyp2f1_grid``'s near-one route (``specfun._near_one_generic``
+    and ``specfun._near_one_log``) must reproduce bit for bit (connection
+    formulas of DLMF §15.8).  The logarithmic form has one series and one
+    bracket for every eps, each quotient by eps at its limit when eps = 0."""
     w = 1.0 - z
     d = c - a - b
     prefactor_log = 0.0
@@ -631,65 +637,44 @@ def _scalar_near_one(a, b, c, z):
         return math.exp(prefactor_log) * val
     m = int(m)
     logw = math.log(w)
-    if m == 0 and not eps:
-        front = specfun.gamma_ratio_log((c,), (a, b))
-        total = 0.0
-        term = 1.0
-        for n in range(specfun._SERIES_CAP):
-            bracket = 2.0 * digamma(n + 1.0) - digamma(a + n) - digamma(b + n) - logw
-            total += term * bracket
-            term *= (a + n) * (b + n) / ((n + 1.0) * (n + 1.0)) * w
-            if abs(term) < specfun._SERIES_RTOL * abs(total) and n > 2:
-                break
-        else:
-            raise ConvergenceError(f"log series exceeded {specfun._SERIES_CAP} terms")
-        return math.exp(prefactor_log) * front * total
     finite = 0.0
     term = 1.0
     for n in range(m):
         finite += term
         if n + 1 < m:
             term *= (a + n) * (b + n) / ((n + 1.0) * (1.0 - m + n - eps)) * w
-    first = specfun.gamma_ratio_log((m + eps, c), (a + m + eps, b + m + eps)) * finite
+    first = specfun.gamma_ratio_log((m + eps, c), (a + m + eps, b + m + eps)) * finite if m else 0.0
     ga, sa = specfun._log_gamma_signed(a)
     gb, sb = specfun._log_gamma_signed(b)
-    if sa == 0.0 or sb == 0.0:
-        second = 0.0
-    else:
-        front = sa * sb * math.exp(log_gamma(c) - ga - gb + m * logw)
-        scale = 1.0
-        if eps:
-            # u and s carry (Gamma(n+1)/Gamma(n+1-eps) - 1)/eps and the
-            # n-step ratio of the w^eps Gamma-ratio term, minus 1, over eps
-            def mul(x, y):
-                return x + y + eps * x * y
+    front = sa * sb * math.exp(log_gamma(c) - ga - gb + m * logw)
 
-            ra = specfun._gamma_ratio_m1(a + m, eps)
-            rb = specfun._gamma_ratio_m1(b + m, eps)
-            r1 = specfun._gamma_ratio_m1(m + 1.0, eps)
-            r0 = specfun._gamma_ratio_m1(1.0, -eps)
-            v0 = mul(mul(mul(ra, rb), -r1 / (1.0 + eps * r1)), math.expm1(eps * logw) / eps)
-            u = r0 / (1.0 - eps * r0)
-            s = 0.0
-            scale = math.pi * eps / math.sin(math.pi * eps) / ((1.0 + eps * ra) * (1.0 + eps * rb))
-        total = 0.0
-        term = scale / math.exp(log_gamma(m + 1.0))
-        for n in range(specfun._SERIES_CAP):
-            if eps:
-                bracket = v0 * (1.0 + eps * s) + (s - u)
-                u = (u * (n + 1.0) + 1.0) / (n + 1.0 - eps)
-                s = mul(s, mul(mul(1.0 / (a + m + n), 1.0 / (b + m + n)),
-                               -1.0 / (m + n + 1.0 + eps)))
-            else:
-                bracket = (logw - digamma(n + 1.0) - digamma(n + m + 1.0)
-                           + digamma(a + n + m) + digamma(b + n + m))
-            total += term * bracket
-            term *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)) * w
-            if abs(term * logw) < specfun._SERIES_RTOL * abs(total) and n > 2:
-                break
-        else:
-            raise ConvergenceError(f"log series exceeded {specfun._SERIES_CAP} terms")
-        second = -((-1.0) ** m) * front * total
+    # u and s carry (Gamma(n+1)/Gamma(n+1-eps) - 1)/eps and the n-step
+    # ratio of the w^eps Gamma-ratio term, minus 1, over eps
+    def mul(x, y):
+        return x + y + eps * x * y
+
+    ra = specfun._gamma_ratio_m1(a + m, eps)
+    rb = specfun._gamma_ratio_m1(b + m, eps)
+    r1 = specfun._gamma_ratio_m1(m + 1.0, eps)
+    r0 = specfun._gamma_ratio_m1(1.0, -eps)
+    v0 = mul(mul(mul(ra, rb), -r1 / (1.0 + eps * r1)),
+             math.expm1(eps * logw) / eps if eps else logw)
+    u = r0 / (1.0 - eps * r0)
+    s = 0.0
+    sinc = math.pi * eps / math.sin(math.pi * eps) if eps else 1.0
+    total = 0.0
+    term = sinc / ((1.0 + eps * ra) * (1.0 + eps * rb)) / math.exp(log_gamma(m + 1.0))
+    for n in range(specfun._SERIES_CAP):
+        bracket = v0 * (1.0 + eps * s) + (s - u)
+        u = (u * (n + 1.0) + 1.0) / (n + 1.0 - eps)
+        s = mul(s, mul(mul(1.0 / (a + m + n), 1.0 / (b + m + n)), -1.0 / (m + n + 1.0 + eps)))
+        total += term * bracket
+        term *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)) * w
+        if abs(term * logw) < specfun._SERIES_RTOL * abs(total) and n > 2:
+            break
+    else:
+        raise ConvergenceError(f"log series exceeded {specfun._SERIES_CAP} terms")
+    second = -((-1.0) ** m) * front * total
     return math.exp(prefactor_log) * (first + second)
 
 
@@ -719,8 +704,7 @@ NEAR_ONE_CASES = [
     (1.3, 1.3, 4.6 + 3e-6),     # eps > 0 near m = 2
     (0.3, 0.9, 3.2 + 0.0999),   # eps just inside _WIDE_GAP
     (0.3, 0.9, 3.3 + 1e-3),     # d = 2.101, just past it: generic
-    (-1.0, 0.5, 0.501),         # d = 1.001 with a = -1: a 1/Gamma pole, so generic
-    (3.0, 1.0, 2.0),            # swap gives a = -1: the 1/Gamma pole drops the log branch
+    (1.5, -1.001, 0.5),         # d = 0.001 with c-a = -1: a 1/Gamma pole, so generic
     (280.0, 60.0, 320.5),       # overflows to inf in float arithmetic, silently
 ]
 
@@ -729,16 +713,18 @@ NEAR_ONE_CASES = [
 @pytest.mark.parametrize("cap", [None, 6])
 @pytest.mark.parametrize("a, b, c", NEAR_ONE_CASES)
 def test_near_one_vec_matches_scalar_reference(monkeypatch, a, b, c, cap):
-    # with the term cap cut to 6 the generic series still finish their
-    # first 16-term chunk, and the logarithmic ones raise ConvergenceError
-    # when an entry has not converged by the cap, on both routes alike
+    # every z lies in the near-one window, so hyp2f1_grid sums each set's
+    # connection formula; with the term cap cut to 6 the generic series
+    # still finish their first 16-term chunk, and the logarithmic one
+    # raises ConvergenceError when an entry has not converged by the cap,
+    # on both routes alike
     if cap is not None:
         monkeypatch.setattr(specfun, "_SERIES_CAP", cap)
     rng = np.random.default_rng(17)
     w = np.concatenate([[1e-15, 5e-3 * (1.0 - 1e-12)], 10.0 ** rng.uniform(-15.0, -2.31, 200)])
     for z in (1.0 - w, 1.0 - w[-1:], np.empty(0)):
         ref = _outcome(lambda: [_scalar_near_one(a, b, c, x) for x in z.tolist()])
-        assert _outcome(lambda: specfun._near_one_vec(a, b, c, z)) == ref
+        assert _outcome(lambda: hyp2f1_grid(a, b, c, z)) == ref
 
 
 @pytest.mark.parametrize("a, b, c, cap, exc", [
@@ -754,7 +740,7 @@ def test_near_one_vec_raises_like_scalar(monkeypatch, a, b, c, cap, exc):
     with pytest.raises(exc):
         _scalar_near_one(a, b, c, float(z[0]))
     with pytest.raises(exc):
-        specfun._near_one_vec(a, b, c, z)
+        hyp2f1_grid(a, b, c, z)
 
 
 @pytest.mark.parametrize("a, b, c", [(0.5, 0.5, 1.0), (1.5, 1.5, 1.0)])  # m = 0; swap, m = 2
@@ -764,10 +750,34 @@ def test_log_series_cap_raises(monkeypatch, a, b, c):
     monkeypatch.setattr(specfun, "_SERIES_CAP", 6)
     z = 1.0 - np.array([1e-15, 1e-2, 1e-4])
     with pytest.raises(ConvergenceError) as excinfo:
-        specfun._near_one_vec(a, b, c, z)
+        specfun._near_one_log(a, b, c, z)
     msg = str(excinfo.value)
     assert "logarithmic connection series exceeded 6 terms" in msg
     assert f"worst w = {1.0 - z[1]} at (a={a}, b={b}, c={c})" in msg
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_near_int_bracket_takes_its_limit_at_eps_zero(m):
+    # at eps = 0 the scale is 1 and the bracket of index n the digamma sum
+    # of DLMF 15.8.10, log w + psi(p+n) + psi(q+n) - psi(m+n+1) - psi(n+1),
+    # to 30-digit mpmath; at eps = +-1e-12 both move by O(eps) only, the
+    # bracket by at most |eps| (1 + log(w)^2)
+    mpmath = pytest.importorskip("mpmath")
+    p, q = 0.7 + m, 2.3 + m
+    lw = np.log(np.array([1e-2, 1e-8, 1e-15]))
+    bracket, scale = specfun._near_int_bracket(p, q, m, 0.0)
+    assert scale == 1.0
+    got = bracket(lw, range(40))
+    with mpmath.workdps(30):
+        for n in range(40):
+            for x, g in zip(lw.tolist(), got[n].tolist()):
+                ref = (x + mpmath.psi(0, p + n) + mpmath.psi(0, q + n)
+                       - mpmath.psi(0, m + n + 1) - mpmath.psi(0, n + 1))
+                assert abs((g - ref) / ref) < 1e-14, (n, x)
+    for eps in (1e-12, -1e-12):
+        near, near_scale = specfun._near_int_bracket(p, q, m, eps)
+        assert abs(near_scale - 1.0) < 10.0 * abs(eps)
+        assert np.all(np.abs(near(lw, range(40)) - got) <= abs(eps) * (1.0 + lw ** 2))
 
 
 @st.composite
@@ -909,11 +919,13 @@ def test_hyp2f1_near_integer_exponent_matches_mpmath(m):
     # c-a-b = m + eps within _WIDE_GAP of the integer, on both sides of the
     # Euler transform, from 1-z = 4.9e-3 down to 2^-52: the log
     # form's eps terms cancel nothing, so it keeps its digits however
-    # close c-a-b comes to m (the two-term formula loses ~1/eps of them)
+    # close c-a-b comes to m (the two-term formula loses ~1/eps of them),
+    # and at m itself, the eps = 0 limit of the same series (drawn last,
+    # so the other eps keep their parameter draws)
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(40 + m)
     z = 1.0 - np.array([4.9e-3, 1e-5, 1e-8, 1e-12, 2.0 ** -52])
-    for eps in (1e-15, 1e-12, 1e-9, 1e-7, 1e-6, 3e-6, 1e-4, 1e-2, 0.0999):
+    for eps in (1e-15, 1e-12, 1e-9, 1e-7, 1e-6, 3e-6, 1e-4, 1e-2, 0.0999, 0.0):
         for sign in (1.0, -1.0) if m else (1.0,):
             for side in (1.0, -1.0):
                 a, b = rng.uniform(0.1, 4.0, 2)
@@ -954,13 +966,13 @@ def test_hyp2f1_near_integer_sets_take_the_log_form_in_the_outer_window(monkeypa
     # connection form, to 1e-14 of 30-digit mpmath
     mpmath = pytest.importorskip("mpmath")
     seen = []
-    real = specfun._near_one_vec
+    real = specfun._near_one_log
 
     def spy(a, b, c, z):
         seen.extend(z.tolist())
         return real(a, b, c, z)
 
-    monkeypatch.setattr(specfun, "_near_one_vec", spy)
+    monkeypatch.setattr(specfun, "_near_one_log", spy)
     z = 1.0 - np.geomspace(5e-3, specfun._NEAR_ONE_W * (1.0 - 1e-12), 9)
     for a, b, c in _near_integer_sets():
         d = abs(c - a - b)
@@ -987,7 +999,7 @@ def test_hyp2f1_wide_window_routes(monkeypatch, a, b, c, generic):
     # route's logarithmic form; a set whose transformed series terminates
     # has no window and sums that series
     seen, seen_generic = [], []
-    real, real_generic = specfun._near_one_vec, specfun._near_one_generic
+    real, real_generic = specfun._near_one_log, specfun._near_one_generic
 
     def spy(a, b, c, z):
         seen.extend(z.tolist())
@@ -997,7 +1009,7 @@ def test_hyp2f1_wide_window_routes(monkeypatch, a, b, c, generic):
         seen_generic.extend(z.tolist())
         return real_generic(table, rows, z)
 
-    monkeypatch.setattr(specfun, "_near_one_vec", spy)
+    monkeypatch.setattr(specfun, "_near_one_log", spy)
     monkeypatch.setattr(specfun, "_near_one_generic", spy_generic)
     z = 1.0 - WIDE_BAND_W
     hyp2f1_grid(a, b, c, z)
@@ -1012,7 +1024,7 @@ def test_hyp2f1_wide_window_scalar_matches_grid_bytes(a, b, c):
     # of the per-entry connection reference
     z = 1.0 - np.concatenate([WIDE_BAND_W, 10.0 ** np.linspace(-2.3, -1.7, 41)])
     ref = np.array([_scalar_near_one(a, b, c, x) for x in z.tolist()])
-    scalar = [hyp2f1(HypArgs(a, b, c, x)) for x in z.tolist()]
+    scalar = [hyp2f1(a, b, c, x) for x in z.tolist()]
     assert np.array(scalar).tobytes() == ref.tobytes()
     assert hyp2f1_grid(a, b, c, z).tobytes() == ref.tobytes()
 
@@ -1038,7 +1050,7 @@ def test_hyp2f1_wide_window_edge_continuity(a, b, c):
 def test_hyp2f1_grows_logarithmically_at_one():
     # y = 2x: F(1,1;2;z) = -log(1-z)/z, so F / log(1/(1-z)) -> 1
     z = 1.0 - 2.0 ** -30
-    growth = hyp2f1(HypArgs(1.0, 1.0, 2.0, z))
+    growth = hyp2f1(1.0, 1.0, 2.0, z)
     assert growth / math.log(1.0 / (1.0 - z)) == pytest.approx(1.0, rel=1e-6)
 
 
@@ -1046,7 +1058,7 @@ def test_hyp2f1_grows_like_a_power_at_one():
     # y < 2x: F(1.5,1.5;2;z) ~ Gamma(2)Gamma(1)/Gamma(1.5)^2 (1-z)^-1
     #                        = (4/pi) (1-z)^-1
     z = 1.0 - 2.0 ** -34
-    growth = hyp2f1(HypArgs(1.5, 1.5, 2.0, z))
+    growth = hyp2f1(1.5, 1.5, 2.0, z)
     assert growth * (1.0 - z) == pytest.approx(4.0 / math.pi, rel=1e-4)
 
 
@@ -1060,7 +1072,7 @@ def test_hyp2f1_stays_below_its_value_at_one(x, gap):
     y = 2.0 * x + gap
     top = hyp2f1_at_one(x, x, y)
     for z in (0.3, 0.9, 1.0 - 1e-8):
-        assert hyp2f1(HypArgs(x, x, y, z)) <= top * (1.0 + 1e-12)
+        assert hyp2f1(x, x, y, z) <= top * (1.0 + 1e-12)
 
 
 # ----------------------------------------------------------------------

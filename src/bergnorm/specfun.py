@@ -25,6 +25,18 @@ each distinct (a, b, c) of a call as it would for that set alone:
     window's entries of every parameter set of a call, the logarithmic
     form once per set.
 
+Both connection formulas take the normalized set, the one with
+c-a-b >= 0 after the Euler transform.  ``hyp2f1_grid`` applies the
+transform's prefactor (1-z)^(c-a-b) once, after the mid band and the
+window are summed, as one numpy power over every transformed entry with
+each entry's own exponent; a power does not amplify the rounding of
+log w by |(c-a-b) log w| as exp((c-a-b) log w) would.  The near-one route
+takes its logs, exps and powers from numpy's ufuncs, as the mid band's
+prefactor always has, so its last bits follow numpy's build: with
+AVX-512, numpy's exp, expm1 and power differ from libm by one unit in the
+last place in about 5% of calls.  Each entry still gets the same bits
+alone, inside an array, or at any offset in it.
+
 The two-term connection formula loses digits like 1/eps as
 eps = |(c-a-b) - round(c-a-b)| shrinks (its two Gamma-ratio coefficients
 grow and cancel), so within the gap the route sums the logarithmic form,
@@ -243,16 +255,6 @@ def hyp2f1_at_one(a: float, b: float, c: float) -> float:
     return gamma_ratio_log((c, d), (c - a, c - b))
 
 
-def _map(f, x: np.ndarray) -> np.ndarray:
-    """``f`` (a ``math`` function) on each entry of a 1-D array.
-
-    ``np.log``/``np.exp`` can differ from libm in the last bit, so the
-    near-one route calls the scalar functions the connection formulas were
-    written with; errors such as ``math.exp`` overflow propagate unchanged.
-    """
-    return np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
-
-
 def _w_block(term: np.ndarray, total: np.ndarray, steps: np.ndarray,
              bracket: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Terms and partial sums of one block of a power series, one column per entry.
@@ -315,82 +317,65 @@ def _log_series_w(w: np.ndarray, logw: np.ndarray, term0: float, ratio, bracket,
     return out
 
 
-def _euler_normalized(a: float, b: float, c: float):
-    """The parameters the connection formulas sum for the set (a, b, c):
-    (a, b, d, flip), where d = c-a-b is made non-negative by the Euler
-    transform, which also swaps a, b for c-a, c-b; ``flip`` is the original
-    c-a-b, the exponent of the transform's prefactor w^flip, or None when
-    the transform does not apply."""
-    d = c - a - b
-    if d < 0.0:
-        return c - a, c - b, -d, d
-    return a, b, d, None
-
-
-def _is_generic(a: float, b: float, c: float, d: float) -> bool:
+def _is_generic(a: float, b: float, c: float) -> bool:
     """Whether the normalized set (a, b, c), d = c-a-b >= 0, sums the
     generic two-series connection formula: d at least _WIDE_GAP from an
-    integer, or nearer but not on it at a 1/Gamma pole (a, b, c-a or c-b a
-    non-positive integer), where one series vanishes and nothing cancels."""
+    integer, or nearer but not on it at a 1/Gamma pole (c-a or c-b a
+    non-positive integer), where one series vanishes and nothing cancels.
+    A normalized a or b that is a non-positive integer terminates, so
+    ``hyp2f1_grid`` gives its set no near-one window."""
+    d = c - a - b
     eps = d - round(d)
-    return abs(eps) >= _WIDE_GAP or bool(eps) and any(map(_is_nonpos_int, (a, b, c - a, c - b)))
+    return abs(eps) >= _WIDE_GAP or bool(eps) and (_is_nonpos_int(c - a) or _is_nonpos_int(c - b))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # silent like the scalar float loops
 def _near_one_generic(table: np.ndarray, rows: np.ndarray | None, z: np.ndarray) -> np.ndarray:
     """The generic connection formula (DLMF 15.8.4) on a 1-D array ``z`` of
     arguments close to 1, entry i with the set ``table[rows[i]]`` of an
-    (S, 3) table of (a, b, c), or with its one row when ``rows`` is None.
+    (S, 3) table of normalized (a, b, c), d = c-a-b >= 0, or with its one
+    row when ``rows`` is None; ``hyp2f1_grid`` applies the Euler prefactor.
 
-    Per set: the Euler normalization (``_euler_normalized``) and the two
-    Gamma-ratio coefficients.  Then, over all the entries at once, one
-    ``math.log`` map for log w, one ``math.exp`` map for the prefactors of
-    the transformed sets, one ``_series_vec`` call per connection series,
-    with per-set parameters (a, b, 1-d) and (c-a, c-b, 1+d), and one
-    ``math.exp`` map for w^d.  Each entry sees the operations of a one-set
-    call in the same order, so it has that call's bits whatever else shares
-    the array; a one-set call keeps ``_series_vec``'s scalar-ratio path.
+    Per set: d and the two Gamma-ratio coefficients.  Then, over all the
+    entries at once, one ``_series_vec`` call per connection series, with
+    per-set parameters (a, b, 1-d) and (c-a, c-b, 1+d), and one numpy power
+    for w^d, its exponent an array of each entry's d.  Each entry sees the
+    operations of a one-set call in the same order, so it has that call's
+    bits whatever else shares the array; a one-set call keeps
+    ``_series_vec``'s scalar-ratio path.
     """
     w = 1.0 - z
-    logw = _map(math.log, w)
-    sets = [(*_euler_normalized(a, b, c), c) for a, b, c in table.tolist()]
     at = np.zeros(z.size, dtype=np.intp) if rows is None else rows
-    flip = np.array([math.nan if f is None else f for _, _, _, f, _ in sets])[at]
-    flipped = ~np.isnan(flip)
-    prefactor = _map(math.exp, flip[flipped] * logw[flipped])
-    coef = np.array([(gamma_ratio_log((c, d), (c - a, c - b)),
-                      gamma_ratio_log((c, -d), (a, b)), d) for a, b, d, _, c in sets])
-    s1, s2, d = coef[at].T
-    first = np.array([(a, b, 1.0 - d) for a, b, d, _, _ in sets])
-    second = np.array([(c - a, c - b, 1.0 + d) for a, b, d, _, c in sets])
-    out = (s1 * _series_vec(first, rows, w)
-           + s2 * _map(math.exp, d * logw) * _series_vec(second, rows, w))
-    out[flipped] = prefactor * out[flipped]
-    return out
+    s1, s2 = np.array([(gamma_ratio_log((c, c - a - b), (c - a, c - b)),
+                        gamma_ratio_log((c, -(c - a - b)), (a, b)))
+                       for a, b, c in table.tolist()])[at].T
+    a, b, c = table.T
+    d = c - a - b
+    first = np.stack([a, b, 1.0 - d], axis=1)
+    second = np.stack([c - a, c - b, 1.0 + d], axis=1)
+    return s1 * _series_vec(first, rows, w) + s2 * w ** d[at] * _series_vec(second, rows, w)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # silent like the scalar float loops
 def _near_one_log(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     """The logarithmic connection formula (DLMF 15.8.10) in powers of
     w = 1-z, for a 1-D array ``z`` of arguments close to 1 and one
-    parameter set whose c-a-b lies within _WIDE_GAP of an integer.
+    normalized parameter set, d = c-a-b >= 0 within _WIDE_GAP of an
+    integer; ``hyp2f1_grid`` applies the Euler prefactor.
 
-    The Euler transform first makes the exponent d = c-a-b non-negative
-    (``_euler_normalized``), and d = m + eps with integer m >= 0.  The
-    formula is a finite sum of m terms plus one series, summed by
-    ``_log_series_w``, whose brackets and scale ``_near_int_bracket``
-    builds for every eps, 0 included; its Gamma-ratio coefficients and the
-    per-index constants of the brackets are computed once per call.  Each
-    entry gets the bits of a per-entry loop over the same formula in the
-    same order of operations, through ``math.log``/``math.exp``/
-    ``math.expm1``, whatever else shares the array.  The normalized a and b
-    must not be non-positive integers (``hyp2f1_grid`` sums those sets'
-    terminating series instead).
+    d = m + eps with integer m >= 0.  The formula is a finite sum of m
+    terms plus one series, summed by ``_log_series_w``, whose brackets and
+    scale ``_near_int_bracket`` builds for every eps, 0 included; its
+    Gamma-ratio coefficients and the per-index constants of the brackets
+    are computed once per call.  Each entry gets the bits of a per-entry
+    evaluation of the same formula in the same order of operations, through
+    ``np.log``/``np.exp``/``np.expm1``, whatever else shares the array.  The
+    a and b must not be non-positive integers (``hyp2f1_grid`` sums those
+    sets' terminating series instead); c < 0 is allowed.
     """
-    abc = (a, b, c)
-    a, b, d, flip = _euler_normalized(a, b, c)
     w = 1.0 - z
-    logw = _map(math.log, w)
+    logw = np.log(w)
+    d = c - a - b
     m = round(d)
     eps = d - m
     finite = np.zeros(w.size)
@@ -401,17 +386,15 @@ def _near_one_log(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
             term = term * ((a + n) * (b + n) / ((n + 1.0) * (1.0 - m + n - eps)) * w)
     # at m = 0 the finite sum is empty, and Gamma(m + eps) may be Gamma(0)
     first = gamma_ratio_log((m + eps, c), (a + m + eps, b + m + eps)) * finite if m else finite
-    ga, sa = _log_gamma_signed(a)
-    gb, sb = _log_gamma_signed(b)
-    front = sa * sb * _map(math.exp, (log_gamma(c) - ga - gb) + m * logw)
+    (ga, sa), (gb, sb), (gc, sc) = map(_log_gamma_signed, (a, b, c))
+    front = sa * sb * sc * np.exp((gc - ga - gb) + m * logw)
     bracket, scale = _near_int_bracket(a + m, b + m, m, eps)
     # terms are (a+m)_n (b+m)_n / (n! (n+m)!) * w^n
     total = _log_series_w(
-        w, logw, scale / math.exp(log_gamma(m + 1.0)),
+        w, logw, scale / math.gamma(m + 1.0),
         lambda n: (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)),
-        bracket, abc)
-    out = first - ((-1.0) ** m) * front * total
-    return out if flip is None else _map(math.exp, flip * logw) * out
+        bracket, (a, b, c))
+    return first - ((-1.0) ** m) * front * total
 
 
 def _near_int_bracket(p: float, q: float, m: int, eps: float):
@@ -445,7 +428,7 @@ def _near_int_bracket(p: float, q: float, m: int, eps: float):
             step = _mul_m1(_mul_m1(1.0 / (p + n), 1.0 / (q + n), eps),
                            -1.0 / (m + n + 1.0 + eps), eps)
             s.append(_mul_m1(s[n], step, eps))
-        v0 = _mul_m1(rq, _map(math.expm1, eps * lw) / eps if eps else lw, eps)
+        v0 = _mul_m1(rq, np.expm1(eps * lw) / eps if eps else lw, eps)
         sn = np.array([s[n] for n in ns])[:, None]
         un = np.array([u[n] for n in ns])[:, None]
         return v0 * (1.0 + eps * sn) + (sn - un)
@@ -601,36 +584,43 @@ def hyp2f1_grid(a, b, c, z: np.ndarray) -> np.ndarray:
     the routes of the module docstring as a one-set call would: the
     terminating case, the near-one window 1-z < 2e-2 (the generic
     connection formula when c-a-b is at least 0.1 from an integer, the
-    logarithmic form nearer), and the Euler transform when c-a-b < 0.  The
-    raw and the transformed series of every set run together in one packed
-    pass per band (z <= 0.7, then the rest), each entry stopping at the
-    first chunk of 16, 16, 32, then 64 terms that converges.  The near-one
-    entries of every set that
-    takes the generic connection formula go through ``_near_one_generic``
-    together: per-set coefficients, then one multi-row ``_series_vec`` call
-    per connection series and one ``math.log``/``math.exp`` map over all of
-    them (a one-set call keeps the scalar-ratio series path).  The
-    logarithmic form runs set by set.  Both take slices of _NEAR_ONE_BLOCK
-    entries, so that their work arrays stay small however large the grid.
-    Each entry's value depends on its own (a, b, c, z) alone, never on the
-    other entries or sets, and has the bits of a one-set call on that
-    entry; so a caller may evaluate any subset of a grid (``hyp2f1_outer``
-    sends it the upper-triangle entries its blocks do not sum), or many
-    parameter sets at once, and place the values back unchanged.  A ConvergenceError
-    from the near-one route names the worst unconverged w of the slice that
-    raised it, with its set's connection-series parameters.
+    logarithmic form nearer), and the Euler transform when c-a-b < 0.  Each
+    set is normalized once: where c-a-b < 0, the mid band and the window
+    sum the set (c-a, c-b, c), and every entry above z = 0.7 is then
+    multiplied by (1-z)^(c-a-b) in one numpy power with a per-entry
+    exponent.  The raw and the normalized series of every set run together
+    in one packed pass per band (z <= 0.7, then the rest), each entry
+    stopping at the first chunk of 16, 16, 32, then 64 terms that
+    converges.  The near-one entries of every set that takes the generic
+    connection formula go through ``_near_one_generic`` together:
+    per-set coefficients, then one multi-row ``_series_vec`` call per
+    connection series and one power for w^d over all of them (a one-set
+    call keeps the scalar-ratio series path).  The logarithmic form runs
+    set by set.  Both take slices of _NEAR_ONE_BLOCK entries, so that
+    their work arrays stay small however large the grid.  Each entry's
+    value depends on its own (a, b, c, z) alone, never on the other entries
+    or sets, and has the bits of a one-set call on that entry; so a caller
+    may evaluate any subset of a grid (``hyp2f1_outer`` sends it the
+    upper-triangle entries its blocks do not sum), or many parameter sets
+    at once, and place the values back unchanged.  The prefactor overflows
+    to inf without a warning, like the connection formulas' arithmetic; a
+    per-set Gamma ratio out of double range raises OverflowError.  A
+    ConvergenceError from the near-one route names the worst unconverged w
+    of the slice that raised it, with the parameters of its set's
+    connection series, or the normalized set for the logarithmic form.
     """
     z = np.asarray(z, dtype=float)
     table, rows = _parameter_sets(a, b, c, z.shape)
     if z.size and (z.min() < 0.0 or z.max() >= 1.0):
         raise ValueError("hyp2f1_grid needs 0 <= z < 1")
     zf = z.ravel()
-    # per set: the mid band's series parameters, the Euler exponent c-a-b
-    # where the transform applies, whether it has a near-one window and
+    # per set: the normalized parameters, with c-a-b >= 0, that the mid band
+    # and the near-one routes sum, the Euler exponent c-a-b where the
+    # transform applies (0 elsewhere), whether it has a near-one window and
     # whether that takes the generic connection formula, and whether the
     # raw series terminates and takes every entry
-    mid_table = table.copy()
-    exponent: dict[int, float] = {}
+    normalized = table.copy()
+    exponent = np.zeros(len(table))
     window = np.zeros(len(table), dtype=bool)
     generic = np.zeros(len(table), dtype=bool)
     terminating = np.zeros(len(table), dtype=bool)
@@ -638,14 +628,14 @@ def hyp2f1_grid(a, b, c, z: np.ndarray) -> np.ndarray:
         if _is_nonpos_int(pa) or _is_nonpos_int(pb):
             terminating[s] = True
             continue
-        na, nb, d, flip = _euler_normalized(pa, pb, pc)
-        if flip is not None:
-            mid_table[s] = (na, nb, pc)
-            exponent[s] = flip
-            if _is_nonpos_int(na) or _is_nonpos_int(nb):
+        if pc - pa - pb < 0.0:
+            exponent[s] = pc - pa - pb
+            pa, pb = pc - pa, pc - pb
+            normalized[s] = (pa, pb, pc)
+            if _is_nonpos_int(pa) or _is_nonpos_int(pb):
                 continue  # the transformed series is exact arbitrarily close to 1
         window[s] = True
-        generic[s] = _is_generic(na, nb, pc, d)
+        generic[s] = _is_generic(pa, pb, pc)
     at = 0 if rows is None else rows  # each entry's set
     out = np.empty(zf.size)
     low = (zf <= _RAW_SERIES_Z) | terminating[at]
@@ -656,23 +646,23 @@ def hyp2f1_grid(a, b, c, z: np.ndarray) -> np.ndarray:
     near = high & window[at] & (1.0 - zf < _NEAR_ONE_W)
     mid = high & ~near
     if mid.any():
-        out[mid] = _series_vec(mid_table, None if rows is None else rows[mid], zf[mid])
-    # the Euler prefactor with each set's scalar exponent, as a one-set call
-    # computes it (numpy's power need not round alike for an exponent array)
-    if exponent:
-        for s, idx in _by_row(rows, mid):
-            if s in exponent:
-                out[idx] = (1.0 - zf[idx]) ** exponent[s] * out[idx]
+        out[mid] = _series_vec(normalized, None if rows is None else rows[mid], zf[mid])
     # the generic connection formula for every set at once, then the
     # logarithmic form set by set
     idx = np.flatnonzero(near & generic[at])
     for lo in range(0, idx.size, _NEAR_ONE_BLOCK):
         part = idx[lo:lo + _NEAR_ONE_BLOCK]
-        out[part] = _near_one_generic(*_present_sets(table, rows, part), zf[part])
+        out[part] = _near_one_generic(*_present_sets(normalized, rows, part), zf[part])
     for s, idx in _by_row(rows, near & ~generic[at]):
         for lo in range(0, idx.size, _NEAR_ONE_BLOCK):
             part = idx[lo:lo + _NEAR_ONE_BLOCK]
-            out[part] = _near_one_log(*table[s].tolist(), zf[part])
+            out[part] = _near_one_log(*normalized[s].tolist(), zf[part])
+    # the Euler prefactor (1-z)^(c-a-b) of every transformed entry, mid band
+    # and window alike: one power with each entry's exponent
+    flipped = high & (exponent[at] < 0.0)
+    if flipped.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[flipped] *= (1.0 - zf[flipped]) ** np.broadcast_to(exponent[at], zf.shape)[flipped]
     return out.reshape(z.shape)
 
 

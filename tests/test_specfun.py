@@ -613,30 +613,37 @@ def _series(a, b, c, z):
                 f"2F1 series exceeded {specfun._SERIES_CAP} terms at (a={a}, b={b}, c={c}, z={z})")
 
 
+def _np(f, *x):
+    """numpy's ufunc ``f`` on one-element arrays [x], as a float."""
+    return float(f(*(np.array([v]) for v in x))[0])
+
+
+@np.errstate(over="ignore", invalid="ignore")  # silent like the grid's near-one route
 def _scalar_near_one(a, b, c, z):
     """The per-entry connection-formula evaluator, kept as the reference
     that ``hyp2f1_grid``'s near-one route (``specfun._near_one_generic``
-    and ``specfun._near_one_log``) must reproduce bit for bit (connection
-    formulas of DLMF §15.8).  The logarithmic form has one series and one
-    bracket for every eps, each quotient by eps at its limit when eps = 0."""
+    and ``specfun._near_one_log``, then the Euler prefactor) must reproduce
+    bit for bit (connection formulas of DLMF §15.8).  Its log, exp, expm1
+    and powers are numpy's, on one-element arrays.  The logarithmic form
+    has one series and one bracket for every eps, each quotient by eps at
+    its limit when eps = 0."""
     w = 1.0 - z
-    d = c - a - b
-    prefactor_log = 0.0
-    if d < 0.0:
-        prefactor_log = d * math.log(w)
+    prefactor = 1.0
+    if c - a - b < 0.0:
+        prefactor = _np(np.power, w, c - a - b)
         a, b = c - a, c - b
-        d = -d
+    d = c - a - b
     m = round(d)
     eps = d - m
     if abs(eps) >= specfun._WIDE_GAP or eps and any(
-            map(specfun._is_nonpos_int, (a, b, c - a, c - b))):
+            map(specfun._is_nonpos_int, (c - a, c - b))):
         s1 = specfun.gamma_ratio_log((c, d), (c - a, c - b))
         s2 = specfun.gamma_ratio_log((c, -d), (a, b))
         val = (s1 * _series(a, b, 1.0 - d, w)
-               + s2 * math.exp(d * math.log(w)) * _series(c - a, c - b, 1.0 + d, w))
-        return math.exp(prefactor_log) * val
+               + s2 * _np(np.power, w, d) * _series(c - a, c - b, 1.0 + d, w))
+        return val * prefactor
     m = int(m)
-    logw = math.log(w)
+    logw = _np(np.log, w)
     finite = 0.0
     term = 1.0
     for n in range(m):
@@ -646,7 +653,8 @@ def _scalar_near_one(a, b, c, z):
     first = specfun.gamma_ratio_log((m + eps, c), (a + m + eps, b + m + eps)) * finite if m else 0.0
     ga, sa = specfun._log_gamma_signed(a)
     gb, sb = specfun._log_gamma_signed(b)
-    front = sa * sb * math.exp(log_gamma(c) - ga - gb + m * logw)
+    gc, sc = specfun._log_gamma_signed(c)
+    front = sa * sb * sc * _np(np.exp, gc - ga - gb + m * logw)
 
     # u and s carry (Gamma(n+1)/Gamma(n+1-eps) - 1)/eps and the n-step
     # ratio of the w^eps Gamma-ratio term, minus 1, over eps
@@ -658,12 +666,12 @@ def _scalar_near_one(a, b, c, z):
     r1 = specfun._gamma_ratio_m1(m + 1.0, eps)
     r0 = specfun._gamma_ratio_m1(1.0, -eps)
     v0 = mul(mul(mul(ra, rb), -r1 / (1.0 + eps * r1)),
-             math.expm1(eps * logw) / eps if eps else logw)
+             _np(np.expm1, eps * logw) / eps if eps else logw)
     u = r0 / (1.0 - eps * r0)
     s = 0.0
     sinc = math.pi * eps / math.sin(math.pi * eps) if eps else 1.0
     total = 0.0
-    term = sinc / ((1.0 + eps * ra) * (1.0 + eps * rb)) / math.exp(log_gamma(m + 1.0))
+    term = sinc / ((1.0 + eps * ra) * (1.0 + eps * rb)) / math.gamma(m + 1.0)
     for n in range(specfun._SERIES_CAP):
         bracket = v0 * (1.0 + eps * s) + (s - u)
         u = (u * (n + 1.0) + 1.0) / (n + 1.0 - eps)
@@ -675,7 +683,7 @@ def _scalar_near_one(a, b, c, z):
     else:
         raise ConvergenceError(f"log series exceeded {specfun._SERIES_CAP} terms")
     second = -((-1.0) ** m) * front * total
-    return math.exp(prefactor_log) * (first + second)
+    return (first + second) * prefactor
 
 
 def _outcome(f):
@@ -706,6 +714,8 @@ NEAR_ONE_CASES = [
     (0.3, 0.9, 3.3 + 1e-3),     # d = 2.101, just past it: generic
     (1.5, -1.001, 0.5),         # d = 0.001 with c-a = -1: a 1/Gamma pole, so generic
     (280.0, 60.0, 320.5),       # overflows to inf in float arithmetic, silently
+    (-1.2, -0.3, -0.5),         # c < 0, m = 1: Gamma(c) with its sign
+    (0.3, -1.6, -1.35),         # c < 0, d = -0.05: swap, then the eps log form
 ]
 
 
@@ -728,7 +738,6 @@ def test_near_one_vec_matches_scalar_reference(monkeypatch, a, b, c, cap):
 
 
 @pytest.mark.parametrize("a, b, c, cap, exc", [
-    (-1.2, -0.3, -0.5, None, ValueError),       # m = 1 needs log_gamma(c) with c < 0
     # generic, but a = 20000 makes the connection series need 81 terms at
     # 1-z = 1e-3, past the 64 terms the cap allows
     (20000.0, 20.0, 20020.25, 64, ConvergenceError),
@@ -743,10 +752,12 @@ def test_near_one_vec_raises_like_scalar(monkeypatch, a, b, c, cap, exc):
         hyp2f1_grid(a, b, c, z)
 
 
-@pytest.mark.parametrize("a, b, c", [(0.5, 0.5, 1.0), (1.5, 1.5, 1.0)])  # m = 0; swap, m = 2
+@pytest.mark.parametrize("a, b, c", [(0.5, 0.5, 1.0), (-0.5, -0.5, 1.0)])  # m = 0; m = 2
 def test_log_series_cap_raises(monkeypatch, a, b, c):
     # a starved log series raises like the raw one, never a truncated sum,
-    # and names the largest unconverged w and the caller's parameters
+    # and names the largest unconverged w and the normalized parameters
+    # it sums, c-a-b >= 0: (-0.5, -0.5, 1.0) is (1.5, 1.5, 1.0) after the
+    # Euler swap
     monkeypatch.setattr(specfun, "_SERIES_CAP", 6)
     z = 1.0 - np.array([1e-15, 1e-2, 1e-4])
     with pytest.raises(ConvergenceError) as excinfo:
@@ -861,9 +872,10 @@ def test_hyp2f1_near_one_window_uses_the_connection_route(a, b, c):
     # criterion 5's twin shape, d = c-a-b = 2.5
     (-0.6, -0.6, 1.3, [1.9e-2, 5e-3, 1e-12],
      ["0x1.48aefd8bad7f1p+0", "0x1.49ca1507a8910p+0", "0x1.4a2f70cce5b8bp+0"]),
-    # a kernel at sigma = 0.5: d = -1.5, so the Euler swap comes first
+    # a kernel at sigma = 0.5: d = -1.5, so the Euler swap comes first;
+    # 1.0e-15, 1.1e-15 and 1.1e-15 from 40-digit mpmath
     (1.75, 1.75, 2.0, [1.9e-2, 4.9e-3, 1e-12],
-     ["0x1.8fd0f08d22344p+8", "0x1.7e2524144621dp+11", "0x1.d1f33cfc52355p+59"]),
+     ["0x1.8fd0f08d22341p+8", "0x1.7e2524144621cp+11", "0x1.d1f33cfc5233bp+59"]),
     # a value-at-one shape, d = 1.6
     (0.3, 0.7, 2.6, [1.9e-2, 1e-12],
      ["0x1.21c80d407d64cp+0", "0x1.236d85afd8798p+0"]),
@@ -905,7 +917,7 @@ def test_hyp2f1_wide_window_matches_mpmath(side, seed):
         c = a + b + d
         if c <= 0.1:
             continue
-        assert specfun._is_generic(a, b, c, abs(c - a - b))
+        assert specfun._is_generic(a, b, c)
         got = hyp2f1_grid(a, b, c, 1.0 - w)
         with mpmath.workdps(30):
             for x, g in zip((1.0 - w).tolist(), got.tolist()):
@@ -938,6 +950,33 @@ def test_hyp2f1_near_integer_exponent_matches_mpmath(m):
                     for x, g in zip(z.tolist(), got.tolist()):
                         ref = mpmath.hyp2f1(a, b, c, x)
                         assert abs((g - ref) / ref) < 1e-13, (a, b, c, 1.0 - x)
+
+
+# the paper's kernel 2F1(lam, lam; mu; z), lam = (mu+sigma+1)/2, so that
+# c-a-b = -sigma-1 < 0, at sigma with c-a-b generic and near an integer
+KERNEL_SETS = [(0.5 * (mu + sigma + 1.0), 0.5 * (mu + sigma + 1.0), mu)
+               for mu in (0.5, 1.0, 1.7, 2.4, 3.0)
+               for sigma in (0.0, 0.3, 0.5, 0.97, 1.0, 1.25, 1.5, 2.0, 2.04, 2.6)]
+
+
+@pytest.mark.parametrize("a, b, c", [
+    *KERNEL_SETS,
+    (-1.2, -0.3, -0.5),     # c < 0, c-a-b = 1: m = 1
+    (-0.7, 0.4, -0.25),     # c < 0, c-a-b = 0.05: m = 0
+    (0.3, -1.6, -1.35),     # c < 0, c-a-b = -0.05: the Euler swap, then m = 0
+])
+def test_hyp2f1_near_one_window_matches_mpmath(a, b, c):
+    # across the near-one window from 1-z = 1.9e-2 to 2^-52, within 1e-14
+    # of 40-digit mpmath at the rounded z: the Euler prefactor is one
+    # power, so the rounding of log w is not amplified by |(c-a-b) log w|,
+    # and with c < 0 the log form's front factor takes Gamma(c) with its sign
+    mpmath = pytest.importorskip("mpmath")
+    z = 1.0 - np.geomspace(1.9e-2, 2.0 ** -52, 6)
+    got = hyp2f1_grid(a, b, c, z)
+    with mpmath.workdps(40):
+        for x, g in zip(z.tolist(), got.tolist()):
+            ref = mpmath.hyp2f1(a, b, c, x)
+            assert abs((g - ref) / ref) < 1e-14, (a, b, c, 1.0 - x)
 
 
 def _near_integer_sets():
